@@ -220,6 +220,8 @@ def cmd_verify(args) -> int:
         lam_parts, m, r = _shape_args(args, need_lambda=True)
         nbig = sum(sum(c) for c in lam_parts)
         bc = BranchContext(nbig - 1, r, tuple(m), lam_parts, **_flags(args))
+        if bc.big.algebra.dimension() > args.max_dim:
+            raise ResourceLimit("algebra dimension exceeds --max-dim")
         report = bc.branch_dim_identity()
         budget.check()
         lines = [f"lambda: {json.dumps(report['lambda'])}"]
@@ -233,7 +235,8 @@ def cmd_verify(args) -> int:
 
 
 def _lemma24_report(n, r, seed, budget, max_dim, **flags):
-    from .linalg import rank_exact
+    from .linalg import RowSpace, rank_exact
+    from .ring import PRIME, FpContext, UnmappablePoint
     from .symgrp import all_permutations
     from .tableaux import bracket_leq, bracket_reversed
     from math import factorial
@@ -267,13 +270,29 @@ def _lemma24_report(n, r, seed, budget, max_dim, **flags):
                     break
             budget.check()
     spec = Specialization.random(r, Random(seed))
+    # ranks mod p at the point first: full there is full at the point; from
+    # the first shortfall (or an unmappable point) on, rank exactly over Q
+    try:
+        modular = ctx.over(FpContext(spec))
+    except UnmappablePoint:
+        modular = None
     ranks = {}
     free_ok = True
     for a in brackets():
-        va = ctx.v_element(a)
-        rows = [(va * ctx.T(w)).specialize_vector(spec)
-                for w in all_permutations(n)]
-        rk = rank_exact(rows)
+        rk = None
+        if modular is not None:
+            va = modular.v_element(a)
+            space = RowSpace(ctx.dimension(), modulus=PRIME)
+            for w in all_permutations(n):
+                space.add((va * modular.T(w)).residue_vector())
+            rk = space.rank
+            if rk < factorial(n):
+                modular = rk = None
+        if rk is None:
+            va = ctx.v_element(a)
+            rows = [(va * ctx.T(w)).specialize_vector(spec)
+                    for w in all_permutations(n)]
+            rk = rank_exact(rows)
         ranks[str(list(a))] = rk
         free_ok = free_ok and rk == factorial(n)
         budget.check()

@@ -15,6 +15,16 @@ General products expand the left factor into generator words.  Correctness
 is established by the relation / associativity / closure-dimension test
 suite rather than by a confluence proof.
 
+Coefficients come from a scalar ring passed to the context (default: the
+generic ring `ScalarContext(r)`).  The engine uses only the `ScalarRing`
+protocol of `ring`: the constructors zero / one / from_int / q / Q /
+elementary_symmetric and the test is_scalar on the ring, and + - * neg and
+is_zero on its elements.  Any ring with that protocol works; `FpContext`,
+the image of the generic ring in F_p at a rational point, is the other
+one, and rank certificates are built there because reduction is a ring
+homomorphism (a full rank in the image is a full rank at the point).
+Parsing, printing and `specialize_vector` need generic scalars.
+
 Contexts memoise term-level products behind an RLock, so a context and the
 elements created under it are safe for concurrent read use from multiple
 threads.
@@ -30,7 +40,8 @@ from math import factorial
 from random import Random
 
 from .linalg import ResourceLimit, RowSpace
-from .ring import ExactScalar, ScalarContext, Specialization
+from .ring import (PRIME, FpContext, Scalar, ScalarContext, ScalarRing,
+                   Specialization, UnmappablePoint)
 from .symgrp import (CompositionBlocks, Perm, all_permutations, compose,
                      double_cosets, identity, invert, length, reduced_word,
                      transposition, young_subgroup)
@@ -41,15 +52,17 @@ __all__ = ["AlgebraContext", "AKElement"]
 
 class AlgebraContext:
     """Shared data for one Ariki-Koike algebra: rank n, level r, the
-    scalar context, and the two convention flags.
+    scalar ring, and the two convention flags.
 
     m_convention: weighting of Young-subgroup sums ("plain" = unit
     coefficients, "qlen" = q^{l(w)}).  y_convention: weighting of the
     sums used on the y-side ("plain", or "signed" = (-q)^{-l(w)}).
+    scalars: the coefficient ring, `ScalarContext(r)` when omitted.
     """
 
     def __init__(self, n: int, r: int,
-                 m_convention: str = "plain", y_convention: str = "plain"):
+                 m_convention: str = "plain", y_convention: str = "plain",
+                 scalars: ScalarRing | None = None):
         if n < 1 or r < 1:
             raise ValueError("need n >= 1 and r >= 1")
         if m_convention not in ("plain", "qlen"):
@@ -60,7 +73,11 @@ class AlgebraContext:
         self.r = r
         self.m_convention = m_convention
         self.y_convention = y_convention
-        self.scalars = ScalarContext(r)
+        if scalars is None:
+            scalars = ScalarContext(r)
+        elif scalars.r != r:
+            raise ValueError(f"scalar ring has r={scalars.r}, need r={r}")
+        self.scalars = scalars
         self._lock = threading.RLock()
         self._exchange = {}      # (a, b) -> (A, B) monomial dicts
         self._lmul_terms = {}    # (j, c, w) -> tuple of ((c', w'), scalar)
@@ -74,9 +91,15 @@ class AlgebraContext:
     def compatible(self, other: "AlgebraContext"):
         if self is other:
             return
-        if (self.n, self.r, self.m_convention, self.y_convention) != \
-                (other.n, other.r, other.m_convention, other.y_convention):
+        if (self.n, self.r, self.m_convention, self.y_convention,
+                self.scalars) != (other.n, other.r, other.m_convention,
+                                  other.y_convention, other.scalars):
             raise ValueError("algebra contexts differ")
+
+    def over(self, scalars: ScalarRing) -> "AlgebraContext":
+        """The same algebra (n, r, flags) over another scalar ring."""
+        return AlgebraContext(self.n, self.r, self.m_convention,
+                              self.y_convention, scalars=scalars)
 
     def dimension(self) -> int:
         return self.r ** self.n * factorial(self.n)
@@ -353,7 +376,7 @@ class AlgebraContext:
                 return self.coset_sum(left_comp, rep, right_comp, weight="unit")
         raise ValueError("element does not belong to any double coset")
 
-    def pi(self, a: int, x: ExactScalar) -> "AKElement":
+    def pi(self, a: int, x: Scalar) -> "AKElement":
         """pi_a(x) = (M_1 - x)(M_2 - x)...(M_a - x); pi_0 = 1."""
         out = self.one()
         for j in range(1, a + 1):
@@ -414,21 +437,37 @@ class AlgebraContext:
     def regular_closure_dim(self, seed: int = 0, spec: Specialization | None = None,
                             max_dim: int = 10_000) -> int:
         """Dimension of the span of all generator products starting from 1,
-        at a generic specialization.  Must equal r^n * n!."""
+        at a generic specialization.  Must equal r^n * n!.
+
+        The search runs mod p at the point first; a full span there is a
+        full span at the point.  When it is short, or the point does not
+        map to F_p, the exact search over Q at the point decides."""
         D = self.dimension()
         if D > max_dim:
             raise ResourceLimit(f"closure dimension {D} exceeds limit {max_dim}")
         if spec is None:
             spec = Specialization.random(self.r, Random(seed))
-        space = RowSpace(D)
+        try:
+            modular = self.over(FpContext(spec))
+        except UnmappablePoint:
+            modular = None
+        if modular is not None and modular._closure_rank(
+                RowSpace(D, modulus=PRIME), AKElement.residue_vector) == D:
+            return D
+        return self._closure_rank(RowSpace(D),
+                                  lambda e: e.specialize_vector(spec))
+
+    def _closure_rank(self, space: RowSpace, vector) -> int:
+        """Breadth-first closure of 1 under left multiplication by the
+        generators, with `vector` mapping elements into `space`."""
         start = self.one()
-        space.add(start.specialize_vector(spec))
+        space.add(vector(start))
         queue = [start]
         while queue:
             e = queue.pop()
             for j in range(self.n):
                 f = e.lmul_gen(j)
-                if space.add(f.specialize_vector(spec)):
+                if space.add(vector(f)):
                     queue.append(f)
         return space.rank
 
@@ -567,8 +606,10 @@ class AKElement:
                          {k: v * scalar for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, ExactScalar)):
-            return self.scale(other)
+        if not isinstance(other, AKElement):
+            if self.ctx.scalars.is_scalar(other):
+                return self.scale(other)
+            return NotImplemented
         self.ctx.compatible(other.ctx)
         out = self.ctx.zero()
         n = self.ctx.n
@@ -583,7 +624,7 @@ class AKElement:
         return out
 
     def __rmul__(self, other):
-        if isinstance(other, (int, ExactScalar)):
+        if self.ctx.scalars.is_scalar(other):
             return self.scale(other)
         return NotImplemented
 
@@ -594,8 +635,7 @@ class AKElement:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted((k, tuple(sorted(v.terms().items())))
-                                 for k, v in self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     # -- generator multiplication --------------------------------------------
 
@@ -604,10 +644,12 @@ class AKElement:
         if not 0 <= j <= self.ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
         out = {}
-        S = self.ctx.scalars
         for (c, w), coeff in self.terms.items():
             for key, scal in self.ctx._lmul_term(j, c, w):
-                cur = out.get(key, S.zero()) + coeff * scal
+                cur = coeff * scal
+                prev = out.get(key)
+                if prev is not None:
+                    cur = prev + cur
                 if cur.is_zero():
                     out.pop(key, None)
                 else:
@@ -657,6 +699,14 @@ class AKElement:
         vec = [Fraction(0)] * len(index)
         for key, coeff in self.terms.items():
             vec[index[key]] = coeff.specialize(spec)
+        return vec
+
+    def residue_vector(self):
+        """Coordinates over an FpContext as residues in [0, p)."""
+        index = self.ctx.basis_index()
+        vec = [0] * len(index)
+        for key, coeff in self.terms.items():
+            vec[index[key]] = coeff.v
         return vec
 
     # -- serialization ----------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Exact rational linear algebra: fraction-free rank, row spaces, solving.
+"""Exact linear algebra: fraction-free rank, row spaces, solving.
 
 Everything operates on lists of Fractions (or ints); no floating point.
+`RowSpace` also runs over a prime field F_p, where it serves as the
+modular rank of the certificates.
 """
 
 from __future__ import annotations
@@ -94,14 +96,19 @@ class RationalMatrix:
 
 
 class RowSpace:
-    """Incrementally maintained row space with exact membership tests.
+    """Incrementally maintained row space with exact membership tests,
+    over Q or, given a prime `modulus` p, over F_p.
 
-    Rows are kept in a reduced echelon-ish form: each stored row has a
-    pivot column not reused by the others and is normalised to pivot 1.
+    Over Q the entries become Fractions; over F_p they are ints reduced
+    into [0, p).  Rows are kept in a reduced echelon-ish form: each stored
+    row has a pivot column not reused by the others and is normalised to
+    pivot 1.  Feeding rows to a fresh space and reading `rank` is the
+    rank of a matrix.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, modulus: int | None = None):
         self.ncols = ncols
+        self.modulus = modulus
         self._rows = []     # reduced rows
         self._pivots = []   # pivot column of each reduced row
 
@@ -109,13 +116,35 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._rows)
 
+    # the field operations; everything below is written in terms of them
+
+    def _entries(self, vec):
+        m = self.modulus
+        return [Fraction(x) for x in vec] if m is None else [x % m for x in vec]
+
+    def _subtract(self, vec, f, row, start):
+        """vec[start:] -= f * row[start:], in place."""
+        m = self.modulus
+        if m is None:
+            for j in range(start, self.ncols):
+                vec[j] -= f * row[j]
+        else:
+            vec[start:] = [(a - f * b) % m for a, b in zip(vec[start:], row[start:])]
+
+    def _normalised(self, vec, p):
+        """vec scaled so that vec[p] == 1."""
+        m = self.modulus
+        if m is None:
+            inv = Fraction(1) / vec[p]
+            return [x * inv for x in vec]
+        inv = pow(vec[p], -1, m)
+        return [x * inv % m for x in vec]
+
     def _reduce(self, vec):
-        vec = [Fraction(x) for x in vec]
+        vec = self._entries(vec)
         for row, p in zip(self._rows, self._pivots):
             if vec[p]:
-                f = vec[p]
-                for j in range(p, self.ncols):
-                    vec[j] -= f * row[j]
+                self._subtract(vec, vec[p], row, p)
         return vec
 
     def contains(self, vec) -> bool:
@@ -126,14 +155,11 @@ class RowSpace:
         red = self._reduce(vec)
         for p in range(self.ncols):
             if red[p]:
-                inv = Fraction(1) / red[p]
-                red = [x * inv for x in red]
+                red = self._normalised(red, p)
                 # back-substitute into existing rows to stay reduced
                 for row in self._rows:
                     if row[p]:
-                        f = row[p]
-                        for j in range(p, self.ncols):
-                            row[j] -= f * red[j]
+                        self._subtract(row, row[p], red, p)
                 self._rows.append(red)
                 self._pivots.append(p)
                 return True

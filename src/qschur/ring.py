@@ -1,9 +1,18 @@
-"""Exact scalars over the ground ring Z[q, q^-1, Q_1, ..., Q_r].
+"""Scalar rings for the multiplication engine.
 
-A scalar is a sparse Laurent polynomial: each term maps an exponent vector
+`ScalarContext` is the ground ring Z[q, q^-1, Q_1, ..., Q_r].  A scalar is
+a sparse Laurent polynomial: each term maps an exponent vector
 (e_q, e_Q1, ..., e_Qr) to a plain Python integer coefficient.  The
 q-exponent may be negative, the Q-exponents may not.  Rationals only ever
 appear after specialising q and the Q's at concrete rational points.
+
+`FpContext` is the image of that ring in F_p, p = 2^61 - 1, at one
+rational `Specialization`: a/b maps to a * b^-1 mod p.  Reduction is a
+ring homomorphism, so a rank that is full in the image is full at the
+rational point too.
+
+Both rings satisfy `ScalarRing`, the small protocol that `hecke` relies
+on; their elements satisfy `Scalar`.
 
 All values are immutable after construction and all operations are pure,
 so scalars are safe to share between threads.
@@ -17,17 +26,61 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from typing import Protocol
 
 __all__ = [
     "ContextMismatch",
+    "Scalar",
+    "ScalarRing",
     "ScalarContext",
     "ExactScalar",
     "Specialization",
+    "PRIME",
+    "UnmappablePoint",
+    "FpContext",
+    "FpScalar",
 ]
 
 
 class ContextMismatch(ValueError):
     """Scalars from incompatible contexts (different r) were combined."""
+
+
+class Scalar(Protocol):
+    """An element of a scalar ring, as the multiplication engine uses it:
+    ring operations with elements of the same ring, and a zero test."""
+
+    def __add__(self, other): ...
+
+    def __sub__(self, other): ...
+
+    def __mul__(self, other): ...
+
+    def __neg__(self): ...
+
+    def is_zero(self) -> bool: ...
+
+
+class ScalarRing(Protocol):
+    """A coefficient ring for the engine: Z[q^+-1, Q_1..Q_r] or an image
+    of it.  `is_scalar` tells the engine which operands it may treat as
+    scalars (ints and the ring's own elements)."""
+
+    r: int
+
+    def zero(self) -> Scalar: ...
+
+    def one(self) -> Scalar: ...
+
+    def from_int(self, k: int) -> Scalar: ...
+
+    def q(self, e: int = 1) -> Scalar: ...
+
+    def Q(self, k: int, e: int = 1) -> Scalar: ...
+
+    def elementary_symmetric(self, k: int) -> Scalar: ...
+
+    def is_scalar(self, x) -> bool: ...
 
 
 def _term_sort_key(exps):
@@ -49,6 +102,9 @@ class ScalarContext:
     def compatible(self, other: "ScalarContext") -> None:
         if self.r != other.r:
             raise ContextMismatch(f"scalar contexts disagree: r={self.r} vs r={other.r}")
+
+    def is_scalar(self, x) -> bool:
+        return isinstance(x, (int, ExactScalar))
 
     # -- constructors --------------------------------------------------
 
@@ -357,3 +413,134 @@ class Specialization:
 
     def to_json(self) -> dict:
         return {"q": str(self.q_value), "Q": [str(v) for v in self.Q_values]}
+
+
+#: the Mersenne prime 2^61 - 1; residues fit one machine word
+PRIME = (1 << 61) - 1
+
+
+class UnmappablePoint(ValueError):
+    """The rational point has no image in F_p: a denominator, or q, is
+    divisible by p."""
+
+
+def _residue(x: Fraction) -> int:
+    if x.denominator % PRIME == 0:
+        raise UnmappablePoint(f"denominator of {x} is 0 mod p")
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+
+
+class FpContext:
+    """The image of Z[q^+-1, Q_1..Q_r] in F_p (p = PRIME) at a rational
+    point.  Refused (UnmappablePoint) when the point does not map, i.e.
+    a denominator or q is 0 mod p."""
+
+    __slots__ = ("spec", "_q", "_qinv", "_Q")
+
+    def __init__(self, spec: Specialization):
+        self.spec = spec
+        self._q = _residue(spec.q_value)
+        if not self._q:
+            raise UnmappablePoint(f"q = {spec.q_value} is 0 mod p")
+        self._qinv = pow(self._q, -1, PRIME)
+        self._Q = tuple(_residue(v) for v in spec.Q_values)
+
+    @property
+    def r(self) -> int:
+        return self.spec.r
+
+    def is_scalar(self, x) -> bool:
+        return isinstance(x, (int, FpScalar))
+
+    def zero(self) -> "FpScalar":
+        return FpScalar(0)
+
+    def one(self) -> "FpScalar":
+        return FpScalar(1)
+
+    def from_int(self, k: int) -> "FpScalar":
+        return FpScalar(k % PRIME)
+
+    def q(self, e: int = 1) -> "FpScalar":
+        return FpScalar(pow(self._q if e >= 0 else self._qinv, abs(e), PRIME))
+
+    def Q(self, k: int, e: int = 1) -> "FpScalar":
+        if not 1 <= k <= self.r:
+            raise ValueError(f"Q index {k} out of range 1..{self.r}")
+        if e < 0:
+            raise ValueError("Q-exponents must be non-negative")
+        return FpScalar(pow(self._Q[k - 1], e, PRIME))
+
+    def elementary_symmetric(self, k: int) -> "FpScalar":
+        """e_k(Q_1, ..., Q_r); e_0 = 1."""
+        if not 0 <= k <= self.r:
+            raise ValueError(f"elementary symmetric degree {k} out of range")
+        total = 0
+        for subset in combinations(self._Q, k):
+            prod = 1
+            for v in subset:
+                prod = prod * v % PRIME
+            total += prod
+        return FpScalar(total % PRIME)
+
+    def __repr__(self):
+        return f"FpContext({self.spec!r})"
+
+    def __eq__(self, other):
+        return isinstance(other, FpContext) and other.spec == self.spec
+
+    def __hash__(self):
+        return hash(("FpContext", self.spec))
+
+
+class FpScalar:
+    """A residue mod PRIME, stored reduced in [0, PRIME).
+
+    Carries no ring: the point lives in the FpContext, and algebra
+    contexts refuse to mix elements over different rings.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v
+
+    def is_zero(self) -> bool:
+        return not self.v
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __add__(self, other):
+        try:
+            v = self.v + other.v
+        except AttributeError:
+            return NotImplemented
+        return FpScalar(v - PRIME if v >= PRIME else v)
+
+    def __sub__(self, other):
+        try:
+            v = self.v - other.v
+        except AttributeError:
+            return NotImplemented
+        return FpScalar(v + PRIME if v < 0 else v)
+
+    def __mul__(self, other):
+        try:
+            return FpScalar(self.v * other.v % PRIME)
+        except AttributeError:
+            return NotImplemented
+
+    def __neg__(self):
+        return FpScalar(PRIME - self.v if self.v else 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, FpScalar):
+            return NotImplemented
+        return self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return f"FpScalar({self.v})"

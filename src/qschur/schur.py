@@ -7,10 +7,14 @@ the E/F ladder operators all live here.
 
 Independence of the basis maps is certified per type block: maps whose
 images lie in different weight summands never mix, so the certified rank
-is the sum over types mu of the exact rank of {h_A : A of type mu},
-computed after specialising the coefficients at random rational points
-(specialisation can only lose rank, so full rank is a proof and a
-failure is inconclusive; the driver retries at fresh points).
+is the sum over types mu of the rank of {h_A : A of type mu} at a random
+rational point, the point the report prints.  The h_A are built over
+F_p (p = 2^61 - 1) at that point and ranked mod p: evaluation and
+reduction can only lose rank, so full rank mod p is a proof.  When a
+block is short mod p, or the point does not map to F_p, the call falls
+back to exact arithmetic: generic h_A specialised at the same point and
+ranked over Q, which gives the same report as the exact path alone.  A
+shortfall there is inconclusive and is retried at fresh points.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from random import Random
 
 from .hecke import AKElement, AlgebraContext
 from .linalg import ResourceLimit, RowSpace, nullspace, rank_exact
-from .ring import Specialization
+from .ring import PRIME, FpContext, Specialization, UnmappablePoint
 from .symgrp import (CompositionBlocks, compose, invert, length,
                      young_subgroup)
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
@@ -142,18 +146,24 @@ class SchurContext:
         return self._z_cache[key]
 
     def basis_vector(self, lam: Multicomposition, mu: Multicomposition,
-                     A: TypedTableau) -> WeylBasisVector:
+                     A: TypedTableau,
+                     algebra: AlgebraContext | None = None) -> WeylBasisVector:
         """h_A = (sum over the double coset of 1_A) u+_{[lam]} T_{w_lam}
-        y_{lam'}; for the superstandard tableau this equals z_lam."""
+        y_{lam'}; for the superstandard tableau this equals z_lam.
+
+        Built over `algebra`, this context's algebra by default; the
+        certificates pass the same algebra over F_p."""
         if A.shape != lam or A.type_weight() != mu:
             raise ValueError("tableau does not match (lam, mu)")
         if not A.is_semistandard():
             raise ValueError("tableau is not semistandard")
+        if algebra is None:
+            algebra = self.algebra
         d = one_A(A)
-        cs = self.algebra.coset_sum(mu.bar(), d, lam.bar())
+        cs = algebra.coset_sum(mu.bar(), d, lam.bar())
         w, _ = w_lambda(lam)
-        h = cs * self.algebra.u_plus(lam.bracket()) * self.algebra.T(w) \
-            * self.algebra.y_element(lam.dual())
+        h = cs * algebra.u_plus(lam.bracket()) * algebra.T(w) \
+            * algebra.y_element(lam.dual())
         return WeylBasisVector(lam, mu, A, h)
 
     def tableaux_by_type(self, lam: Multicomposition):
@@ -176,29 +186,35 @@ class SchurContext:
         """Certify that the basis vectors of lam have full rank.
 
         Rank is computed per type block and summed; certification succeeds
-        when the total equals the tableau count.  Specialisation failures
-        are retried at fresh random points before reporting "not
+        when the total equals the tableau count.  Each point is tried mod
+        p first; from the first block that is short mod p on, the call
+        ranks exactly over Q (see the module docstring).  Specialisation
+        failures are retried at fresh random points before reporting "not
         certified" (an inconclusive outcome, never a disproof).
         """
         if self.algebra.dimension() > max_dim:
             raise ResourceLimit("algebra dimension exceeds the configured limit")
-        groups = self.tableaux_by_type(lam)
-        count = sum(len(v) for v in groups.values())
-        vectors = {mu.parts: [self.basis_vector(lam, mu, A).elem for A in As]
-                   for mu, As in groups.items()}
+        groups = sorted(self.tableaux_by_type(lam).items(),
+                        key=lambda kv: kv[0].parts)
+        count = sum(len(As) for _, As in groups)
+        vectors = None      # generic h_A per block, built on fallback
         rng = Random(seed)
         attempts = 0
         report = None
         while attempts < (1 if spec is not None else 1 + retries):
             attempts += 1
             point = spec if spec is not None else Specialization.random(self.r, rng)
-            rank = 0
-            blocks = []
-            for mu, As in sorted(groups.items(), key=lambda kv: kv[0].parts):
-                rows = [h.specialize_vector(point) for h in vectors[mu.parts]]
-                blk = rank_exact(rows)
-                rank += blk
-                blocks.append({"mu": mu.to_json(), "size": len(As), "rank": blk})
+            if vectors is None and self._full_rank_mod_p(lam, groups, point):
+                ranks = [len(As) for _, As in groups]
+            else:
+                if vectors is None:
+                    vectors = [[self.basis_vector(lam, mu, A).elem for A in As]
+                               for mu, As in groups]
+                ranks = [rank_exact([h.specialize_vector(point) for h in hs])
+                         for hs in vectors]
+            rank = sum(ranks)
+            blocks = [{"mu": mu.to_json(), "size": len(As), "rank": blk}
+                      for (mu, As), blk in zip(groups, ranks)]
             report = {
                 "lambda": lam.to_json(),
                 "count": count,
@@ -212,6 +228,24 @@ class SchurContext:
             if report["certified"]:
                 break
         return report
+
+    def _full_rank_mod_p(self, lam, groups, point) -> bool:
+        """Whether every block of h_A, built over F_p at the point, has
+        full rank mod p; False as soon as one does not, or when the point
+        does not map to F_p."""
+        try:
+            algebra = self.algebra.over(FpContext(point))
+        except UnmappablePoint:
+            return False
+        D = algebra.dimension()
+        for mu, As in groups:
+            space = RowSpace(D, modulus=PRIME)
+            for A in As:
+                space.add(self.basis_vector(lam, mu, A, algebra).elem
+                          .residue_vector())
+            if space.rank < len(As):
+                return False
+        return True
 
     # -- module spans and membership -------------------------------------------
 
@@ -380,12 +414,12 @@ class SchurContext:
     def ef_apply(self, idx: EFIndex, kind: str, me: ModuleElement,
                  star: str = "inverse", reps_side: str = "right") -> ModuleElement:
         """Apply the ladder operator to a tagged module element."""
+        if kind not in ("E", "F"):
+            raise ValueError("kind must be 'E' or 'F'")
         sign = 1 if kind == "E" else -1
         target = self.weight_step(me.weight, idx, sign)
         if target is None:
             return ModuleElement(me.weight, self.algebra.zero())
-        if kind not in ("E", "F"):
-            raise ValueError("kind must be 'E' or 'F'")
         S = self.algebra.scalars
         p = self._flat_pos(idx)
         flat = me.weight.bar()

@@ -118,6 +118,12 @@ def test_resource_limit_exit_three():
     assert code == 3
 
 
+def test_branch_max_dim_exit_three():
+    code, _ = run_cli(["verify", "branch", "--lambda", "[[1],[1]]",
+                       "--m", "[2,2]", "--max-dim", "1"])
+    assert code == 3
+
+
 def test_wallclock_budget_exit_three():
     code, _ = run_cli(["verify", "relations", "--n", "2", "--r", "2",
                        "--samples", "5", "--max-seconds", "0"])

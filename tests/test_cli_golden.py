@@ -1,0 +1,29 @@
+"""Byte-identical CLI output on a fixed command corpus.
+
+`data/cli_golden.json` holds, per command, the argv, the exit code and the
+exact stdout of `qschur` at a reference version: `verify basis --format
+json --seed 9` for every multipartition with at most 6 basis vectors of
+(n, r, m) = (2,2,(2,2)), (3,1,(3,)) and (3,3,(1,1,1)), plus `verify
+relations` and `verify lemma24` at (n, r) = (2, 2).  A change to how the
+verdicts are computed must leave every byte the same.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from qschur.cli import main
+
+CASES = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"][:4]))
+def test_cli_output_is_byte_identical(case):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert buf.getvalue() == case["stdout"]

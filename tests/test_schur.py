@@ -118,6 +118,22 @@ def test_ef_zero_out_of_range(schur22):
                     assert schur22.ef_image_of_x(idx, kind, mu).is_zero()
 
 
+def test_ef_apply_rejects_unknown_kind_on_both_branches(schur22):
+    # an invalid kind reads as the F step (sign -1); both the step that
+    # leaves the weight set and the one that stays must raise
+    left = stayed = 0
+    for mu in schur22.weights():
+        me = schur22.x_module(mu)
+        for idx in schur22.ef_indices():
+            if schur22.weight_step(mu, idx, -1) is None:
+                left += 1
+            else:
+                stayed += 1
+            with pytest.raises(ValueError):
+                schur22.ef_apply(idx, "X", me)
+    assert left and stayed
+
+
 def test_ef_hom_property(schur22):
     for mu in schur22.weights():
         me = schur22.x_module(mu)
