@@ -1,8 +1,8 @@
 """Exact arithmetic for Ariki-Koike algebras and cyclotomic q-Schur modules."""
 
 from .ring import ContextMismatch, ExactScalar, ScalarContext, Specialization
-from .linalg import (RationalMatrix, ResourceLimit, RowSpace, nullspace,
-                     rank_exact, solve_in_span)
+from .linalg import (ResourceLimit, RowSpace, nullspace, rank_exact,
+                     solve_in_span)
 from .symgrp import (CompositionBlocks, compose, coset_reps_min,
                      double_cosets, identity, invert, length, reduced_word,
                      young_subgroup)

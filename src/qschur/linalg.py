@@ -1,8 +1,11 @@
 """Exact linear algebra: fraction-free rank, row spaces, solving.
 
 Everything operates on lists of Fractions (or ints); no floating point.
-`RowSpace` also runs over a prime field F_p, where it serves as the
-modular rank of the certificates.
+`RowSpace` is the one Gauss-Jordan routine: it keeps rows in reduced
+echelon form, and null spaces and `solve_in_span` read their answers off
+its pivots.  It also runs over a prime field F_p, where it serves as the
+modular rank of the certificates.  The Bareiss `rank_exact` is the exact
+fallback rank and the independent reference for `RowSpace`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
-    "RationalMatrix",
     "rank_exact",
     "RowSpace",
     "nullspace",
@@ -73,37 +75,16 @@ def rank_exact(matrix) -> int:
     return rank
 
 
-class RationalMatrix:
-    """Thin exact-matrix wrapper; entries are Fractions."""
-
-    def __init__(self, entries):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(r) != self.cols for r in self.entries):
-            raise ValueError("ragged matrix")
-
-    def rank(self) -> int:
-        return rank_exact(self.entries)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)]
-             for j in range(self.cols)])
-
-    def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-
 class RowSpace:
     """Incrementally maintained row space with exact membership tests,
     over Q or, given a prime `modulus` p, over F_p.
 
     Over Q the entries become Fractions; over F_p they are ints reduced
-    into [0, p).  Rows are kept in a reduced echelon-ish form: each stored
-    row has a pivot column not reused by the others and is normalised to
-    pivot 1.  Feeding rows to a fresh space and reading `rank` is the
-    rank of a matrix.
+    into [0, p).  Rows are kept in reduced echelon form: the pivot of each
+    stored row is its first nonzero entry, normalised to 1, and every
+    other row is zero in that column.  Feeding rows to a fresh space and
+    reading `rank` is the rank of a matrix.  Every vector must have
+    exactly `ncols` entries.
     """
 
     def __init__(self, ncols: int, modulus: int | None = None):
@@ -119,6 +100,9 @@ class RowSpace:
     # the field operations; everything below is written in terms of them
 
     def _entries(self, vec):
+        if len(vec) != self.ncols:
+            raise ValueError(f"vector of length {len(vec)} in a row space"
+                             f" of {self.ncols} columns")
         m = self.modulus
         return [Fraction(x) for x in vec] if m is None else [x % m for x in vec]
 
@@ -170,39 +154,20 @@ class RowSpace:
 
 
 def nullspace(rows, ncols=None):
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+    """Basis of {x : M x = 0} for the matrix with the given rows, one
+    vector per free column of the reduced echelon form."""
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
-    # forward elimination to reduced row echelon form
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    space = RowSpace(ncols)
+    for row in rows:
+        space.add(row)
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(space._pivots)):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row, pc in zip(mat[:rank], pivots):
+        for row, pc in zip(space._rows, space._pivots):
             vec[pc] = -row[fc]
         basis.append(vec)
     return basis
@@ -216,40 +181,18 @@ def solve_in_span(basis_rows, target):
       "nonunique"    a solution exists but is not unique (rank defect)
       "inconsistent" target lies outside the span
     """
+    if any(len(row) != len(target) for row in basis_rows):
+        raise ValueError("basis rows and target differ in length")
     nb = len(basis_rows)
-    if nb == 0:
-        if any(Fraction(x) for x in target):
-            return "inconsistent", None
-        return "ok", []
-    ncols = len(basis_rows[0])
-    # columns of the system are the basis rows; augment with the target
-    aug = [[Fraction(basis_rows[i][j]) for i in range(nb)] + [Fraction(target[j])]
-           for j in range(ncols)]
-    pivots = []
-    rank = 0
-    for col in range(nb):
-        piv = None
-        for i in range(rank, len(aug)):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = Fraction(1) / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][nb]:
-            return "inconsistent", None
-    if rank < nb:
+    # one equation per coordinate: the unknowns, then the right-hand side
+    system = RowSpace(nb + 1)
+    for equation in zip(*basis_rows, target):
+        system.add(equation)
+    if nb in system._pivots:
+        return "inconsistent", None
+    if system.rank < nb:
         return "nonunique", None
     coeffs = [Fraction(0)] * nb
-    for row, pc in zip(aug[:rank], pivots):
+    for row, pc in zip(system._rows, system._pivots):
         coeffs[pc] = row[nb]
     return "ok", coeffs

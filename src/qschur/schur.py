@@ -272,15 +272,7 @@ class SchurContext:
     def _apply_right(self, vec, c, w, spec, mats):
         letters, shift = self._right_word(c, w)
         for j in letters:
-            mat = mats[j]
-            out = [Fraction(0)] * len(vec)
-            for i, vi in enumerate(vec):
-                if vi:
-                    row = mat[i]
-                    for k, mv in enumerate(row):
-                        if mv:
-                            out[k] += vi * mv
-            vec = out
+            vec = self._apply_right_gen(vec, j, mats)
         if shift:
             factor = Fraction(spec.q_value) ** shift
             vec = [v * factor for v in vec]
@@ -301,13 +293,14 @@ class SchurContext:
         while queue:
             v = queue.pop()
             for j in range(self.n):
-                nxt = self._apply_right_gen(v, j, spec, mats)
+                nxt = self._apply_right_gen(v, j, mats)
                 if space.add(nxt):
                     queue.append(nxt)
         self._span_cache[key] = space
         return space
 
-    def _apply_right_gen(self, vec, j, spec, mats):
+    def _apply_right_gen(self, vec, j, mats):
+        """vec times the matrix of right multiplication by T_j."""
         mat = mats[j]
         out = [Fraction(0)] * len(vec)
         for i, vi in enumerate(vec):
@@ -388,29 +381,6 @@ class SchurContext:
             out = out + t.scale(S.q(length(x)))
         return out
 
-    def ef_image_of_x(self, idx: EFIndex, kind: str, mu: Multicomposition,
-                      star: str = "inverse", reps_side: str = "right") -> AKElement:
-        """The image of x_mu under E_(i,k) or F_(i,k) (zero when the
-        target weight leaves the weight set)."""
-        if kind not in ("E", "F"):
-            raise ValueError("kind must be 'E' or 'F'")
-        sign = 1 if kind == "E" else -1
-        target = self.weight_step(mu, idx, sign)
-        if target is None:
-            return self.algebra.zero()
-        S = self.algebra.scalars
-        p = self._flat_pos(idx)
-        flat = mu.bar()
-        exp = 1 - (flat[p] if kind == "E" else flat[p - 1])
-        factor = self._coset_factor(target, mu, star, reps_side)
-        out = factor.scale(S.q(exp))
-        if kind == "E" and idx.i == self.m[idx.k - 1]:
-            # boundary: one extra cyclotomic factor joins the u+ part
-            N = mu.bracket()[idx.k]
-            out = out * (self.algebra.unscaled_jm(N + 1)
-                         - self.algebra.from_scalar(1) * S.Q(idx.k + 1))
-        return out * self.x_element(mu)
-
     def ef_apply(self, idx: EFIndex, kind: str, me: ModuleElement,
                  star: str = "inverse", reps_side: str = "right") -> ModuleElement:
         """Apply the ladder operator to a tagged module element."""
@@ -427,6 +397,7 @@ class SchurContext:
         factor = self._coset_factor(target, me.weight, star, reps_side)
         g = factor.scale(S.q(exp))
         if kind == "E" and idx.i == self.m[idx.k - 1]:
+            # boundary: one extra cyclotomic factor joins the u+ part
             N = me.weight.bracket()[idx.k]
             g = g * (self.algebra.unscaled_jm(N + 1)
                      - self.algebra.from_scalar(1) * S.Q(idx.k + 1))
@@ -447,8 +418,9 @@ class SchurContext:
                     for kind in ("E", "F"):
                         sign = 1 if kind == "E" else -1
                         target = self.weight_step(mu, idx, sign)
-                        img = self.ef_image_of_x(idx, kind, mu,
-                                                 star=star, reps_side=reps_side)
+                        img = self.ef_apply(idx, kind, self.x_module(mu),
+                                            star=star,
+                                            reps_side=reps_side).elem
                         if target is None:
                             passed = img.is_zero()
                         else:

@@ -22,6 +22,7 @@ __all__ = [
     "reduced_word",
     "all_permutations",
     "CompositionBlocks",
+    "set_stabilizer",
     "young_subgroup",
     "coset_reps_min",
     "is_min_coset_rep",
@@ -117,12 +118,13 @@ class CompositionBlocks:
         return hash(self.composition)
 
 
-def young_subgroup(blocks: CompositionBlocks):
-    """All permutations fixing each block interval setwise."""
-    n = blocks.n
+def set_stabilizer(n: int, point_sets):
+    """All permutations of 1..n fixing each given set of points setwise;
+    the sets must be disjoint.  The order is fixed: the sets are taken in
+    the given order, each one's points in ascending order."""
     members = [identity(n)]
-    for blk in blocks.blocks():
-        idxs = list(blk)
+    for points in point_sets:
+        idxs = sorted(points)
         if len(idxs) < 2:
             continue
         extended = []
@@ -134,6 +136,11 @@ def young_subgroup(blocks: CompositionBlocks):
                 extended.append(tuple(img))
         members = extended
     return members
+
+
+def young_subgroup(blocks: CompositionBlocks):
+    """All permutations fixing each block interval setwise."""
+    return set_stabilizer(blocks.n, blocks.blocks())
 
 
 def is_min_coset_rep(blocks: CompositionBlocks, w: Perm) -> bool:

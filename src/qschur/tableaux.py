@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .symgrp import Perm, identity
+from .symgrp import Perm, identity, set_stabilizer
 
 __all__ = [
     "MultiShape",
@@ -469,42 +469,12 @@ def chi_gt(m1, m2) -> bool:
 
 def row_stabilizer(t: NumericTableau):
     """All w preserving each row's entry set of t."""
-    rows = [sorted(r) for r in t.bar_rows() if r]
-    n = t.shape.n
-    members = [identity(n)]
-    for vals in rows:
-        if len(vals) < 2:
-            continue
-        from itertools import permutations as _ip
-        extended = []
-        for base in members:
-            for perm in _ip(vals):
-                img = list(base)
-                for pos, v in zip(vals, perm):
-                    img[pos - 1] = v
-                extended.append(tuple(img))
-        members = extended
-    return members
+    return set_stabilizer(t.shape.n, t.row_sets())
 
 
 def column_stabilizer(t: NumericTableau):
     """All w preserving each column's entry set of t (flattened view)."""
-    cols = [sorted(c) for c in t.column_sets() if c]
-    n = t.shape.n
-    members = [identity(n)]
-    for vals in cols:
-        if len(vals) < 2:
-            continue
-        from itertools import permutations as _ip
-        extended = []
-        for base in members:
-            for perm in _ip(vals):
-                img = list(base)
-                for pos, v in zip(vals, perm):
-                    img[pos - 1] = v
-                extended.append(tuple(img))
-        members = extended
-    return members
+    return set_stabilizer(t.shape.n, t.column_sets())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@
 exact stdout of `qschur` at a reference version: `verify basis --format
 json --seed 9` for every multipartition with at most 6 basis vectors of
 (n, r, m) = (2,2,(2,2)), (3,1,(3,)) and (3,3,(1,1,1)), plus `verify
-relations` and `verify lemma24` at (n, r) = (2, 2).  A change to how the
-verdicts are computed must leave every byte the same.
+relations` and `verify lemma24` at (n, r) = (2, 2); the generic elements
+printed by `compute z|x|y|m|h --format json` for three weights each of
+(2,2,(2,2)) and (3,1,(3,)), two `compute h` with another type and
+`compute L --i 2 --n 3 --r 2`; and `verify branch --format json` for
+lambda = ([1],[1]) at m = (2,2) and ([2,1]) at m = (3,).  A change to how
+the verdicts or elements are computed must leave every byte the same.
 """
 
 import io

@@ -1,0 +1,29 @@
+"""Every name a module lists in `__all__` exists.
+
+The bench tracer wraps each `__all__` entry of the eight modules by name,
+so a name left in `__all__` after its definition is deleted breaks a
+traced run.
+"""
+
+import importlib
+
+import pytest
+
+import qschur
+
+MODULES = ("ring", "linalg", "symgrp", "tableaux", "hecke", "schur",
+           "branching", "cli")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    module = importlib.import_module(f"qschur.{name}")
+    for entry in getattr(module, "__all__", ()):
+        assert hasattr(module, entry), f"qschur.{name}.__all__ lists {entry!r}"
+
+
+def test_deleted_api_is_gone():
+    assert not hasattr(qschur, "RationalMatrix")
+    assert not hasattr(qschur.linalg, "RationalMatrix")
+    assert not hasattr(qschur.AKElement, "mul_gen")
+    assert not hasattr(qschur.SchurContext, "ef_image_of_x")

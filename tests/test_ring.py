@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.linalg import RationalMatrix, RowSpace, nullspace, rank_exact, solve_in_span
+from qschur.linalg import RowSpace, nullspace, rank_exact, solve_in_span
 from qschur.ring import ContextMismatch, ScalarContext, Specialization
 
 
@@ -115,9 +115,9 @@ def test_rank_transpose_invariance():
     for _ in range(60):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        M = RationalMatrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                             for _ in range(cols)] for _ in range(rows)])
-        assert M.rank() == M.transpose().rank()
+        M = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+              for _ in range(cols)] for _ in range(rows)]
+        assert rank_exact(M) == rank_exact(list(zip(*M)))
 
 
 def test_rank_against_rowspace():
@@ -144,6 +144,61 @@ def test_nullspace_and_solve():
     assert status == "inconsistent"
     status, _ = solve_in_span([[1, 0], [2, 0]], [1, 0])
     assert status == "nonunique"
+
+
+def test_entries_beyond_ncols_are_refused():
+    # entries beyond ncols are refused, never silently dropped
+    with pytest.raises(ValueError):
+        solve_in_span([[1, 0]], [1, 0, 5])
+    with pytest.raises(ValueError):
+        RowSpace(2).add([0, 0, 7])
+    with pytest.raises(ValueError):
+        RowSpace(2).contains([0, 0, 7])
+    with pytest.raises(ValueError):
+        nullspace([[1, 0], [0, 1, 9]], 2)
+    with pytest.raises(ValueError):
+        solve_in_span([[1, 0, 0]], [1, 0])
+
+
+_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _systems(draw):
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.one_of(st.just(Fraction(0)), _fractions),
+                   min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        # a target inside the span
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                               max_size=len(rows)))
+        target = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                  for j in range(ncols)]
+    else:
+        target = draw(row)
+    return rows, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_elimination_against_bareiss(system):
+    rows, target = system
+    ncols = len(target)
+    rank = rank_exact(rows)
+    ns = nullspace(rows, ncols)
+    assert len(ns) == ncols - rank
+    for v in ns:
+        assert all(sum(r[i] * v[i] for i in range(ncols)) == 0 for r in rows)
+    status, coeffs = solve_in_span(rows, target)
+    if rank_exact(rows + [target]) > rank:
+        assert status == "inconsistent"
+    elif rank < len(rows):
+        assert status == "nonunique"
+    else:
+        assert status == "ok"
+        assert [sum(c * r[j] for c, r in zip(coeffs, rows))
+                for j in range(ncols)] == target
 
 
 def test_specialization_random_distinct():
