@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from math import factorial
 from random import Random
 
 from .branching import BranchContext
@@ -19,9 +20,11 @@ from .hecke import AlgebraContext
 from .linalg import ResourceLimit
 from .ring import Specialization
 from .schur import SchurContext, verify_basis_with_fallback
+from .symgrp import all_permutations
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
-                       addable_nodes, enumerate_multicompositions,
-                       enumerate_ssyt, removable_nodes)
+                       addable_nodes, bracket_leq, bracket_reversed,
+                       enumerate_multicompositions, enumerate_ssyt,
+                       removable_nodes)
 
 USAGE_ERROR = 2
 FAIL = 1
@@ -204,8 +207,8 @@ def cmd_verify(args) -> int:
             sc = SchurContext(n, r, tuple(m), **flags)
             report = sc.verify_basis_independence(
                 sc.weight(lam_parts), seed=seed, max_dim=args.max_dim)
-            report["literal_flags"] = flags == {"m_convention": "plain",
-                                                "y_convention": "plain"}
+            report["literal_flags"] = report["flags"] == {
+                "m_convention": "plain", "y_convention": "plain"}
         else:
             report = verify_basis_with_fallback(n, r, tuple(m), lam_parts,
                                                 seed=seed, max_dim=args.max_dim)
@@ -235,31 +238,25 @@ def cmd_verify(args) -> int:
 
 
 def _lemma24_report(n, r, seed, budget, max_dim, **flags):
-    from .linalg import RowSpace, rank_exact
-    from .ring import PRIME, FpContext, UnmappablePoint
-    from .symgrp import all_permutations
-    from .tableaux import bracket_leq, bracket_reversed
-    from math import factorial
-
     ctx = AlgebraContext(n, r, **flags)
     if ctx.dimension() > max_dim:
         raise ResourceLimit("algebra dimension exceeds --max-dim")
 
-    def brackets():
-        def rec(prefix, remaining_slots):
-            if remaining_slots == 0:
-                yield prefix + (n,)
-                return
-            for v in range(prefix[-1], n + 1):
-                yield from rec(prefix + (v,), remaining_slots - 1)
-        yield from rec((0,), r - 1)
+    def rec(prefix, remaining_slots):
+        if remaining_slots == 0:
+            yield prefix + (n,)
+            return
+        for v in range(prefix[-1], n + 1):
+            yield from rec(prefix + (v,), remaining_slots - 1)
+
+    brackets = list(rec((0,), r - 1))
 
     vanish_ok = True
     pairs = 0
     basis = ctx.basis_monomials()
-    for a in brackets():
+    for a in brackets:
         ua = ctx.u_plus(a)
-        for b in brackets():
+        for b in brackets:
             if bracket_leq(a, b):
                 continue
             pairs += 1
@@ -269,35 +266,21 @@ def _lemma24_report(n, r, seed, budget, max_dim, **flags):
                     vanish_ok = False
                     break
             budget.check()
-    spec = Specialization.random(r, Random(seed))
-    # ranks mod p at the point first: full there is full at the point; from
-    # the first shortfall (or an unmappable point) on, rank exactly over Q
-    try:
-        modular = ctx.over(FpContext(spec))
-    except UnmappablePoint:
-        modular = None
-    ranks = {}
-    free_ok = True
-    for a in brackets():
-        rk = None
-        if modular is not None:
-            va = modular.v_element(a)
-            space = RowSpace(ctx.dimension(), modulus=PRIME)
+
+    def freeness(a):
+        def fill(algebra, add):
+            va = algebra.v_element(a)
             for w in all_permutations(n):
-                space.add((va * modular.T(w)).residue_vector())
-            rk = space.rank
-            if rk < factorial(n):
-                modular = rk = None
-        if rk is None:
-            va = ctx.v_element(a)
-            rows = [(va * ctx.T(w)).specialize_vector(spec)
-                    for w in all_permutations(n)]
-            rk = rank_exact(rows)
-        ranks[str(list(a))] = rk
-        free_ok = free_ok and rk == factorial(n)
-        budget.check()
+                add(va * algebra.T(w))
+            budget.check()
+        return factorial(n), fill
+
+    spec = Specialization.random(r, Random(seed))
+    ranks = ctx.ranks_at(spec, [freeness(a) for a in brackets])
+    free_ok = all(rk == factorial(n) for rk in ranks)
     return {"n": n, "r": r, "vanishing": vanish_ok, "pairs_checked": pairs,
-            "freeness_ranks": ranks, "freeness": free_ok,
+            "freeness_ranks": {str(list(a)): rk for a, rk in zip(brackets, ranks)},
+            "freeness": free_ok,
             "expected_rank": factorial(n), "pass": vanish_ok and free_ok}
 
 

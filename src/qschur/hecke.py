@@ -27,9 +27,14 @@ protocol of `ring`: the constructors zero / one / from_int / q / Q /
 elementary_symmetric and the test is_scalar on the ring, and + - * neg and
 is_zero on its elements.  Any ring with that protocol works; `FpContext`,
 the image of the generic ring in F_p at a rational point, is the other
-one, and rank certificates are built there because reduction is a ring
-homomorphism (a full rank in the image is a full rank at the point).
-Parsing, printing and `specialize_vector` need generic scalars.
+one.  `ranks_at` is the one rank certificate at a rational point, used
+by the closure dimension, the basis certificate in `schur` and the
+lemma-2.4 freeness ranks: it builds each block of elements over F_p at
+the point, where a full rank is a full rank at the point because
+reduction is a ring homomorphism, and rebuilds only a block short mod p
+(or every block, when the point does not map to F_p) over the generic
+ring to rank it exactly over Q.  Parsing, printing and
+`specialize_vector` need generic scalars.
 
 Contexts memoise term-level products behind an RLock, so a context and the
 elements created under it are safe for concurrent read use from multiple
@@ -429,39 +434,55 @@ class AlgebraContext:
     def regular_closure_dim(self, seed: int = 0, spec: Specialization | None = None,
                             max_dim: int = 10_000) -> int:
         """Dimension of the span of all generator products starting from 1,
-        at a generic specialization.  Must equal r^n * n!.
-
-        The search runs mod p at the point first; a full span there is a
-        full span at the point.  When it is short, or the point does not
-        map to F_p, the exact search over Q at the point decides."""
+        at a generic specialization.  Must equal r^n * n!."""
         D = self.dimension()
         if D > max_dim:
             raise ResourceLimit(f"closure dimension {D} exceeds limit {max_dim}")
         if spec is None:
             spec = Specialization.random(self.r, Random(seed))
-        try:
-            modular = self.over(FpContext(spec))
-        except UnmappablePoint:
-            modular = None
-        if modular is not None and modular._closure_rank(
-                RowSpace(D, modulus=PRIME), AKElement.residue_vector) == D:
-            return D
-        return self._closure_rank(RowSpace(D),
-                                  lambda e: e.specialize_vector(spec))
+        return self.ranks_at(spec, [(D, AlgebraContext._close)])[0]
 
-    def _closure_rank(self, space: RowSpace, vector) -> int:
+    def _close(self, add) -> None:
         """Breadth-first closure of 1 under left multiplication by the
-        generators, with `vector` mapping elements into `space`."""
+        generators, feeding each element to `add` (True when it is new)."""
         start = self.one()
-        space.add(vector(start))
+        add(start)
         queue = [start]
         while queue:
             e = queue.pop()
             for j in range(self.n):
                 f = e.lmul_gen(j)
-                if space.add(vector(f)):
+                if add(f):
                     queue.append(f)
-        return space.rank
+
+    def ranks_at(self, spec: Specialization, blocks) -> list[int]:
+        """Rank at the rational point `spec` of each block of elements.
+
+        A block is a pair (size, fill): `fill(algebra, add)` builds the
+        block's elements over `algebra` and passes each to `add`, which
+        returns whether the span grew.  Every block is built over F_p at
+        the point first; a rank that reaches `size` there is that rank at
+        the point, since reduction can only lose rank.  A block short mod
+        p, or every block when the point does not map to F_p, is rebuilt
+        over this context's ring and ranked exactly over Q at the point.
+        """
+        try:
+            modular = self.over(FpContext(spec))
+        except UnmappablePoint:
+            modular = None
+        D = self.dimension()
+        ranks = []
+        for size, fill in blocks:
+            if modular is not None:
+                space = RowSpace(D, modulus=PRIME)
+                fill(modular, lambda e: space.add(e.residue_vector()))
+                if space.rank >= size:
+                    ranks.append(space.rank)
+                    continue
+            space = RowSpace(D)
+            fill(self, lambda e: space.add(e.specialize_vector(spec)))
+            ranks.append(space.rank)
+        return ranks
 
     def relation_reports(self) -> dict:
         """Each defining relation checked as an identity of left

@@ -3,9 +3,10 @@
 Everything operates on lists of Fractions (or ints); no floating point.
 `RowSpace` is the one Gauss-Jordan routine: it keeps rows in reduced
 echelon form, and null spaces and `solve_in_span` read their answers off
-its pivots.  It also runs over a prime field F_p, where it serves as the
-modular rank of the certificates.  The Bareiss `rank_exact` is the exact
-fallback rank and the independent reference for `RowSpace`.
+its pivots.  It is also every rank the certificates take, over F_p at a
+point and, for a block short there, over Q at the same point.  The
+Bareiss `rank_exact` is the reference: nothing in the package calls it,
+and the tests check `RowSpace` against it.
 """
 
 from __future__ import annotations

@@ -316,13 +316,6 @@ class ExactScalar:
             out = out * self
         return out
 
-    def q_shift(self, e: int) -> "ExactScalar":
-        """Multiply by q^e (e may be negative)."""
-        if e == 0:
-            return self
-        return ExactScalar(self.ctx, {
-            (exps[0] + e,) + exps[1:]: c for exps, c in self._terms.items()})
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ctx.from_int(other)

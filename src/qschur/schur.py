@@ -8,13 +8,10 @@ the E/F ladder operators all live here.
 Independence of the basis maps is certified per type block: maps whose
 images lie in different weight summands never mix, so the certified rank
 is the sum over types mu of the rank of {h_A : A of type mu} at a random
-rational point, the point the report prints.  The h_A are built over
-F_p (p = 2^61 - 1) at that point and ranked mod p: evaluation and
-reduction can only lose rank, so full rank mod p is a proof.  When a
-block is short mod p, or the point does not map to F_p, the call falls
-back to exact arithmetic: generic h_A specialised at the same point and
-ranked over Q, which gives the same report as the exact path alone.  A
-shortfall there is inconclusive and is retried at fresh points.
+rational point, the point the report prints.  Each block is one
+`AlgebraContext.ranks_at` block: the h_A are built over whatever algebra
+it hands in, and it decides how the rank at the point is certified.  A
+shortfall at the point is inconclusive and is retried at fresh points.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ from fractions import Fraction
 from random import Random
 
 from .hecke import AKElement, AlgebraContext
-from .linalg import ResourceLimit, RowSpace, nullspace, rank_exact
-from .ring import PRIME, FpContext, Specialization, UnmappablePoint
+from .linalg import ResourceLimit, RowSpace, nullspace
+from .ring import Specialization
 from .symgrp import (CompositionBlocks, compose, invert, length,
                      young_subgroup)
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
@@ -186,10 +183,8 @@ class SchurContext:
         """Certify that the basis vectors of lam have full rank.
 
         Rank is computed per type block and summed; certification succeeds
-        when the total equals the tableau count.  Each point is tried mod
-        p first; from the first block that is short mod p on, the call
-        ranks exactly over Q (see the module docstring).  Specialisation
-        failures are retried at fresh random points before reporting "not
+        when the total equals the tableau count.  Specialisation failures
+        are retried at fresh random points before reporting "not
         certified" (an inconclusive outcome, never a disproof).
         """
         if self.algebra.dimension() > max_dim:
@@ -197,21 +192,21 @@ class SchurContext:
         groups = sorted(self.tableaux_by_type(lam).items(),
                         key=lambda kv: kv[0].parts)
         count = sum(len(As) for _, As in groups)
-        vectors = None      # generic h_A per block, built on fallback
+
+        def block(mu, As):
+            def fill(algebra, add):
+                for A in As:
+                    add(self.basis_vector(lam, mu, A, algebra).elem)
+            return len(As), fill
+
+        fills = [block(mu, As) for mu, As in groups]
         rng = Random(seed)
         attempts = 0
         report = None
         while attempts < (1 if spec is not None else 1 + retries):
             attempts += 1
             point = spec if spec is not None else Specialization.random(self.r, rng)
-            if vectors is None and self._full_rank_mod_p(lam, groups, point):
-                ranks = [len(As) for _, As in groups]
-            else:
-                if vectors is None:
-                    vectors = [[self.basis_vector(lam, mu, A).elem for A in As]
-                               for mu, As in groups]
-                ranks = [rank_exact([h.specialize_vector(point) for h in hs])
-                         for hs in vectors]
+            ranks = self.algebra.ranks_at(point, fills)
             rank = sum(ranks)
             blocks = [{"mu": mu.to_json(), "size": len(As), "rank": blk}
                       for (mu, As), blk in zip(groups, ranks)]
@@ -228,24 +223,6 @@ class SchurContext:
             if report["certified"]:
                 break
         return report
-
-    def _full_rank_mod_p(self, lam, groups, point) -> bool:
-        """Whether every block of h_A, built over F_p at the point, has
-        full rank mod p; False as soon as one does not, or when the point
-        does not map to F_p."""
-        try:
-            algebra = self.algebra.over(FpContext(point))
-        except UnmappablePoint:
-            return False
-        D = algebra.dimension()
-        for mu, As in groups:
-            space = RowSpace(D, modulus=PRIME)
-            for A in As:
-                space.add(self.basis_vector(lam, mu, A, algebra).elem
-                          .residue_vector())
-            if space.rank < len(As):
-                return False
-        return True
 
     # -- module spans and membership -------------------------------------------
 

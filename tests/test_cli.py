@@ -51,6 +51,23 @@ def test_verify_basis_exit_zero():
     assert data["flags"] == {"m_convention": "plain", "y_convention": "plain"}
 
 
+def test_partial_flags_resolving_to_plain_are_literal():
+    # --flags names only one convention; the other defaults to plain, so
+    # the report's resolved flags are the literal pair
+    for flags in ("m_convention=plain", "y_convention=plain"):
+        code, out = run_cli(["verify", "basis", "--lambda", "[[1],[1]]",
+                             "--m", "[2,2]", "--r", "2", "--format", "json",
+                             "--seed", "9", "--flags", flags])
+        assert code == 0
+        data = json.loads(out)
+        assert data["flags"] == {"m_convention": "plain", "y_convention": "plain"}
+        assert data["literal_flags"] is True
+    code, out = run_cli(["verify", "basis", "--lambda", "[[1],[1]]", "--m",
+                         "[2,2]", "--r", "2", "--format", "json", "--seed", "9",
+                         "--flags", "m_convention=qlen"])
+    assert json.loads(out)["literal_flags"] is False
+
+
 def test_verify_relations():
     code, out = run_cli(["verify", "relations", "--n", "2", "--r", "2",
                          "--samples", "40", "--format", "json"])

@@ -7,9 +7,13 @@ json --seed 9` for every multipartition with at most 6 basis vectors of
 relations` and `verify lemma24` at (n, r) = (2, 2); the generic elements
 printed by `compute z|x|y|m|h --format json` for three weights each of
 (2,2,(2,2)) and (3,1,(3,)), two `compute h` with another type and
-`compute L --i 2 --n 3 --r 2`; and `verify branch --format json` for
-lambda = ([1],[1]) at m = (2,2) and ([2,1]) at m = (3,).  A change to how
-the verdicts or elements are computed must leave every byte the same.
+`compute L --i 2 --n 3 --r 2`; `verify branch --format json` for
+lambda = ([1],[1]) at m = (2,2) and ([2,1]) at m = (3,); `verify lemma24
+--format json` at (n, r) = (1, 3) and (3, 1); `verify relations --samples
+20 --format json` at (2, 3) and (3, 2); and `verify basis` for
+lambda = ([1],[1]) at m = (2,2), seed 9, under `--flags
+m_convention=qlen,y_convention=signed`.  A change to how the verdicts or
+elements are computed must leave every byte the same.
 """
 
 import io

@@ -2,10 +2,13 @@
 
 Reduction mod p at a point is a ring homomorphism, so multiplying over F_p
 must agree with multiplying generically and then reducing; the rank
-certificates rely on that, and fall back to exact ranks over Q at the same
-point when the point does not map to F_p.
+certificates (`AlgebraContext.ranks_at`) rely on that, and rank a block
+exactly over Q at the same point when it is short mod p or the point does
+not map to F_p.
 """
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -13,7 +16,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur import cli, schur
+from qschur import cli
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import RowSpace, rank_exact
 from qschur.ring import (PRIME, FpContext, FpScalar, Specialization,
@@ -125,22 +128,106 @@ def test_basis_falls_back_at_an_unmappable_point(q):
         assert report["certified"] and report["attempts"] == 1
 
 
-def test_basis_short_mod_p_builds_over_fp_once(monkeypatch):
-    # a shortfall mod p switches the rest of the call to exact ranks, so
-    # retries at fresh points never rebuild over F_p
+def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
+    # a block full mod p is never built over the generic ring; a block
+    # short mod p is rebuilt generically and ranked at the same point
     sc = SchurContext(2, 2, (2, 2))
     lam = sc.weight([[1, 0], [1, 0]])
-    builds = []
+    sizes = {mu: len(As) for mu, As in sc.tableaux_by_type(lam).items()}
+    short_mu = max(sizes, key=sizes.get)
+    assert sizes[short_mu] > 1 and len(sizes) > 1
+    builds = Counter()
+    fp_points, exact_points = set(), []
+    basis_vector = SchurContext.basis_vector
+    specialize_vector = AKElement.specialize_vector
 
-    def short(self, lam, groups, point):
-        builds.append(point)
-        return False
+    def recording_basis_vector(self, lam, mu, A, algebra=None):
+        h = basis_vector(self, lam, mu, A, algebra)
+        modular = isinstance(algebra.scalars, FpContext)
+        builds[modular, mu] += 1
+        if modular:
+            fp_points.add(algebra.scalars.spec)
+            if mu == short_mu:
+                return replace(h, elem=algebra.zero())
+        return h
 
-    monkeypatch.setattr(SchurContext, "_full_rank_mod_p", short)
-    monkeypatch.setattr(schur, "rank_exact", lambda rows: 0)
-    report = sc.verify_basis_independence(lam, seed=4, retries=3)
-    assert report["attempts"] == 4 and not report["certified"]
-    assert len(builds) == 1
+    def recording_specialize_vector(self, spec):
+        exact_points.append(spec)
+        return specialize_vector(self, spec)
+
+    monkeypatch.setattr(SchurContext, "basis_vector", recording_basis_vector)
+    monkeypatch.setattr(AKElement, "specialize_vector", recording_specialize_vector)
+    report = sc.verify_basis_independence(lam, seed=4)
+    assert report["certified"] and report["attempts"] == 1
+    assert builds == Counter({**{(True, mu): k for mu, k in sizes.items()},
+                              (False, short_mu): sizes[short_mu]})
+    assert len(fp_points) == 1 and exact_points == [*fp_points] * sizes[short_mu]
+    assert report["specialization"] == exact_points[0].to_json()
+
+
+def build_block(algebra, recipe):
+    """The elements a recipe describes, built over `algebra`: a sum of
+    scaled basis monomials (optionally times a generator), a repeat of an
+    earlier element, a sum of two earlier ones, or p times an earlier one
+    (zero mod p but not over Q)."""
+    S = algebra.scalars
+    basis = algebra.basis_monomials()
+    elems = []
+    for kind, *args in recipe:
+        if kind == "terms":
+            terms, j = args
+            e = algebra.zero()
+            for b, k, eq, i in terms:
+                e = e + algebra.basis_element(*basis[b]) * (
+                    S.from_int(k) * S.q(eq) * (S.Q(i) if i else S.one()))
+            if j is not None:
+                e = e.lmul_gen(j)
+        elif kind == "repeat":
+            e = elems[args[0]]
+        elif kind == "sum":
+            e = elems[args[0]] + elems[args[1]]
+        else:
+            e = elems[args[0]] * S.from_int(PRIME)
+        elems.append(e)
+    return elems
+
+
+@st.composite
+def recipes(draw, n, r):
+    D = r ** n * factorial(n)
+    term = st.tuples(st.integers(0, D - 1), st.integers(-5, 5),
+                     st.integers(-2, 2), st.integers(0, r))
+    fresh = st.tuples(st.just("terms"), st.lists(term, min_size=1, max_size=3),
+                      st.none() | st.integers(0, n - 1))
+    recipe = [draw(fresh)]
+    for i in range(1, draw(st.integers(1, 5))):
+        earlier = st.integers(0, i - 1)
+        recipe.append(draw(fresh
+                           | st.tuples(st.just("repeat"), earlier)
+                           | st.tuples(st.just("sum"), earlier, earlier)
+                           | st.tuples(st.just("times_p"), earlier)))
+    return recipe
+
+
+@pytest.mark.parametrize("n,r", sorted(CONTEXTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ranks_at_matches_exact_rank_of_generic_elements(n, r, data):
+    ctx = CONTEXTS[(n, r)]
+    spec = data.draw(points(r) | st.just(
+        Specialization(Fraction(PRIME), tuple(range(1, r + 1)))))
+    blocks = data.draw(st.lists(recipes(n, r), min_size=1, max_size=3))
+
+    def block(recipe):
+        def fill(algebra, add):
+            for e in build_block(algebra, recipe):
+                add(e)
+        return len(recipe), fill
+
+    expected = [rank_exact([e.specialize_vector(spec)
+                            for e in build_block(ctx, recipe)])
+                for recipe in blocks]
+    assert ctx.ranks_at(spec, [block(recipe) for recipe in blocks]) == expected
 
 
 def test_closure_falls_back_at_an_unmappable_point(ak22):
