@@ -2,7 +2,9 @@
 verification suites, with deterministic machine-readable output.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 resource
-limit exceeded.  All randomness flows from --seed (or QSCHUR_SEED).
+limit exceeded, 4 internal failure (an invariant of the package broke,
+such as scalars of different contexts meeting; a bug, not bad input).
+All randomness flows from --seed (or QSCHUR_SEED).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from random import Random
 from .branching import BranchContext
 from .hecke import AlgebraContext
 from .linalg import ResourceLimit
-from .ring import Specialization
+from .ring import ContextMismatch, Specialization
 from .schur import SchurContext, verify_basis_with_fallback
 from .symgrp import all_permutations
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
@@ -29,6 +31,7 @@ from .tableaux import (MultiShape, Multicomposition, TypedTableau,
 USAGE_ERROR = 2
 FAIL = 1
 RESOURCE = 3
+INTERNAL = 4
 
 
 class _Budget:
@@ -394,6 +397,9 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE
+    except ContextMismatch as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -300,7 +300,10 @@ class AlgebraContext:
 
     def right_gen_matrices(self, spec: Specialization):
         """For each generator index j, the matrix of right multiplication
-        by T_j on the specialized basis (rows indexed like basis_monomials)."""
+        by T_j on the specialized basis (rows indexed like basis_monomials).
+
+        Each row is sparse: the (column, value) pairs of its nonzero
+        entries, in column order, with exact Fraction values."""
         with self._lock:
             cached = self._rmat_cache.get(spec)
         if cached is not None:
@@ -313,7 +316,9 @@ class AlgebraContext:
             gen = self.T(j)
             for (c, w) in basis:
                 e = self.basis_element(c, w) * gen
-                rows.append(e.specialize_vector(spec))
+                entries = ((index[key], coeff.specialize(spec))
+                           for key, coeff in e.terms.items())
+                rows.append(sorted((k, v) for k, v in entries if v))
             mats.append(rows)
         with self._lock:
             self._rmat_cache[spec] = mats

@@ -1,18 +1,21 @@
 """Exact linear algebra: fraction-free rank, row spaces, solving.
 
-Everything operates on lists of Fractions (or ints); no floating point.
-`RowSpace` is the one Gauss-Jordan routine: it keeps rows in reduced
-echelon form, and null spaces and `solve_in_span` read their answers off
-its pivots.  It is also every rank the certificates take, over F_p at a
-point and, for a block short there, over Q at the same point.  The
-Bareiss `rank_exact` is the reference: nothing in the package calls it,
-and the tests check `RowSpace` against it.
+Inputs are lists of Fractions (or ints); no floating point.  `RowSpace`
+is the one Gauss-Jordan routine: it keeps rows in reduced echelon form,
+and null spaces and `solve_in_span` read their answers off its pivots.
+It is also every rank the certificates take, over F_p at a point and,
+for a block short there, over Q at the same point.  Over Q it is
+fraction-free: each row is stored as a primitive integer vector (content
+1, positive pivot), and the exact Fraction values of the reduced echelon
+form are read off as entry / pivot.  The Bareiss `rank_exact` is the
+reference: nothing in the package calls it, and the tests check
+`RowSpace` against it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "rank_exact",
@@ -27,16 +30,16 @@ class ResourceLimit(RuntimeError):
     """A computation exceeded its configured size or time budget."""
 
 
-def _integer_rows(matrix):
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in matrix:
-        row = [Fraction(x) for x in row]
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
+def _integer_row(row):
+    """row scaled by the lcm of its denominators: ints with the same span."""
+    denom = lcm(*(x.denominator for x in row))
+    return [x.numerator * (denom // x.denominator) for x in row]
+
+
+def _primitive(vec):
+    """vec divided by the gcd of its entries."""
+    g = gcd(*vec)
+    return vec if g <= 1 else [x // g for x in vec]
 
 
 def rank_exact(matrix) -> int:
@@ -45,7 +48,7 @@ def rank_exact(matrix) -> int:
     Deterministic: pivots are chosen as the first nonzero entry in
     column-major sweep order.
     """
-    rows = _integer_rows(matrix)
+    rows = [_integer_row(row) for row in matrix]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -80,12 +83,14 @@ class RowSpace:
     """Incrementally maintained row space with exact membership tests,
     over Q or, given a prime `modulus` p, over F_p.
 
-    Over Q the entries become Fractions; over F_p they are ints reduced
-    into [0, p).  Rows are kept in reduced echelon form: the pivot of each
-    stored row is its first nonzero entry, normalised to 1, and every
-    other row is zero in that column.  Feeding rows to a fresh space and
-    reading `rank` is the rank of a matrix.  Every vector must have
-    exactly `ncols` entries.
+    Rows are kept in reduced echelon form: the pivot of each stored row
+    is its first nonzero entry, and every other row is zero in that
+    column.  Over F_p the entries are ints reduced into [0, p) and each
+    pivot is 1.  Over Q each row is a primitive integer vector with a
+    positive pivot, so the reduced echelon row is the stored row divided
+    by its pivot entry.  Feeding rows to a fresh space and reading `rank`
+    is the rank of a matrix.  Every vector must have exactly `ncols`
+    entries.
     """
 
     def __init__(self, ncols: int, modulus: int | None = None):
@@ -105,23 +110,26 @@ class RowSpace:
             raise ValueError(f"vector of length {len(vec)} in a row space"
                              f" of {self.ncols} columns")
         m = self.modulus
-        return [Fraction(x) for x in vec] if m is None else [x % m for x in vec]
+        return _integer_row(vec) if m is None else [x % m for x in vec]
 
-    def _subtract(self, vec, f, row, start):
-        """vec[start:] -= f * row[start:], in place."""
+    def _eliminate(self, vec, row, p):
+        """vec with its entry in row's pivot column p cleared by row."""
         m = self.modulus
         if m is None:
-            for j in range(start, self.ncols):
-                vec[j] -= f * row[j]
-        else:
-            vec[start:] = [(a - f * b) % m for a, b in zip(vec[start:], row[start:])]
+            a, b = vec[p], row[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            return _primitive([b * x - a * y for x, y in zip(vec, row)])
+        f = vec[p]
+        vec[p:] = [(a - f * b) % m for a, b in zip(vec[p:], row[p:])]
+        return vec
 
     def _normalised(self, vec, p):
-        """vec scaled so that vec[p] == 1."""
+        """vec scaled so that its pivot vec[p] is 1 over F_p, positive over Q."""
         m = self.modulus
         if m is None:
-            inv = Fraction(1) / vec[p]
-            return [x * inv for x in vec]
+            vec = _primitive(vec)
+            return vec if vec[p] > 0 else [-x for x in vec]
         inv = pow(vec[p], -1, m)
         return [x * inv % m for x in vec]
 
@@ -129,7 +137,7 @@ class RowSpace:
         vec = self._entries(vec)
         for row, p in zip(self._rows, self._pivots):
             if vec[p]:
-                self._subtract(vec, vec[p], row, p)
+                vec = self._eliminate(vec, row, p)
         return vec
 
     def contains(self, vec) -> bool:
@@ -142,16 +150,20 @@ class RowSpace:
             if red[p]:
                 red = self._normalised(red, p)
                 # back-substitute into existing rows to stay reduced
-                for row in self._rows:
+                for i, row in enumerate(self._rows):
                     if row[p]:
-                        self._subtract(row, row[p], red, p)
+                        self._rows[i] = self._eliminate(row, red, p)
                 self._rows.append(red)
                 self._pivots.append(p)
                 return True
         return False
 
     def basis(self):
-        return [list(r) for r in self._rows]
+        """The reduced echelon rows, as Fractions over Q."""
+        if self.modulus is not None:
+            return [list(r) for r in self._rows]
+        return [[Fraction(x, r[p]) for x in r]
+                for r, p in zip(self._rows, self._pivots)]
 
 
 def nullspace(rows, ncols=None):
@@ -169,7 +181,7 @@ def nullspace(rows, ncols=None):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for row, pc in zip(space._rows, space._pivots):
-            vec[pc] = -row[fc]
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis
 
@@ -195,5 +207,5 @@ def solve_in_span(basis_rows, target):
         return "nonunique", None
     coeffs = [Fraction(0)] * nb
     for row, pc in zip(system._rows, system._pivots):
-        coeffs[pc] = row[nb]
+        coeffs[pc] = Fraction(row[nb], row[pc])
     return "ok", coeffs

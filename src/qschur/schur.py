@@ -256,7 +256,10 @@ class SchurContext:
         return vec
 
     def module_span(self, mu: Multicomposition, spec: Specialization) -> RowSpace:
-        """Row space of the right ideal generated by x_mu, specialised."""
+        """Row space of the right ideal generated by x_mu, specialised.
+
+        Closes x_mu under right multiplication by each T_j, applied through
+        the sparse rows of `right_gen_matrices`, in an exact `RowSpace`."""
         key = (mu.parts, spec)
         cached = self._span_cache.get(key)
         if cached is not None:
@@ -277,14 +280,14 @@ class SchurContext:
         return space
 
     def _apply_right_gen(self, vec, j, mats):
-        """vec times the matrix of right multiplication by T_j."""
+        """vec times the matrix of right multiplication by T_j, walking
+        only the nonzero (column, value) pairs of each sparse row."""
         mat = mats[j]
         out = [Fraction(0)] * len(vec)
         for i, vi in enumerate(vec):
             if vi:
-                for k, mv in enumerate(mat[i]):
-                    if mv:
-                        out[k] += vi * mv
+                for k, mv in mat[i]:
+                    out[k] += vi * mv
         return out
 
     def certify_membership(self, me: ModuleElement, spec: Specialization) -> bool:

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from qschur import cli
 from qschur.cli import main
 from qschur.hecke import AlgebraContext
 from qschur.ring import ScalarContext
@@ -145,6 +146,22 @@ def test_wallclock_budget_exit_three():
     code, _ = run_cli(["verify", "relations", "--n", "2", "--r", "2",
                        "--samples", "5", "--max-seconds", "0"])
     assert code == 3
+
+
+def test_context_mismatch_exits_four_usage_error_two(monkeypatch):
+    # scalars of two contexts meeting is a broken invariant, not bad input,
+    # although ContextMismatch is a ValueError
+    def mismatched(args):
+        return ScalarContext(2).q(1) + ScalarContext(3).q(1)
+
+    def bad_input(args):
+        raise cli.UsageError("bad input")
+
+    argv = ["enum", "multicomp", "--n", "2", "--m", "[2]"]
+    monkeypatch.setattr(cli, "cmd_enum", mismatched)
+    assert run_cli(argv)[0] == 4
+    monkeypatch.setattr(cli, "cmd_enum", bad_input)
+    assert run_cli(argv)[0] == 2
 
 
 def test_determinism_byte_identical():

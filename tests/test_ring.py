@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qschur.linalg import RowSpace, nullspace, rank_exact, solve_in_span
-from qschur.ring import ContextMismatch, ScalarContext, Specialization
+from qschur.ring import PRIME, ContextMismatch, ScalarContext, Specialization
 
 
 CTX = ScalarContext(2)
@@ -199,6 +200,137 @@ def test_elimination_against_bareiss(system):
         assert status == "ok"
         assert [sum(c * r[j] for c, r in zip(coeffs, rows))
                 for j in range(ncols)] == target
+
+
+class _FractionGaussJordan:
+    """Reference row space: plain Gauss-Jordan on Fraction rows, each
+    pivot normalised to 1, every other row zero in a pivot column."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        vec = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if vec[p]:
+                f = vec[p]
+                vec = [a - f * b for a, b in zip(vec, row)]
+        return vec
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def add(self, vec):
+        red = self.reduce(vec)
+        for p in range(self.ncols):
+            if red[p]:
+                red = [x / red[p] for x in red]
+                for i, row in enumerate(self.rows):
+                    if row[p]:
+                        self.rows[i] = [a - row[p] * b for a, b in zip(row, red)]
+                self.rows.append(red)
+                self.pivots.append(p)
+                return True
+        return False
+
+    def nullspace(self):
+        basis = []
+        for fc in sorted(set(range(self.ncols)) - set(self.pivots)):
+            vec = [Fraction(0)] * self.ncols
+            vec[fc] = Fraction(1)
+            for row, pc in zip(self.rows, self.pivots):
+                vec[pc] = -row[fc]
+            basis.append(vec)
+        return basis
+
+
+def _reference_solve(rows, target):
+    nb = len(rows)
+    system = _FractionGaussJordan(nb + 1)
+    for equation in zip(*rows, target):
+        system.add(equation)
+    if nb in system.pivots:
+        return "inconsistent", None
+    if len(system.rows) < nb:
+        return "nonunique", None
+    coeffs = [Fraction(0)] * nb
+    for row, pc in zip(system.rows, system.pivots):
+        coeffs[pc] = row[nb]
+    return "ok", coeffs
+
+
+# ints, small fractions with mixed denominators, and huge numerators
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def _vector_lists(draw):
+    """Vectors, some of them zero, repeated, negated or scaled copies
+    (negative pivots) and sums of earlier ones; plus one probe vector."""
+    ncols = draw(st.integers(1, 6))
+    vector = st.lists(_entries, min_size=ncols, max_size=ncols)
+    vecs = draw(st.lists(vector, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(vecs) - 1))
+        j = draw(st.integers(0, len(vecs) - 1))
+        kind = draw(st.sampled_from(("zero", "repeat", "scaled", "sum")))
+        if kind == "zero":
+            new = [0] * ncols
+        elif kind == "repeat":
+            new = list(vecs[i])
+        elif kind == "scaled":
+            f = draw(st.sampled_from((-1, Fraction(-7, 3), Fraction(5, 10**12))))
+            new = [f * x for x in vecs[i]]
+        else:
+            new = [a + b for a, b in zip(vecs[i], vecs[j])]
+        vecs.insert(draw(st.integers(0, len(vecs))), new)
+    probe = draw(st.one_of(vector, st.just([sum(col) for col in zip(*vecs)])))
+    return vecs, probe
+
+
+def _residues(vec):
+    return [x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+            for x in map(Fraction, vec)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_lists())
+def test_integer_rowspace_matches_fraction_gauss_jordan(case):
+    vecs, probe = case
+    ncols = len(probe)
+    space, ref = RowSpace(ncols), _FractionGaussJordan(ncols)
+    for vec in vecs:
+        assert space.add(vec) == ref.add(vec)
+        assert space.rank == len(ref.rows)
+        # stored rows: primitive integers, positive pivot, reduced
+        for row, p in zip(space._rows, space._pivots):
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) == 1 and row[p] > 0
+            assert not any(row[:p])
+            assert all(row[q] == 0 for q in space._pivots if q != p)
+    basis = space.basis()
+    assert basis == ref.rows
+    assert all(type(x) is Fraction for row in basis for x in row)
+    assert space.contains(probe) == ref.contains(probe)
+    assert all(space.contains(vec) for vec in vecs)
+    assert nullspace(vecs, ncols) == ref.nullspace()
+    assert solve_in_span(vecs, probe) == _reference_solve(vecs, probe)
+    assert solve_in_span(vecs[:1], vecs[0]) == _reference_solve(vecs[:1], vecs[0])
+    # the F_p branch over the same inputs; the rank drops mod p = 2^61 - 1
+    # only when p divides every maximal minor, a negligible chance here
+    rank = rank_exact(vecs)
+    fp = RowSpace(ncols, modulus=PRIME)
+    for vec in vecs:
+        fp.add(_residues(vec))
+    assert fp.rank == rank == space.rank
+    assert fp.contains(_residues(probe)) == (rank_exact(vecs + [probe]) == rank)
 
 
 def test_specialization_random_distinct():

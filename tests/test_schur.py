@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from qschur.linalg import RowSpace
+from qschur.linalg import RowSpace, rank_exact
 from qschur.ring import Specialization
 from qschur.schur import (FALLBACK_FLAGS, ModuleElement, SchurContext,
                           verify_basis_with_fallback)
@@ -210,3 +210,35 @@ def test_basis_report_schema(schur21):
                 "specialization"):
         assert key in rep
     assert rep["flags"] == {"m_convention": "plain", "y_convention": "plain"}
+
+
+@pytest.mark.parametrize("config", [(2, 2, (2, 2)), (3, 2, (2, 2))])
+def test_module_span_against_generic_products(config):
+    # the span closed under the sparse right-multiplication rows, against
+    # the Bareiss rank of x_mu * L^c T_w multiplied in the generic algebra
+    sc = SchurContext(*config)
+    alg = sc.algebra
+    specs = [Specialization.random(2, Random(11)),
+             Specialization.random(2, Random(12))]
+    outcomes = set()
+    for mu in sc.weights():
+        xmu = sc.x_element(mu)
+        products = [xmu * alg.basis_element(c, w)
+                    for c, w in alg.basis_monomials()]
+        for spec in specs:
+            rows = [e.specialize_vector(spec) for e in products]
+            rank = rank_exact(rows)
+            span = sc.module_span(mu, spec)
+            assert span.rank == rank
+        # membership of the E/F images landing in mu, at the last point
+        for src in sc.weights()[::3]:
+            for idx in sc.ef_indices():
+                for kind, sign in (("E", 1), ("F", -1)):
+                    if sc.weight_step(src, idx, sign) != mu:
+                        continue
+                    img = sc.ef_apply(idx, kind, sc.x_module(src)).elem
+                    vec = img.specialize_vector(spec)
+                    inside = rank_exact(rows + [vec]) == rank
+                    assert span.contains(vec) == inside
+                    outcomes.add(inside)
+    assert True in outcomes
