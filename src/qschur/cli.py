@@ -3,7 +3,8 @@ verification suites, with deterministic machine-readable output.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 resource
 limit exceeded, 4 internal failure (an invariant of the package broke,
-such as scalars of different contexts meeting; a bug, not bad input).
+such as scalars of different contexts meeting or an AssertionError from
+an internal check; a bug, not bad input).
 All randomness flows from --seed (or QSCHUR_SEED).
 """
 
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE
-    except ContextMismatch as exc:
+    except (ContextMismatch, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL
     except ValueError as exc:

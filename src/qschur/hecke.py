@@ -11,14 +11,21 @@ multiplication primitive is left multiplication by a single generator:
     string formula whose output exponents never exceed max(a, b)), then
     absorbed into the T-part by the standard-basis rule.
 
-Sparse sums go through one helper, `_accumulate`, which adds (key,
-scalar) pairs into a term dict and drops keys that cancel.  `lmul_gen`
-keeps its own copy of that loop inline: it is the innermost loop of every
-product, and the extra call per term made basis certification measurably
-slower.
+The Jucys-Murphy elements L_i commute, so L_i * L^c T_w is the single
+monomial L^{c+e_i} T_w unless the exponent c_i overflows; only then is L_i
+applied as its generator word q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1},
+once per monomial.  The context memoises T_j per term (`_lmul_term`) and
+the overflowing L_i entries (`_lmul_L_term`).
 
-General products expand the left factor into generator words.  Correctness
-is established by the relation / associativity / closure-dimension test
+Sparse sums go through one helper, `_accumulate`, which adds (key,
+scalar) pairs into a term dict and drops keys that cancel.  Left
+multiplication by T_j or L_i (`AKElement._lmul`) keeps its own copy of
+that loop inline: it is the innermost loop of every product, and the
+extra call per term made basis certification measurably slower.
+
+General products expand the left factor's T_w into generator words and
+apply its L-part through the per-term L_i table.  Correctness is
+established by the relation / associativity / closure-dimension test
 suite rather than by a confluence proof.
 
 Coefficients come from a scalar ring passed to the context (default: the
@@ -105,6 +112,7 @@ class AlgebraContext:
         self._lock = threading.RLock()
         self._exchange = {}      # (a, b) -> (A, B) monomial dicts
         self._lmul_terms = {}    # (j, c, w) -> tuple of ((c', w'), scalar)
+        self._lmul_L_terms = {}  # (i, c, w) -> tuple of ((c', w'), scalar)
         self._words = {}         # w -> reduced word
         self._basis = None
         self._basis_index = None
@@ -294,6 +302,31 @@ class AlgebraContext:
         result = tuple(_accumulate({}, pairs()).items())
         with self._lock:
             self._lmul_terms[key] = result
+        return result
+
+    def _lmul_L_term(self, i: int, c, w):
+        """L_i * (L^c T_w) as a tuple of ((c', w'), scalar).
+
+        The L's commute, so this is L^{c+e_i} T_w unless c_i + 1 reaches
+        r; an overflowing entry is computed once through the generator
+        word of L_i and stored."""
+        ci = c[i - 1] + 1
+        if ci < self.r:
+            return (((c[:i - 1] + (ci,) + c[i:], w), self.scalars.one()),)
+        key = (i, c, w)
+        with self._lock:
+            cached = self._lmul_L_terms.get(key)
+        if cached is not None:
+            return cached
+        # L_i = q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1}
+        e = AKElement(self, {(c, w): self.scalars.one()})
+        for j in list(range(i - 1, 0, -1)) + [0] + list(range(1, i)):
+            e = e.lmul_gen(j)
+        if i > 1:
+            e = e.scale(self.scalars.q(-(i - 1)))
+        result = tuple(e.terms.items())
+        with self._lock:
+            self._lmul_L_terms[key] = result
         return result
 
     # -- right multiplication matrices at a specialization --------------------
@@ -650,12 +683,22 @@ class AKElement:
         """Left multiplication by the generator T_j (T_0 = L_1)."""
         if not 0 <= j <= self.ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
+        return self._lmul(self.ctx._lmul_term, j)
+
+    def _lmul_L(self, i: int) -> "AKElement":
+        """Left multiplication by the Jucys-Murphy element L_i, term by term
+        through the context's memo `_lmul_L_term`."""
+        return self._lmul(self.ctx._lmul_L_term, i)
+
+    def _lmul(self, table, index: int) -> "AKElement":
+        """Left multiplication by the element whose per-term products
+        `table(index, c, w)` returns."""
         # the loop of `_accumulate`, inlined: this is the innermost loop of
         # every product, and going through the helper made basis
         # certification 10-13% slower
         out = {}
         for (c, w), coeff in self.terms.items():
-            for key, scal in self.ctx._lmul_term(j, c, w):
+            for key, scal in table(index, c, w):
                 cur = coeff * scal
                 prev = out.get(key)
                 if prev is not None:
@@ -665,14 +708,6 @@ class AKElement:
                 else:
                     out[key] = cur
         return AKElement(self.ctx, out)
-
-    def _lmul_L(self, i: int) -> "AKElement":
-        """Left multiplication by L_i = q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1}."""
-        word = list(range(i - 1, 0, -1)) + [0] + list(range(1, i))
-        e = self
-        for j in reversed(word):
-            e = e.lmul_gen(j)
-        return e.scale(self.ctx.scalars.q(-(i - 1))) if i > 1 else e
 
     # -- evaluation -----------------------------------------------------------
 

@@ -164,6 +164,21 @@ def test_context_mismatch_exits_four_usage_error_two(monkeypatch):
     assert run_cli(argv)[0] == 2
 
 
+def test_invariant_assertion_exits_four(monkeypatch, capsys):
+    # the package's invariant checks (the exchange table's string bound,
+    # the unique minimal double-coset element, the marked tableau's
+    # semistandard check) raise AssertionError: a bug, not a failed
+    # verification
+    def broken_invariant(args):
+        raise AssertionError("double coset has no unique minimal element")
+
+    monkeypatch.setattr(cli, "cmd_enum", broken_invariant)
+    code, out = run_cli(["enum", "multicomp", "--n", "2", "--m", "[2]"])
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err == (
+        "internal error: double coset has no unique minimal element\n")
+
+
 def test_determinism_byte_identical():
     argv = ["verify", "basis", "--lambda", "[[1],[1]]", "--m", "[2,2]",
             "--r", "2", "--format", "json", "--seed", "9"]

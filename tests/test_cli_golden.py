@@ -12,8 +12,15 @@ lambda = ([1],[1]) at m = (2,2) and ([2,1]) at m = (3,); `verify lemma24
 --format json` at (n, r) = (1, 3) and (3, 1); `verify relations --samples
 20 --format json` at (2, 3) and (3, 2); and `verify basis` for
 lambda = ([1],[1]) at m = (2,2), seed 9, under `--flags
-m_convention=qlen,y_convention=signed`.  A change to how the verdicts or
-elements are computed must leave every byte the same.
+m_convention=qlen,y_convention=signed`.  Then `compute L --i 3` at
+(n, r) = (3, 1) and (4, 1), `compute x|z|h` for lambda = ([2,1],[]) at
+m = (3,3), r = 2, `compute x|y|z|h` for lambda = ([1],[1],[1]) and
+`compute x` for ([],[2],[1]), both at m = (1,1,1), r = 3, and `compute
+z|h` for ([2],[],[1]) at m = (1,1,1), r = 3.  Of these, the two `compute
+L` (L_3 at r = 1), `compute z|h` of ([1],[1],[1]) (L_1) and `compute
+z|h` of ([2],[],[1]) (L_2) multiply through a Jucys-Murphy exponent that
+overflows (c_i + 1 = r).  A change to how the verdicts or elements are
+computed must leave every byte the same.
 """
 
 import io

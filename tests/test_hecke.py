@@ -1,3 +1,4 @@
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -5,10 +6,11 @@ from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qschur.hecke import AlgebraContext
+from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import ResourceLimit, RowSpace, rank_exact
-from qschur.ring import Specialization
+from qschur.ring import PRIME, FpContext, FpScalar, Specialization
 from qschur.symgrp import all_permutations, identity, transposition
 from qschur.tableaux import Multicomposition, bracket_leq, bracket_reversed
 
@@ -104,6 +106,49 @@ def test_r1_collapses_to_hecke():
     rep = ctx.relation_reports()
     assert all(rep.values())
     assert ctx.regular_closure_dim(seed=1) == 2
+
+
+# -- L_i through the per-term table ------------------------------------------------
+
+WORD_CONTEXTS = {(n, r): AlgebraContext(n, r)
+                 for n, r in ((2, 2), (3, 2), (2, 3), (3, 1), (4, 1), (3, 3))}
+
+
+def lmul_L_by_word(e, i):
+    """L_i * e as the generator word q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1}."""
+    for j in list(range(i - 1, 0, -1)) + [0] + list(range(1, i)):
+        e = e.lmul_gen(j)
+    return e.scale(e.ctx.scalars.q(-(i - 1)))
+
+
+def reduce_mod_p(fp_ctx, e):
+    """The image of a generic element over F_p at the context's point."""
+    spec = fp_ctx.scalars.spec
+    terms = {}
+    for key, coeff in e.terms.items():
+        v = coeff.specialize(spec)
+        v = v.numerator * pow(v.denominator, -1, PRIME) % PRIME
+        if v:
+            terms[key] = FpScalar(v)
+    return AKElement(fp_ctx, terms)
+
+
+@pytest.mark.parametrize("ring", ["generic", "fp"])
+@pytest.mark.parametrize("n,r", sorted(WORD_CONTEXTS))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_lmul_L_table_matches_word_path(n, r, ring, seed):
+    rng = Random(seed)
+    ctx = WORD_CONTEXTS[(n, r)]
+    e = ctx.random_element(rng, max_terms=5)
+    if ring == "fp":
+        # a fresh context, so the overflow entries are built over F_p
+        fp = AlgebraContext(n, r, scalars=FpContext(Specialization.random(r, rng)))
+        e = reduce_mod_p(fp, e)
+    for i in range(1, n + 1):
+        assert e._lmul_L(i) == lmul_L_by_word(e, i)
+        for j in range(1, i):
+            assert e._lmul_L(j)._lmul_L(i) == e._lmul_L(i)._lmul_L(j)
 
 
 # -- pi / u / x / y / v -----------------------------------------------------------
@@ -256,22 +301,30 @@ def test_element_text_form(ak22):
 
 
 def test_concurrent_reads_share_context():
-    ctx = AlgebraContext(2, 2)
-    basis = ctx.basis_monomials()
-    rng = Random(41)
-    pairs = [(basis[rng.randrange(len(basis))],
-              basis[rng.randrange(len(basis))]) for _ in range(40)]
-    serial = [ctx.basis_element(*a) * ctx.basis_element(*b) for a, b in pairs]
+    # at (3,2) every left factor has c_3 = 1 and so applies L_3 to terms
+    # whose third exponent may already be 1: the threads race to fill
+    # overflow entries of the L_i table
+    for n, r, lefts in ((2, 2, lambda key: True),
+                        (3, 2, lambda key: key[0][2] == 1)):
+        ctx = AlgebraContext(n, r)
+        basis = ctx.basis_monomials()
+        left = [key for key in basis if lefts(key)]
+        rng = Random(41)
+        pairs = [(left[rng.randrange(len(left))],
+                  basis[rng.randrange(len(basis))]) for _ in range(40)]
+        serial = [ctx.basis_element(*a) * ctx.basis_element(*b) for a, b in pairs]
 
-    def work(pair):
-        a, b = pair
-        return ctx.basis_element(*a) * ctx.basis_element(*b)
-
-    fresh = AlgebraContext(2, 2)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(
-            lambda p: fresh.basis_element(*p[0]) * fresh.basis_element(*p[1]),
-            pairs))
-    for s, p in zip(serial, parallel):
-        assert s.terms.keys() == p.terms.keys()
-        assert all(s.terms[k] == p.terms[k] for k in s.terms)
+        fresh = AlgebraContext(n, r)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = list(pool.map(
+                    lambda p: fresh.basis_element(*p[0]) * fresh.basis_element(*p[1]),
+                    pairs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for s, p in zip(serial, parallel):
+            assert s.terms.keys() == p.terms.keys()
+            assert all(s.terms[k] == p.terms[k] for k in s.terms)
+    assert any(i == 3 for i, _, _ in fresh._lmul_L_terms)
