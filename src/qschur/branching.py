@@ -9,6 +9,9 @@ that each layer quotient matches the smaller module's tableau count, that
 the ladder operators respect the layer order (shape dominance), and that
 the marked tableau of each layer is annihilated into the next layer by
 every raising operator.
+The algebraic checks build h_A and its ladder images over the point
+algebra of their `spec`, so their "zero" and "zero_exact" statuses mean
+zero at that point (a generic zero is still a zero there).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class BranchContext:
         # shapes, which live at later positions of this list.
         self.nodes = list(reversed(removable_nodes(self.lam)))
         self._labels = None
-        self._vectors = {}
+        self._point = (None, {})   # (spec, {(mu.parts, A.entries): h_A})
 
     @property
     def m(self):
@@ -153,11 +156,19 @@ class BranchContext:
 
     # -- algebraic half ------------------------------------------------------------
 
-    def basis_element(self, mu: Multicomposition, A: TypedTableau):
+    def basis_element(self, mu: Multicomposition, A: TypedTableau,
+                      spec: Specialization):
+        """h_A over the point algebra of `spec`, kept for the last point
+        asked for: checks come one point at a time, and comparing a point
+        is cheaper than hashing its Fractions."""
+        if self._point[0] != spec:
+            self._point = (spec, {})
+        vectors = self._point[1]
         key = (mu.parts, A.entries)
-        if key not in self._vectors:
-            self._vectors[key] = self.big.basis_vector(self.lam, mu, A).elem
-        return self._vectors[key]
+        if key not in vectors:
+            vectors[key] = self.big.basis_vector(
+                self.lam, mu, A, self.big.point_algebra(spec)).elem
+        return vectors[key]
 
     def small_ef_indices(self):
         """Gamma'(m'): the ladder indices of the restricted algebra."""
@@ -167,7 +178,7 @@ class BranchContext:
         space = RowSpace(self.big.algebra.dimension())
         for mu, A in labels:
             if mu == weight:
-                space.add(self.basis_element(mu, A).specialize_vector(spec))
+                space.add(self.basis_element(mu, A, spec).vector())
         return space
 
     def tau_of_layer(self, i: int) -> Multicomposition:
@@ -185,7 +196,7 @@ class BranchContext:
         node = self.nodes[i - 1]
         X = t_lambda_x(self.lam, node, self.big.shape)
         tau = X.type_weight()
-        hX = ModuleElement(tau, self.basis_element(tau, X))
+        hX = ModuleElement(tau, self.basis_element(tau, X, spec))
         deeper = [lab for lab in self.restriction_labels()
                   if self.layer_index(lab[1]) >= i + 1]
         checks = []
@@ -197,7 +208,7 @@ class BranchContext:
                 entry["status"] = "zero_exact"
             else:
                 span = self._span_of_labels(deeper, image.weight, spec)
-                inside = span.contains(image.elem.specialize_vector(spec))
+                inside = span.contains(image.elem.vector())
                 entry["status"] = "in_deeper_span" if inside else "FAILED"
                 certified = certified and inside
             checks.append(entry)
@@ -208,7 +219,7 @@ class BranchContext:
                             A: TypedTableau, spec: Specialization) -> dict:
         """Expand the ladder image of h_A in the restricted basis and
         assert every contributing tableau dominates A after stripping."""
-        me = ModuleElement(mu, self.basis_element(mu, A))
+        me = ModuleElement(mu, self.basis_element(mu, A, spec))
         image = self.big.ef_apply(idx, kind, me)
         base_shape = self.strip_marked(A).shape
         report = {"idx": [idx.i, idx.k], "kind": kind, "mu": mu.to_json()}
@@ -219,9 +230,9 @@ class BranchContext:
         target = image.weight
         basis_labels = [(nu, B) for (nu, B) in self.restriction_labels()
                         if nu == target]
-        rows = [self.basis_element(nu, B).specialize_vector(spec)
+        rows = [self.basis_element(nu, B, spec).vector()
                 for nu, B in basis_labels]
-        status, coeffs = solve_in_span(rows, image.elem.specialize_vector(spec))
+        status, coeffs = solve_in_span(rows, image.elem.vector())
         if status != "ok":
             # rank defects and escapes are reported, never ignored
             report["status"] = status

@@ -32,16 +32,16 @@ Coefficients come from a scalar ring passed to the context (default: the
 generic ring `ScalarContext(r)`).  The engine uses only the `ScalarRing`
 protocol of `ring`: the constructors zero / one / from_int / q / Q /
 elementary_symmetric and the test is_scalar on the ring, and + - * neg and
-is_zero on its elements.  Any ring with that protocol works; `FpContext`,
-the image of the generic ring in F_p at a rational point, is the other
-one.  `ranks_at` is the one rank certificate at a rational point, used
-by the closure dimension, the basis certificate in `schur` and the
-lemma-2.4 freeness ranks: it builds each block of elements over F_p at
-the point, where a full rank is a full rank at the point because
-reduction is a ring homomorphism, and rebuilds only a block short mod p
-(or every block, when the point does not map to F_p) over the generic
-ring to rank it exactly over Q.  Parsing, printing and
-`specialize_vector` need generic scalars.
+is_zero on its elements.  Any ring with that protocol works.  The generic
+ring parses, prints and computes; every check at a rational point builds
+its elements over `PointContext`, the image of the generic ring at the
+point, over Q or F_p, and reads them with `vector()`.  `ranks_at` is the
+one rank certificate at a point, used by the closure dimension, the basis
+certificate in `schur` and the lemma-2.4 freeness ranks: it builds each
+block over F_p at the point, where a full rank is a full rank at the point
+because reduction is a ring homomorphism, and rebuilds only a block short
+mod p (or every block, when the point does not map to F_p) over Q to rank
+it exactly.
 
 Contexts memoise term-level products behind an RLock, so a context and the
 elements created under it are safe for concurrent read use from multiple
@@ -53,12 +53,11 @@ from __future__ import annotations
 import json
 import re
 import threading
-from fractions import Fraction
 from math import factorial
 from random import Random
 
 from .linalg import ResourceLimit, RowSpace
-from .ring import (PRIME, FpContext, Scalar, ScalarContext, ScalarRing,
+from .ring import (PRIME, PointContext, Scalar, ScalarContext, ScalarRing,
                    Specialization, UnmappablePoint)
 from .symgrp import (CompositionBlocks, Perm, all_permutations, compose,
                      double_cosets, identity, length, reduced_word,
@@ -116,7 +115,7 @@ class AlgebraContext:
         self._words = {}         # w -> reduced word
         self._basis = None
         self._basis_index = None
-        self._rmat_cache = {}    # specialization -> per-generator matrices
+        self._rmats = None       # right_gen_matrices, over a point ring
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -219,6 +218,12 @@ class AlgebraContext:
             s = self.scalars.from_int(s)
         return AKElement(self, {((0,) * self.n, identity(self.n)): s}) \
             if not s.is_zero() else self.zero()
+
+    def from_vector(self, vec) -> "AKElement":
+        """The inverse of `AKElement.vector`, over a `PointContext` ring."""
+        basis, lift = self.basis_monomials(), self.scalars.from_rational
+        return AKElement(self, _accumulate(
+            {}, ((basis[i], lift(x)) for i, x in enumerate(vec) if x)))
 
     # -- exchange table -----------------------------------------------------
 
@@ -329,33 +334,25 @@ class AlgebraContext:
             self._lmul_L_terms[key] = result
         return result
 
-    # -- right multiplication matrices at a specialization --------------------
+    # -- right multiplication matrices -----------------------------------------
 
-    def right_gen_matrices(self, spec: Specialization):
+    def right_gen_matrices(self):
         """For each generator index j, the matrix of right multiplication
-        by T_j on the specialized basis (rows indexed like basis_monomials).
+        by T_j on the basis (rows indexed like basis_monomials), over a
+        `PointContext` ring.
 
         Each row is sparse: the (column, value) pairs of its nonzero
-        entries, in column order, with exact Fraction values."""
-        with self._lock:
-            cached = self._rmat_cache.get(spec)
-        if cached is not None:
-            return cached
-        basis = self.basis_monomials()
-        index = self.basis_index()
-        mats = []
-        for j in range(self.n):
-            rows = []
-            gen = self.T(j)
-            for (c, w) in basis:
-                e = self.basis_element(c, w) * gen
-                entries = ((index[key], coeff.specialize(spec))
-                           for key, coeff in e.terms.items())
-                rows.append(sorted((k, v) for k, v in entries if v))
-            mats.append(rows)
-        with self._lock:
-            self._rmat_cache[spec] = mats
-        return mats
+        entries, in column order, with the values `coeff.v` of the ring."""
+        if self._rmats is None:
+            index = self.basis_index()
+            mats = []
+            for j in range(self.n):
+                gen = self.T(j)
+                mats.append([sorted((index[key], coeff.v) for key, coeff in
+                                    (self.basis_element(c, w) * gen).terms.items())
+                             for (c, w) in self.basis_monomials()])
+            self._rmats = mats
+        return self._rmats
 
     # -- distinguished elements ----------------------------------------------
 
@@ -502,23 +499,22 @@ class AlgebraContext:
         the point first; a rank that reaches `size` there is that rank at
         the point, since reduction can only lose rank.  A block short mod
         p, or every block when the point does not map to F_p, is rebuilt
-        over this context's ring and ranked exactly over Q at the point.
+        over Q at the point and ranked exactly.
         """
+        algebras = []
         try:
-            modular = self.over(FpContext(spec))
+            algebras.append(self.over(PointContext(spec, PRIME)))
         except UnmappablePoint:
-            modular = None
+            pass
+        algebras.append(self.over(PointContext(spec)))
         D = self.dimension()
         ranks = []
         for size, fill in blocks:
-            if modular is not None:
-                space = RowSpace(D, modulus=PRIME)
-                fill(modular, lambda e: space.add(e.residue_vector()))
+            for algebra in algebras:
+                space = RowSpace(D, modulus=algebra.scalars.modulus)
+                fill(algebra, lambda e: space.add(e.vector()))
                 if space.rank >= size:
-                    ranks.append(space.rank)
-                    continue
-            space = RowSpace(D)
-            fill(self, lambda e: space.add(e.specialize_vector(spec)))
+                    break
             ranks.append(space.rank)
         return ranks
 
@@ -711,15 +707,10 @@ class AKElement:
 
     # -- evaluation -----------------------------------------------------------
 
-    def specialize_vector(self, spec: Specialization):
-        index = self.ctx.basis_index()
-        vec = [Fraction(0)] * len(index)
-        for key, coeff in self.terms.items():
-            vec[index[key]] = coeff.specialize(spec)
-        return vec
-
-    def residue_vector(self):
-        """Coordinates over an FpContext as residues in [0, p)."""
+    def vector(self):
+        """Coordinates on basis_monomials over a `PointContext` ring: the
+        values `coeff.v`, Fractions over Q or residues in [0, p) over F_p,
+        and 0 off the support."""
         index = self.ctx.basis_index()
         vec = [0] * len(index)
         for key, coeff in self.terms.items():

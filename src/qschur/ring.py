@@ -3,15 +3,17 @@
 `ScalarContext` is the ground ring Z[q, q^-1, Q_1, ..., Q_r].  A scalar is
 a sparse Laurent polynomial: each term maps an exponent vector
 (e_q, e_Q1, ..., e_Qr) to a plain Python integer coefficient.  The
-q-exponent may be negative, the Q-exponents may not.  Rationals only ever
-appear after specialising q and the Q's at concrete rational points.
+q-exponent may be negative, the Q-exponents may not.
 
-`FpContext` is the image of that ring in F_p, p = 2^61 - 1, at one
-rational `Specialization`: a/b maps to a * b^-1 mod p.  Reduction is a
-ring homomorphism, so a rank that is full in the image is full at the
-rational point too.
+`PointContext` is the image of that ring at one rational `Specialization`:
+the exact ring Q there, or F_p, p = 2^61 - 1, where a/b maps to
+a * b^-1 mod p.  Both maps are ring homomorphisms, so an element built
+over the image is the generic element evaluated (and reduced) there, and
+a rank that is full mod p is full at the rational point too.  Every check
+taken at a point computes over one of these rings;
+`ExactScalar.specialize` is the reference the tests compare them with.
 
-Both rings satisfy `ScalarRing`, the small protocol that `hecke` relies
+All rings satisfy `ScalarRing`, the small protocol that `hecke` relies
 on; their elements satisfy `Scalar`.
 
 All values are immutable after construction and all operations are pure,
@@ -24,7 +26,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from math import prod
 from random import Random
 from typing import Protocol
 
@@ -37,7 +41,9 @@ __all__ = [
     "Specialization",
     "PRIME",
     "UnmappablePoint",
-    "FpContext",
+    "PointContext",
+    "PointScalar",
+    "QScalar",
     "FpScalar",
 ]
 
@@ -423,79 +429,89 @@ def _residue(x: Fraction) -> int:
     return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
 
 
-class FpContext:
-    """The image of Z[q^+-1, Q_1..Q_r] in F_p (p = PRIME) at a rational
-    point.  Refused (UnmappablePoint) when the point does not map, i.e.
-    a denominator or q is 0 mod p."""
+class PointContext:
+    """The image of Z[q^+-1, Q_1..Q_r] at one rational point `spec`: the
+    exact ring Q (`modulus=None`, elements `QScalar`) or F_p
+    (`modulus=PRIME`, elements `FpScalar`).  A point with no image in F_p
+    (a denominator, or q, is 0 mod p) is refused with UnmappablePoint."""
 
-    __slots__ = ("spec", "_q", "_qinv", "_Q")
+    __slots__ = ("spec", "r", "modulus", "_lift", "_make", "_pow", "_q", "_Q",
+                 "_e", "_zero", "_one")
 
-    def __init__(self, spec: Specialization):
+    def __init__(self, spec: Specialization, modulus: int | None = None):
         self.spec = spec
-        self._q = _residue(spec.q_value)
+        self.r = spec.r
+        self.modulus = modulus
+        if modulus is None:
+            self._lift, self._make, self._pow = Fraction, QScalar, pow
+        elif modulus == PRIME:
+            self._lift, self._make = _residue, FpScalar
+            self._pow = partial(pow, mod=PRIME)
+        else:
+            raise ValueError(f"modulus must be None or PRIME, got {modulus}")
+        self._q = self._lift(spec.q_value)
         if not self._q:
             raise UnmappablePoint(f"q = {spec.q_value} is 0 mod p")
-        self._qinv = pow(self._q, -1, PRIME)
-        self._Q = tuple(_residue(v) for v in spec.Q_values)
-
-    @property
-    def r(self) -> int:
-        return self.spec.r
+        self._Q = tuple(self._lift(v) for v in spec.Q_values)
+        # shared: elements are immutable, and these are asked for per term
+        self._zero = self.from_rational(0)
+        self._one = self.from_rational(1)
+        self._e = tuple(self.from_rational(sum(map(prod, combinations(
+            spec.Q_values, k)))) for k in range(self.r + 1))
 
     def is_scalar(self, x) -> bool:
-        return isinstance(x, (int, FpScalar))
+        return isinstance(x, (int, self._make))
 
-    def zero(self) -> "FpScalar":
-        return FpScalar(0)
+    def from_rational(self, x) -> "PointScalar":
+        """The image of a rational number (or an int) in this ring."""
+        return self._make(self._lift(x))
 
-    def one(self) -> "FpScalar":
-        return FpScalar(1)
+    from_int = from_rational
 
-    def from_int(self, k: int) -> "FpScalar":
-        return FpScalar(k % PRIME)
+    def zero(self) -> "PointScalar":
+        return self._zero
 
-    def q(self, e: int = 1) -> "FpScalar":
-        return FpScalar(pow(self._q if e >= 0 else self._qinv, abs(e), PRIME))
+    def one(self) -> "PointScalar":
+        return self._one
 
-    def Q(self, k: int, e: int = 1) -> "FpScalar":
+    def q(self, e: int = 1) -> "PointScalar":
+        return self._make(self._pow(self._q, e))
+
+    def Q(self, k: int, e: int = 1) -> "PointScalar":
         if not 1 <= k <= self.r:
             raise ValueError(f"Q index {k} out of range 1..{self.r}")
         if e < 0:
             raise ValueError("Q-exponents must be non-negative")
-        return FpScalar(pow(self._Q[k - 1], e, PRIME))
+        return self._make(self._pow(self._Q[k - 1], e))
 
-    def elementary_symmetric(self, k: int) -> "FpScalar":
+    def elementary_symmetric(self, k: int) -> "PointScalar":
         """e_k(Q_1, ..., Q_r); e_0 = 1."""
         if not 0 <= k <= self.r:
             raise ValueError(f"elementary symmetric degree {k} out of range")
-        total = 0
-        for subset in combinations(self._Q, k):
-            prod = 1
-            for v in subset:
-                prod = prod * v % PRIME
-            total += prod
-        return FpScalar(total % PRIME)
+        return self._e[k]
 
     def __repr__(self):
-        return f"FpContext({self.spec!r})"
+        return f"PointContext({self.spec!r}, modulus={self.modulus})"
 
     def __eq__(self, other):
-        return isinstance(other, FpContext) and other.spec == self.spec
+        return (isinstance(other, PointContext) and other.spec == self.spec
+                and other.modulus == self.modulus)
 
     def __hash__(self):
-        return hash(("FpContext", self.spec))
+        return hash(("PointContext", self.spec, self.modulus))
 
 
-class FpScalar:
-    """A residue mod PRIME, stored reduced in [0, PRIME).
+class PointScalar:
+    """An element of a PointContext ring, its value `v`.
 
-    Carries no ring: the point lives in the FpContext, and algebra
-    contexts refuse to mix elements over different rings.
+    Carries no ring: the point lives in the PointContext, and algebra
+    contexts refuse to mix elements over different rings.  The
+    subclasses give the arithmetic of their field.
     """
 
     __slots__ = ("v",)
 
-    def __init__(self, v: int):
+    def __init__(self, v):
         self.v = v
 
     def is_zero(self) -> bool:
@@ -503,6 +519,50 @@ class FpScalar:
 
     def __bool__(self):
         return bool(self.v)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.v})"
+
+
+class QScalar(PointScalar):
+    """An exact value at the point: `v` is a Fraction."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        try:
+            return QScalar(self.v + other.v)
+        except AttributeError:
+            return NotImplemented
+
+    def __sub__(self, other):
+        try:
+            return QScalar(self.v - other.v)
+        except AttributeError:
+            return NotImplemented
+
+    def __mul__(self, other):
+        try:
+            return QScalar(self.v * other.v)
+        except AttributeError:
+            return NotImplemented
+
+    def __neg__(self):
+        return QScalar(-self.v)
+
+
+class FpScalar(PointScalar):
+    """A residue mod PRIME, stored reduced in [0, PRIME)."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         try:
@@ -526,14 +586,3 @@ class FpScalar:
 
     def __neg__(self):
         return FpScalar(PRIME - self.v if self.v else 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, FpScalar):
-            return NotImplemented
-        return self.v == other.v
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __repr__(self):
-        return f"FpScalar({self.v})"

@@ -12,6 +12,10 @@ rational point, the point the report prints.  Each block is one
 `AlgebraContext.ranks_at` block: the h_A are built over whatever algebra
 it hands in, and it decides how the rank at the point is certified.  A
 shortfall at the point is inconclusive and is retried at fresh points.
+
+Module spans, membership, the E/F convention checks and the hom-space
+oracle build x_mu, the ladder images and every product over
+`point_algebra(spec)`, the algebra over Q at their point.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from random import Random
 
 from .hecke import AKElement, AlgebraContext
 from .linalg import ResourceLimit, RowSpace, nullspace
-from .ring import Specialization
+from .ring import PointContext, Specialization
 from .symgrp import (CompositionBlocks, compose, invert, length,
                      young_subgroup)
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
@@ -42,6 +46,12 @@ __all__ = [
 
 #: the recorded fallback convention flags, tried iff the literal pair fails
 FALLBACK_FLAGS = ("qlen", "signed")
+
+
+def _check_ef_convention(star: str, reps_side: str) -> None:
+    if star not in ("inverse", "plain") or reps_side not in ("right", "left"):
+        raise ValueError(f"unknown E/F convention: star={star!r}, "
+                         f"reps_side={reps_side!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +103,7 @@ class SchurContext:
         self._x_cache = {}
         self._z_cache = {}
         self._span_cache = {}
-        self._right_words = None
+        self._points = {}
 
     @property
     def m(self):
@@ -118,6 +128,14 @@ class SchurContext:
 
     def weight(self, parts) -> Multicomposition:
         return Multicomposition(parts, m=self.m)
+
+    def point_algebra(self, spec: Specialization) -> AlgebraContext:
+        """This context's algebra over Q at `spec`, one per point, so that
+        every check there shares its product tables."""
+        algebra = self._points.get(spec)
+        if algebra is None:
+            algebra = self._points[spec] = self.algebra.over(PointContext(spec))
+        return algebra
 
     # -- distinguished elements -------------------------------------------
 
@@ -149,7 +167,7 @@ class SchurContext:
         y_{lam'}; for the superstandard tableau this equals z_lam.
 
         Built over `algebra`, this context's algebra by default; the
-        certificates pass the same algebra over F_p."""
+        at-point checks pass the same algebra over F_p or Q."""
         if A.shape != lam or A.type_weight() != mu:
             raise ValueError("tableau does not match (lam, mu)")
         if not A.is_semistandard():
@@ -226,37 +244,8 @@ class SchurContext:
 
     # -- module spans and membership -------------------------------------------
 
-    def _right_word(self, c, w):
-        """Generator word for right multiplication by L^c T_w, plus the
-        q-exponent shift the L normalisation contributes."""
-        if self._right_words is None:
-            self._right_words = {}
-        key = (c, w)
-        cached = self._right_words.get(key)
-        if cached is None:
-            letters = []
-            shift = 0
-            for i in range(1, self.n + 1):
-                pal = list(range(i - 1, 0, -1)) + [0] + list(range(1, i))
-                for _ in range(c[i - 1]):
-                    letters.extend(pal)
-                    shift -= i - 1
-            letters.extend(self.algebra.word(w))
-            cached = (tuple(letters), shift)
-            self._right_words[key] = cached
-        return cached
-
-    def _apply_right(self, vec, c, w, spec, mats):
-        letters, shift = self._right_word(c, w)
-        for j in letters:
-            vec = self._apply_right_gen(vec, j, mats)
-        if shift:
-            factor = Fraction(spec.q_value) ** shift
-            vec = [v * factor for v in vec]
-        return vec
-
     def module_span(self, mu: Multicomposition, spec: Specialization) -> RowSpace:
-        """Row space of the right ideal generated by x_mu, specialised.
+        """Row space of the right ideal generated by x_mu at the point.
 
         Closes x_mu under right multiplication by each T_j, applied through
         the sparse rows of `right_gen_matrices`, in an exact `RowSpace`."""
@@ -264,10 +253,11 @@ class SchurContext:
         cached = self._span_cache.get(key)
         if cached is not None:
             return cached
-        mats = self.algebra.right_gen_matrices(spec)
-        D = self.algebra.dimension()
+        algebra = self.point_algebra(spec)
+        mats = algebra.right_gen_matrices()
+        D = algebra.dimension()
         space = RowSpace(D)
-        xvec = self.x_element(mu).specialize_vector(spec)
+        xvec = algebra.x_element(mu).vector()
         space.add(xvec)
         queue = [xvec]
         while queue:
@@ -291,9 +281,10 @@ class SchurContext:
         return out
 
     def certify_membership(self, me: ModuleElement, spec: Specialization) -> bool:
-        """One-sided membership certificate e in x_mu H at the point."""
-        return self.module_span(me.weight, spec).contains(
-            me.elem.specialize_vector(spec))
+        """One-sided membership certificate e in x_mu H at the point; e
+        must be built over `point_algebra(spec)`."""
+        self.point_algebra(spec).compatible(me.elem.ctx)
+        return self.module_span(me.weight, spec).contains(me.elem.vector())
 
     # -- idempotents ------------------------------------------------------------
 
@@ -334,10 +325,12 @@ class SchurContext:
             pos += mk
         return Multicomposition(parts, m=self.m)
 
-    def _coset_factor(self, target: Multicomposition, source: Multicomposition,
-                      star: str, reps_side: str) -> AKElement:
+    def _coset_factor(self, algebra: AlgebraContext, target: Multicomposition,
+                      source: Multicomposition, star: str,
+                      reps_side: str) -> AKElement:
         """sum over X of q^{l(x)} T_{x*} for the distinguished coset
-        representatives of the intersection inside the target bar group."""
+        representatives of the intersection inside the target bar group,
+        built over `algebra`."""
         tgt = young_subgroup(CompositionBlocks(target.bar()))
         src = set(young_subgroup(CompositionBlocks(source.bar())))
         inter = [w for w in tgt if w in src]
@@ -354,33 +347,36 @@ class SchurContext:
                 coset = {compose(w, h) for h in inter}
             seen |= coset
             reps.append(w)
-        S = self.algebra.scalars
-        out = self.algebra.zero()
+        S = algebra.scalars
+        out = algebra.zero()
         for x in reps:
-            t = self.algebra.T(invert(x) if star == "inverse" else x)
+            t = algebra.T(invert(x) if star == "inverse" else x)
             out = out + t.scale(S.q(length(x)))
         return out
 
     def ef_apply(self, idx: EFIndex, kind: str, me: ModuleElement,
                  star: str = "inverse", reps_side: str = "right") -> ModuleElement:
-        """Apply the ladder operator to a tagged module element."""
+        """Apply the ladder operator to a tagged module element, over the
+        algebra the element is built over."""
         if kind not in ("E", "F"):
             raise ValueError("kind must be 'E' or 'F'")
+        _check_ef_convention(star, reps_side)
+        algebra = me.elem.ctx
         sign = 1 if kind == "E" else -1
         target = self.weight_step(me.weight, idx, sign)
         if target is None:
-            return ModuleElement(me.weight, self.algebra.zero())
-        S = self.algebra.scalars
+            return ModuleElement(me.weight, algebra.zero())
+        S = algebra.scalars
         p = self._flat_pos(idx)
         flat = me.weight.bar()
         exp = 1 - (flat[p] if kind == "E" else flat[p - 1])
-        factor = self._coset_factor(target, me.weight, star, reps_side)
+        factor = self._coset_factor(algebra, target, me.weight, star, reps_side)
         g = factor.scale(S.q(exp))
         if kind == "E" and idx.i == self.m[idx.k - 1]:
             # boundary: one extra cyclotomic factor joins the u+ part
             N = me.weight.bracket()[idx.k]
-            g = g * (self.algebra.unscaled_jm(N + 1)
-                     - self.algebra.from_scalar(1) * S.Q(idx.k + 1))
+            g = g * (algebra.unscaled_jm(N + 1)
+                     - algebra.from_scalar(1) * S.Q(idx.k + 1))
         return ModuleElement(target, g * me.elem)
 
     def ef_convention_report(self, specs, star: str = "inverse",
@@ -390,22 +386,24 @@ class SchurContext:
 
         A failed combination is reported loudly; nothing is silently
         accepted."""
+        _check_ef_convention(star, reps_side)
         checks = []
         ok = True
         for spec in specs:
+            algebra = self.point_algebra(spec)
             for mu in self.weights():
+                x_mu = ModuleElement(mu, algebra.x_element(mu))
                 for idx in self.ef_indices():
                     for kind in ("E", "F"):
                         sign = 1 if kind == "E" else -1
                         target = self.weight_step(mu, idx, sign)
-                        img = self.ef_apply(idx, kind, self.x_module(mu),
-                                            star=star,
+                        img = self.ef_apply(idx, kind, x_mu, star=star,
                                             reps_side=reps_side).elem
                         if target is None:
                             passed = img.is_zero()
                         else:
                             passed = self.module_span(target, spec).contains(
-                                img.specialize_vector(spec))
+                                img.vector())
                         ok = ok and passed
                         if not passed:
                             checks.append({"mu": mu.to_json(),
@@ -423,36 +421,26 @@ class SchurContext:
 
         An image v must lie in the nu ideal and satisfy v * Ann(x_mu) = 0;
         the second condition makes h -> v h well defined on x_mu H."""
-        D = self.algebra.dimension()
-        mats = self.algebra.right_gen_matrices(spec)
-        basis = self.algebra.basis_monomials()
-        xvec = self.x_element(mu).specialize_vector(spec)
+        algebra = self.point_algebra(spec)
+        D = algebra.dimension()
+        x = algebra.x_element(mu)
         # annihilator of x_mu: kernel of h -> x_mu h (columns = x_mu * b_j)
-        cols = [self._apply_right(list(xvec), c, w, spec, mats)
-                for (c, w) in basis]
+        cols = [(x * algebra.basis_element(c, w)).vector()
+                for (c, w) in algebra.basis_monomials()]
         ann = nullspace([[cols[j][i] for j in range(D)] for i in range(D)], D)
         span_nu = self.module_span(nu, spec).basis()
         if not span_nu:
             return []
-        # constrain coefficients t with sum_i t_i (u_i * a) = 0 for all a
+        # constrain coefficients t with sum_i t_i (u_i * a) = 0 for all a,
+        # where a = sum_j a_j b_j runs over the annihilator
+        us = [algebra.from_vector(u) for u in span_nu]
         rows = []
         for a in ann:
-            prods = []
-            for u in span_nu:
-                acc = [Fraction(0)] * D
-                for j, aj in enumerate(a):
-                    if aj:
-                        c, w = basis[j]
-                        ub = self._apply_right(list(u), c, w, spec, mats)
-                        acc = [x + aj * y for x, y in zip(acc, ub)]
-                prods.append(acc)
+            a_elem = algebra.from_vector(a)
+            prods = [(u * a_elem).vector() for u in us]
             for coord in range(D):
                 rows.append([prods[i][coord] for i in range(len(span_nu))])
-        if not rows:
-            ts = [[Fraction(1) if i == j else Fraction(0)
-                   for j in range(len(span_nu))] for i in range(len(span_nu))]
-        else:
-            ts = nullspace(rows, len(span_nu))
+        ts = nullspace(rows, len(span_nu))
         images = []
         for t in ts:
             v = [Fraction(0)] * D

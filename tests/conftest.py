@@ -1,7 +1,20 @@
+from fractions import Fraction
+
 import pytest
 
 from qschur.hecke import AlgebraContext
 from qschur.schur import SchurContext
+
+
+def specialize_vector(e, spec):
+    """The coordinates of a generic element at a rational point, through
+    `ExactScalar.specialize`: the reference that elements built over a
+    point ring (`AKElement.vector`) are compared against."""
+    index = e.ctx.basis_index()
+    vec = [Fraction(0)] * len(index)
+    for key, coeff in e.terms.items():
+        vec[index[key]] = coeff.specialize(spec)
+    return vec
 
 
 @pytest.fixture(scope="session")

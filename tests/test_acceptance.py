@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from conftest import specialize_vector
 from qschur.branching import BranchContext
 from qschur.cli import main as cli_main
 from qschur.hecke import AlgebraContext
@@ -74,7 +75,7 @@ def test_criterion_02_u_product_vanishing_and_freeness():
         spec = Specialization.random(2, Random(19))
         for a1 in range(n + 1):
             va = ctx.v_element((0, a1, n))
-            rows = [(va * ctx.T(w)).specialize_vector(spec)
+            rows = [specialize_vector(va * ctx.T(w), spec)
                     for w in all_permutations(n)]
             if rank_exact(rows) != factorial(n):
                 free_ok = False

@@ -27,3 +27,9 @@ def test_deleted_api_is_gone():
     assert not hasattr(qschur.linalg, "RationalMatrix")
     assert not hasattr(qschur.AKElement, "mul_gen")
     assert not hasattr(qschur.SchurContext, "ef_image_of_x")
+    # one at-point ring: no F_p-only context, no specialise-afterwards path
+    assert not hasattr(qschur.ring, "FpContext")
+    assert not hasattr(qschur.AKElement, "specialize_vector")
+    assert not hasattr(qschur.AKElement, "residue_vector")
+    for name in ("_apply_right", "_right_word"):
+        assert not hasattr(qschur.SchurContext, name)

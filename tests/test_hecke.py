@@ -8,9 +8,10 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import specialize_vector
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import ResourceLimit, RowSpace, rank_exact
-from qschur.ring import PRIME, FpContext, FpScalar, Specialization
+from qschur.ring import PRIME, FpScalar, PointContext, Specialization
 from qschur.symgrp import all_permutations, identity, transposition
 from qschur.tableaux import Multicomposition, bracket_leq, bracket_reversed
 
@@ -143,7 +144,8 @@ def test_lmul_L_table_matches_word_path(n, r, ring, seed):
     e = ctx.random_element(rng, max_terms=5)
     if ring == "fp":
         # a fresh context, so the overflow entries are built over F_p
-        fp = AlgebraContext(n, r, scalars=FpContext(Specialization.random(r, rng)))
+        fp = AlgebraContext(n, r, scalars=PointContext(Specialization.random(r, rng),
+                                                       PRIME))
         e = reduce_mod_p(fp, e)
     for i in range(1, n + 1):
         assert e._lmul_L(i) == lmul_L_by_word(e, i)
@@ -236,10 +238,10 @@ def test_u_product_span_equality():
             D = ctx.dimension()
             small, big = RowSpace(D), RowSpace(D)
             for w in all_permutations(n):
-                small.add((ua * ctx.T(w) * ub).specialize_vector(spec))
+                small.add(specialize_vector(ua * ctx.T(w) * ub, spec))
             for (c, w) in ctx.basis_monomials():
-                big.add((ua * ctx.basis_element(c, w) * ub)
-                        .specialize_vector(spec))
+                big.add(specialize_vector(ua * ctx.basis_element(c, w) * ub,
+                                          spec))
             assert small.rank == big.rank
 
 
@@ -250,7 +252,7 @@ def test_v_element_freeness():
         for a1 in range(n + 1):
             va = ctx.v_element((0, a1, n))
             assert not va.is_zero()
-            rows = [(va * ctx.T(w)).specialize_vector(spec)
+            rows = [specialize_vector(va * ctx.T(w), spec)
                     for w in all_permutations(n)]
             assert rank_exact(rows) == factorial(n)
 
@@ -264,7 +266,7 @@ def test_jm_invertible_iff_Q_nonzero(ak22):
     for i in (1, 2):
         L = ak22.jucys_murphy(i)
         for spec, expect_full in ((generic, True), (degenerate, False)):
-            rows = [(L * ak22.basis_element(c, w)).specialize_vector(spec)
+            rows = [specialize_vector(L * ak22.basis_element(c, w), spec)
                     for (c, w) in basis]
             assert (rank_exact(rows) == len(basis)) is expect_full
 

@@ -1,10 +1,12 @@
-"""The F_p scalar ring at a rational point, and the certificates built on it.
+"""The point rings Q and F_p at a rational point, and the certificates
+built on them.
 
-Reduction mod p at a point is a ring homomorphism, so multiplying over F_p
-must agree with multiplying generically and then reducing; the rank
-certificates (`AlgebraContext.ranks_at`) rely on that, and rank a block
-exactly over Q at the same point when it is short mod p or the point does
-not map to F_p.
+Evaluation at a point, and reduction mod p after it, are ring
+homomorphisms, so multiplying over the point ring must agree with
+multiplying generically and then specialising (and reducing); every
+at-point check relies on that.  The rank certificates
+(`AlgebraContext.ranks_at`) rank a block over F_p, and exactly over Q at
+the same point when it is short mod p or the point does not map to F_p.
 """
 
 from collections import Counter
@@ -16,11 +18,12 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import specialize_vector
 from qschur import cli
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import RowSpace, rank_exact
-from qschur.ring import (PRIME, FpContext, FpScalar, Specialization,
-                         UnmappablePoint)
+from qschur.ring import (PRIME, FpScalar, PointContext, QScalar,
+                         Specialization, UnmappablePoint)
 from qschur.schur import SchurContext
 
 CONTEXTS = {(n, r): AlgebraContext(n, r) for n, r in ((2, 2), (3, 2), (2, 3))}
@@ -39,39 +42,70 @@ def residue(x: Fraction) -> FpScalar:
     return FpScalar(x.numerator * pow(x.denominator, -1, PRIME) % PRIME)
 
 
-def reduce_element(fp_ctx: AlgebraContext, e: AKElement) -> AKElement:
-    """The image of a generic element: specialise each coefficient at the
-    point, then reduce mod p."""
-    spec = fp_ctx.scalars.spec
-    terms = {k: residue(v.specialize(spec)) for k, v in e.terms.items()}
-    return AKElement(fp_ctx, {k: v for k, v in terms.items() if not v.is_zero()})
+def image(point: AlgebraContext, e: AKElement) -> AKElement:
+    """The image of a generic element over a point algebra: specialise each
+    coefficient at the point, then reduce mod p over F_p."""
+    S = point.scalars
+    lift = QScalar if S.modulus is None else residue
+    terms = {k: lift(v.specialize(S.spec)) for k, v in e.terms.items()}
+    return AKElement(point, {k: v for k, v in terms.items() if not v.is_zero()})
+
+
+def check_products_at_point(ctx, modulus, data):
+    n, r = ctx.n, ctx.r
+    point = ctx.over(PointContext(data.draw(points(r)), modulus))
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+    a, b = ctx.random_element(rng), ctx.random_element(rng)
+    j = data.draw(st.integers(0, n - 1))
+    ra, rb = image(point, a), image(point, b)
+    assert image(point, a * b) == ra * rb
+    assert image(point, a + b) == ra + rb
+    assert image(point, a.lmul_gen(j)) == ra.lmul_gen(j)
 
 
 @pytest.mark.parametrize("n,r", sorted(CONTEXTS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_reduce_then_multiply_equals_multiply_then_reduce(n, r, data):
+    check_products_at_point(CONTEXTS[(n, r)], PRIME, data)
+
+
+@pytest.mark.parametrize("n,r", sorted(CONTEXTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_specialise_then_multiply_equals_multiply_then_specialise(n, r, data):
+    check_products_at_point(CONTEXTS[(n, r)], None, data)
+
+
+@pytest.mark.parametrize("n,r", sorted(CONTEXTS))
+def test_right_gen_matrices_match_specialised_generic_products(n, r):
     ctx = CONTEXTS[(n, r)]
-    spec = data.draw(points(r))
-    fp = ctx.over(FpContext(spec))
-    rng = Random(data.draw(st.integers(0, 2 ** 32)))
-    a, b = ctx.random_element(rng), ctx.random_element(rng)
-    j = data.draw(st.integers(0, n - 1))
-    ra, rb = reduce_element(fp, a), reduce_element(fp, b)
-    assert reduce_element(fp, a * b) == ra * rb
-    assert reduce_element(fp, a + b) == ra + rb
-    assert reduce_element(fp, a.lmul_gen(j)) == ra.lmul_gen(j)
+    spec = Specialization.random(r, Random(n * 10 + r))
+    expected = [[[(k, v) for k, v in enumerate(specialize_vector(
+                     ctx.basis_element(c, w) * ctx.T(j), spec)) if v]
+                 for c, w in ctx.basis_monomials()] for j in range(n)]
+    assert ctx.over(PointContext(spec)).right_gen_matrices() == expected
 
 
 @pytest.mark.parametrize("n,r", sorted(CONTEXTS))
 def test_relations_hold_mod_p(n, r):
     spec = Specialization.random(r, Random(n * 10 + r))
-    fp = CONTEXTS[(n, r)].over(FpContext(spec))
+    fp = CONTEXTS[(n, r)].over(PointContext(spec, PRIME))
     assert all(fp.relation_reports().values())
 
 
+def test_values_of_the_point_over_q():
+    S = PointContext(Specialization(Fraction(2, 3), (Fraction(-5), Fraction(0))))
+    assert S.q(-2).v == Fraction(9, 4) and S.Q(1, 3).v == -125
+    assert S.elementary_symmetric(1).v == -5 and S.elementary_symmetric(2).is_zero()
+    assert S.from_rational(Fraction(1, 7)) * S.from_int(7) == S.one()
+    with pytest.raises(ValueError):
+        PointContext(S.spec, modulus=7)
+
+
 def test_residues_of_the_point():
-    S = FpContext(Specialization(Fraction(2, 3), (Fraction(-5), Fraction(0))))
+    S = PointContext(Specialization(Fraction(2, 3), (Fraction(-5), Fraction(0))),
+                     PRIME)
     assert (S.q() * S.from_int(3)).v == 2
     assert (S.q(-2) * S.q(2)) == S.one()
     assert S.Q(1) == -S.from_int(5) and S.Q(2).is_zero()
@@ -82,21 +116,27 @@ def test_residues_of_the_point():
 
 def test_unmappable_points_are_refused():
     with pytest.raises(UnmappablePoint):
-        FpContext(Specialization(Fraction(PRIME), (Fraction(3),)))
+        PointContext(Specialization(Fraction(PRIME), (Fraction(3),)), PRIME)
     with pytest.raises(UnmappablePoint):
-        FpContext(Specialization(Fraction(2), (Fraction(1, 2 * PRIME),)))
+        PointContext(Specialization(Fraction(2), (Fraction(1, 2 * PRIME),)), PRIME)
 
 
 def test_rings_do_not_mix(ak22):
-    fp = ak22.over(FpContext(Specialization.random(2, Random(0))))
+    spec = Specialization.random(2, Random(0))
+    fp = ak22.over(PointContext(spec, PRIME))
+    qp = ak22.over(PointContext(spec))
     with pytest.raises(TypeError):
         ak22.one() * 2.5
     with pytest.raises(TypeError):
         ak22.one() * FpScalar(3)
     with pytest.raises(TypeError):
         fp.one() * ak22.scalars.q()
+    with pytest.raises(TypeError):
+        qp.one() * fp.scalars.q()
     with pytest.raises(ValueError):
         ak22.one() + fp.one()
+    with pytest.raises(ValueError):
+        qp.one() + fp.one()
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,7 +152,7 @@ def test_row_space_rank_mod_p_matches_bareiss(rows):
 
 def exact_block_ranks(sc, lam, spec):
     groups = sorted(sc.tableaux_by_type(lam).items(), key=lambda kv: kv[0].parts)
-    return [rank_exact([sc.basis_vector(lam, mu, A).elem.specialize_vector(spec)
+    return [rank_exact([specialize_vector(sc.basis_vector(lam, mu, A).elem, spec)
                         for A in As]) for mu, As in groups]
 
 
@@ -129,8 +169,8 @@ def test_basis_falls_back_at_an_unmappable_point(q):
 
 
 def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
-    # a block full mod p is never built over the generic ring; a block
-    # short mod p is rebuilt generically and ranked at the same point
+    # a block full mod p is never built over Q; a block short mod p is
+    # rebuilt over Q at the same point and ranked there
     sc = SchurContext(2, 2, (2, 2))
     lam = sc.weight([[1, 0], [1, 0]])
     sizes = {mu: len(As) for mu, As in sc.tableaux_by_type(lam).items()}
@@ -139,24 +179,20 @@ def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
     builds = Counter()
     fp_points, exact_points = set(), []
     basis_vector = SchurContext.basis_vector
-    specialize_vector = AKElement.specialize_vector
 
     def recording_basis_vector(self, lam, mu, A, algebra=None):
         h = basis_vector(self, lam, mu, A, algebra)
-        modular = isinstance(algebra.scalars, FpContext)
+        modular = algebra.scalars.modulus is not None
         builds[modular, mu] += 1
         if modular:
             fp_points.add(algebra.scalars.spec)
             if mu == short_mu:
                 return replace(h, elem=algebra.zero())
+        else:
+            exact_points.append(algebra.scalars.spec)
         return h
 
-    def recording_specialize_vector(self, spec):
-        exact_points.append(spec)
-        return specialize_vector(self, spec)
-
     monkeypatch.setattr(SchurContext, "basis_vector", recording_basis_vector)
-    monkeypatch.setattr(AKElement, "specialize_vector", recording_specialize_vector)
     report = sc.verify_basis_independence(lam, seed=4)
     assert report["certified"] and report["attempts"] == 1
     assert builds == Counter({**{(True, mu): k for mu, k in sizes.items()},
@@ -224,7 +260,7 @@ def test_ranks_at_matches_exact_rank_of_generic_elements(n, r, data):
                 add(e)
         return len(recipe), fill
 
-    expected = [rank_exact([e.specialize_vector(spec)
+    expected = [rank_exact([specialize_vector(e, spec)
                             for e in build_block(ctx, recipe)])
                 for recipe in blocks]
     assert ctx.ranks_at(spec, [block(recipe) for recipe in blocks]) == expected

@@ -2,10 +2,11 @@ from random import Random
 
 import pytest
 
+from conftest import specialize_vector
 from qschur.linalg import RowSpace, rank_exact
 from qschur.ring import Specialization
-from qschur.schur import (FALLBACK_FLAGS, ModuleElement, SchurContext,
-                          verify_basis_with_fallback)
+from qschur.schur import (FALLBACK_FLAGS, EFIndex, ModuleElement,
+                          SchurContext, verify_basis_with_fallback)
 from qschur.tableaux import enumerate_ssyt, superstandard
 
 QLEN = dict(m_convention="qlen", y_convention="signed")
@@ -51,11 +52,26 @@ def test_basis_vector_nonzero_and_counts(schur22):
 
 def test_basis_vector_membership(schur22):
     spec = Specialization.random(2, Random(71))
+    algebra = schur22.point_algebra(spec)
     lam = schur22.weight([(1,), (1,)])
     for A in enumerate_ssyt(lam, schur22.shape):
         mu = A.type_weight()
-        h = schur22.basis_vector(lam, mu, A)
+        h = schur22.basis_vector(lam, mu, A, algebra)
         assert schur22.certify_membership(ModuleElement(mu, h.elem), spec)
+    # an element built over another ring is refused, not misread
+    generic = schur22.basis_vector(lam, mu, A)
+    with pytest.raises(ValueError):
+        schur22.certify_membership(ModuleElement(mu, generic.elem), spec)
+
+
+@pytest.mark.parametrize("star,side", [("inverted", "right"), ("inverse", "rigth")])
+def test_ef_conventions_reject_unknown_values(schur21, star, side):
+    x = schur21.x_module(schur21.weight([(2,)]))
+    with pytest.raises(ValueError):
+        schur21.ef_apply(EFIndex(1, 1), "F", x, star=star, reps_side=side)
+    with pytest.raises(ValueError):
+        schur21.ef_convention_report([Specialization.random(1, Random(3))],
+                                     star=star, reps_side=side)
 
 
 def test_weyl_dim_counts(schur21, schur22):
@@ -179,7 +195,7 @@ def test_hom_solver_oracle():
     space = RowSpace(sc.algebra.dimension())
     for v in imgs_id:
         space.add(v)
-    assert space.contains(sc.x_element(mu).specialize_vector(spec))
+    assert space.contains(specialize_vector(sc.x_element(mu), spec))
     # under the plain flags the module is the full algebra and the solver
     # honestly reports the larger dimension
     plain = SchurContext(2, 1, (2,))
@@ -201,7 +217,7 @@ def test_ef_images_in_solved_space(schur22):
                 space = RowSpace(schur22.algebra.dimension())
                 for v in schur22.hom_space_images(mu, tgt, spec):
                     space.add(v)
-                assert space.contains(img.specialize_vector(spec))
+                assert space.contains(specialize_vector(img, spec))
 
 
 def test_basis_report_schema(schur21):
@@ -226,7 +242,7 @@ def test_module_span_against_generic_products(config):
         products = [xmu * alg.basis_element(c, w)
                     for c, w in alg.basis_monomials()]
         for spec in specs:
-            rows = [e.specialize_vector(spec) for e in products]
+            rows = [specialize_vector(e, spec) for e in products]
             rank = rank_exact(rows)
             span = sc.module_span(mu, spec)
             assert span.rank == rank
@@ -237,7 +253,7 @@ def test_module_span_against_generic_products(config):
                     if sc.weight_step(src, idx, sign) != mu:
                         continue
                     img = sc.ef_apply(idx, kind, sc.x_module(src)).elem
-                    vec = img.specialize_vector(spec)
+                    vec = specialize_vector(img, spec)
                     inside = rank_exact(rows + [vec]) == rank
                     assert span.contains(vec) == inside
                     outcomes.add(inside)
