@@ -356,56 +356,55 @@ class AlgebraContext:
 
     # -- distinguished elements ----------------------------------------------
 
+    def perm_sum(self, perms, weight) -> "AKElement":
+        """Sum of c(w) T_w over the distinct permutations `perms`, where
+        c(w) is 1 for the weight "plain" (or "unit"), q^{l(w)} for "qlen"
+        and (-q)^{-l(w)} for "signed"."""
+        S = self.scalars
+        if weight in ("plain", "unit"):
+            one = S.one()
+
+            def coeff(w):
+                return one
+        elif weight == "qlen":
+            def coeff(w):
+                return S.q(length(w))
+        elif weight == "signed":
+            def coeff(w):
+                lw = length(w)
+                return S.q(-lw) if lw % 2 == 0 else -S.q(-lw)
+        else:
+            raise ValueError(f"unknown weight {weight!r}")
+        zero = (0,) * self.n
+        return AKElement(self, {(zero, w): coeff(w) for w in perms})
+
     def young_sum(self, composition, weight=None) -> "AKElement":
         """Sum of T_w over the Young subgroup, with the context's
         m-convention weighting unless an explicit weight is requested."""
-        weight = weight or self.m_convention
-        S = self.scalars
-        terms = {}
-        zero = (0,) * self.n
-        for w in young_subgroup(CompositionBlocks(composition)):
-            if weight == "plain":
-                coeff = S.one()
-            elif weight == "qlen":
-                coeff = S.q(length(w))
-            elif weight == "signed":
-                lw = length(w)
-                coeff = S.q(-lw) if lw % 2 == 0 else -S.q(-lw)
-            else:
-                raise ValueError(f"unknown weight {weight!r}")
-            terms[(zero, w)] = coeff
-        return AKElement(self, terms)
+        return self.perm_sum(young_subgroup(CompositionBlocks(composition)),
+                             weight or self.m_convention)
 
     def coset_sum(self, left_comp, d: Perm, right_comp, weight=None) -> "AKElement":
         """Sum of T_w over the double coset S_left d S_right.
 
         The explicit weight "unit" gives plain unit coefficients (the
         public double-coset-sum contract); otherwise the m-convention
-        applies."""
-        weight = weight or ("unit" if self.m_convention == "plain" else self.m_convention)
+        applies.  "signed" is not a coset weight."""
+        weight = weight or self.m_convention
+        if weight not in ("unit", "plain", "qlen"):
+            raise ValueError(f"unknown weight {weight!r}")
         lgrp = young_subgroup(CompositionBlocks(left_comp))
         rgrp = young_subgroup(CompositionBlocks(right_comp))
-        members = {compose(compose(u, d), v) for u in lgrp for v in rgrp}
-        S = self.scalars
-        zero = (0,) * self.n
-        terms = {}
-        for w in sorted(members):
-            if weight in ("unit", "plain"):
-                coeff = S.one()
-            elif weight == "qlen":
-                coeff = S.q(length(w))
-            else:
-                raise ValueError(f"unknown weight {weight!r}")
-            terms[(zero, w)] = coeff
-        return AKElement(self, terms)
+        return self.perm_sum({compose(compose(u, d), v)
+                              for u in lgrp for v in rgrp}, weight)
 
     def double_coset_sum(self, left_comp, d: Perm, right_comp) -> "AKElement":
         """Unit-coefficient sum over the double coset of d; d is
         normalised internally to the distinguished representative."""
-        for rep, members in double_cosets(CompositionBlocks(left_comp),
-                                          CompositionBlocks(right_comp)):
+        for _, members in double_cosets(CompositionBlocks(left_comp),
+                                        CompositionBlocks(right_comp)):
             if d in members:
-                return self.coset_sum(left_comp, rep, right_comp, weight="unit")
+                return self.perm_sum(members, "unit")
         raise ValueError("element does not belong to any double coset")
 
     def pi(self, a: int, x: Scalar) -> "AKElement":
@@ -454,8 +453,8 @@ class AlgebraContext:
         """y_lam = u-_{[lam]} * (y-convention sum over the bar shape)."""
         if lam.n != self.n:
             raise ValueError("weight does not match the algebra context")
-        weight = "plain" if self.y_convention == "plain" else "signed"
-        return self.u_minus(lam.bracket()) * self.young_sum(lam.bar(), weight=weight)
+        return self.u_minus(lam.bracket()) * self.young_sum(
+            lam.bar(), weight=self.y_convention)
 
     def m_element(self, lam) -> "AKElement":
         """The Young-subgroup sum of a multicomposition's bar (or of a

@@ -16,6 +16,10 @@ shortfall at the point is inconclusive and is retried at fresh points.
 Module spans, membership, the E/F convention checks and the hom-space
 oracle build x_mu, the ladder images and every product over
 `point_algebra(spec)`, the algebra over Q at their point.
+
+There are two E/F ladder operators, picked by `star` (see `_coset_factor`);
+`validated_ef_conventions` tries "inverse", then "plain", and raises
+`ConventionError` with both reports when neither certifies.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from random import Random
 from .hecke import AKElement, AlgebraContext
 from .linalg import ResourceLimit, RowSpace, nullspace
 from .ring import PointContext, Specialization
-from .symgrp import (CompositionBlocks, compose, invert, length,
-                     young_subgroup)
+from .symgrp import (CompositionBlocks, common_refinement, invert,
+                     is_min_coset_rep, young_subgroup)
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
                        enumerate_multicompositions, enumerate_ssyt, one_A,
                        w_lambda)
@@ -48,10 +52,9 @@ __all__ = [
 FALLBACK_FLAGS = ("qlen", "signed")
 
 
-def _check_ef_convention(star: str, reps_side: str) -> None:
-    if star not in ("inverse", "plain") or reps_side not in ("right", "left"):
-        raise ValueError(f"unknown E/F convention: star={star!r}, "
-                         f"reps_side={reps_side!r}")
+def _check_ef_convention(star: str) -> None:
+    if star not in ("inverse", "plain"):
+        raise ValueError(f"unknown E/F convention: star={star!r}")
 
 
 @dataclass(frozen=True)
@@ -311,9 +314,13 @@ class SchurContext:
         return self.shape.flatten_symbol((idx.i, idx.k))
 
     def weight_step(self, mu: Multicomposition, idx: EFIndex, sign: int):
-        """mu +- alpha_(i,k) as a weight, or None when it leaves Lambda."""
+        """mu +- alpha_(i,k) as a weight, or None when it leaves Lambda.
+
+        The final slot (m_r, r) has no alpha and is not a ladder index."""
         flat = list(mu.bar())
         p = self._flat_pos(idx) - 1
+        if p + 1 == len(flat):
+            raise ValueError(f"{idx} is not a ladder index")
         flat[p] += sign
         flat[p + 1] -= sign
         if flat[p] < 0 or flat[p + 1] < 0:
@@ -326,41 +333,28 @@ class SchurContext:
         return Multicomposition(parts, m=self.m)
 
     def _coset_factor(self, algebra: AlgebraContext, target: Multicomposition,
-                      source: Multicomposition, star: str,
-                      reps_side: str) -> AKElement:
-        """sum over X of q^{l(x)} T_{x*} for the distinguished coset
-        representatives of the intersection inside the target bar group,
-        built over `algebra`."""
-        tgt = young_subgroup(CompositionBlocks(target.bar()))
-        src = set(young_subgroup(CompositionBlocks(source.bar())))
-        inter = [w for w in tgt if w in src]
-        # group the target subgroup into right (or left) cosets of the
-        # intersection and keep each coset's shortest element
-        reps = []
-        seen = set()
-        for w in sorted(tgt, key=lambda w: (length(w), w)):
-            if w in seen:
-                continue
-            if reps_side == "right":
-                coset = {compose(h, w) for h in inter}
-            else:
-                coset = {compose(w, h) for h in inter}
-            seen |= coset
-            reps.append(w)
-        S = algebra.scalars
-        out = algebra.zero()
-        for x in reps:
-            t = algebra.T(invert(x) if star == "inverse" else x)
-            out = out + t.scale(S.q(length(x)))
-        return out
+                      source: Multicomposition, star: str) -> AKElement:
+        """sum over X of q^{l(x)} T_{x*} over `algebra`: X holds the shortest
+        elements of the right cosets, in the target bar group, of its
+        intersection with the source bar group (the Young subgroup of the
+        common refinement); x* = x^-1 for star "inverse", x for "plain".
+        Left-coset representatives are the inverses, so a left side would
+        only swap the two operators."""
+        inter = CompositionBlocks(common_refinement(target.bar(), source.bar()))
+        reps = [x for x in young_subgroup(CompositionBlocks(target.bar()))
+                if is_min_coset_rep(inter, x)]
+        if star == "inverse":
+            reps = [invert(x) for x in reps]
+        return algebra.perm_sum(reps, "qlen")
 
     def ef_apply(self, idx: EFIndex, kind: str, me: ModuleElement,
-                 star: str = "inverse", reps_side: str = "right") -> ModuleElement:
+                 star: str = "inverse") -> ModuleElement:
         """Apply the ladder operator to a tagged module element, over the
-        algebra the element is built over."""
+        algebra the element is built over; `star` picks the operator (see
+        `_coset_factor`).  A step leaving Lambda gives zero."""
         if kind not in ("E", "F"):
             raise ValueError("kind must be 'E' or 'F'")
-        _check_ef_convention(star, reps_side)
+        _check_ef_convention(star)
         algebra = me.elem.ctx
         sign = 1 if kind == "E" else -1
         target = self.weight_step(me.weight, idx, sign)
@@ -370,7 +364,7 @@ class SchurContext:
         p = self._flat_pos(idx)
         flat = me.weight.bar()
         exp = 1 - (flat[p] if kind == "E" else flat[p - 1])
-        factor = self._coset_factor(algebra, target, me.weight, star, reps_side)
+        factor = self._coset_factor(algebra, target, me.weight, star)
         g = factor.scale(S.q(exp))
         if kind == "E" and idx.i == self.m[idx.k - 1]:
             # boundary: one extra cyclotomic factor joins the u+ part
@@ -379,39 +373,30 @@ class SchurContext:
                      - algebra.from_scalar(1) * S.Q(idx.k + 1))
         return ModuleElement(target, g * me.elem)
 
-    def ef_convention_report(self, specs, star: str = "inverse",
-                             reps_side: str = "right") -> dict:
+    def ef_convention_report(self, specs, star: str = "inverse") -> dict:
         """Certify E/F images of every x_mu as module homomorphisms
         (membership of the image in the target ideal) at each point.
 
-        A failed combination is reported loudly; nothing is silently
-        accepted."""
-        _check_ef_convention(star, reps_side)
+        A failed operator is reported loudly; nothing is silently accepted.
+        "reps_side" names the coset side, always "right"."""
+        _check_ef_convention(star)
         checks = []
-        ok = True
         for spec in specs:
             algebra = self.point_algebra(spec)
             for mu in self.weights():
                 x_mu = ModuleElement(mu, algebra.x_element(mu))
                 for idx in self.ef_indices():
                     for kind in ("E", "F"):
-                        sign = 1 if kind == "E" else -1
-                        target = self.weight_step(mu, idx, sign)
-                        img = self.ef_apply(idx, kind, x_mu, star=star,
-                                            reps_side=reps_side).elem
-                        if target is None:
-                            passed = img.is_zero()
-                        else:
-                            passed = self.module_span(target, spec).contains(
-                                img.vector())
-                        ok = ok and passed
-                        if not passed:
+                        img = self.ef_apply(idx, kind, x_mu, star=star)
+                        if not (img.elem.is_zero()
+                                or self.module_span(img.weight, spec).contains(
+                                    img.elem.vector())):
                             checks.append({"mu": mu.to_json(),
                                            "idx": [idx.i, idx.k],
                                            "kind": kind,
                                            "specialization": spec.to_json()})
-        return {"star": star, "reps_side": reps_side,
-                "validated": ok, "failures": checks}
+        return {"star": star, "reps_side": "right",
+                "validated": not checks, "failures": checks}
 
     # -- independent hom-space oracle ------------------------------------------------
 
@@ -461,27 +446,27 @@ class SchurContext:
 
 
 class ConventionError(RuntimeError):
-    """No ladder-operator convention combination certified; carries the
-    per-combination failure reports."""
+    """Neither ladder operator certified; carries the per-operator failure
+    reports."""
 
     def __init__(self, reports):
         super().__init__(
-            "no E/F convention combination passed the hom-membership suite: "
+            "no E/F operator passed the hom-membership suite: "
             + repr(reports))
         self.reports = reports
 
 
 def validated_ef_conventions(sc: SchurContext, specs) -> dict:
-    """Pick the first (star, reps side) combination whose E/F images are
-    certified module homomorphisms at every given point.
+    """Pick the first ladder operator whose E/F images are certified
+    module homomorphisms at every given point.
 
-    The documented default is tried first; if nothing passes, the failure
-    is raised loudly with all reports attached.
+    The documented default star "inverse" is tried first, then "plain",
+    each once; if neither passes, the failure is raised loudly with both
+    reports attached.
     """
     reports = []
-    for star, side in (("inverse", "right"), ("plain", "right"),
-                       ("inverse", "left"), ("plain", "left")):
-        rep = sc.ef_convention_report(specs, star=star, reps_side=side)
+    for star in ("inverse", "plain"):
+        rep = sc.ef_convention_report(specs, star=star)
         reports.append(rep)
         if rep["validated"]:
             return rep

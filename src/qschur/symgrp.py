@@ -22,6 +22,7 @@ __all__ = [
     "reduced_word",
     "all_permutations",
     "CompositionBlocks",
+    "common_refinement",
     "set_stabilizer",
     "young_subgroup",
     "coset_reps_min",
@@ -116,6 +117,16 @@ class CompositionBlocks:
 
     def __hash__(self):
         return hash(self.composition)
+
+
+def common_refinement(a, b):
+    """The composition cut at the block bounds of both a and b; its Young
+    subgroup is the intersection of theirs."""
+    ba, bb = CompositionBlocks(a), CompositionBlocks(b)
+    if ba.n != bb.n:
+        raise ValueError("size mismatch")
+    cuts = sorted(set(ba.bounds) | set(bb.bounds))
+    return tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
 
 
 def set_stabilizer(n: int, point_sets):

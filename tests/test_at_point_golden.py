@@ -2,7 +2,7 @@
 
 `data/at_point_golden.json` holds, at fixed rational points, the outputs
 of the checks that run over Q at a point and that no CLI command reaches:
-the four `validated_ef_conventions` reports of (3,2,(2,2)) (none
+the two `validated_ef_conventions` reports of (3,2,(2,2)) (neither
 validates, so they come from the `ConventionError`), one validating
 `ef_convention_report` at (2,2,(2,2)), `hom_space_images` for
 (2,1,(2,)) under the literal and the fallback flags and for one weight

@@ -6,6 +6,7 @@ traced run.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -33,3 +34,7 @@ def test_deleted_api_is_gone():
     assert not hasattr(qschur.AKElement, "residue_vector")
     for name in ("_apply_right", "_right_word"):
         assert not hasattr(qschur.SchurContext, name)
+    # two ladder operators, chosen by `star` alone; right cosets always
+    for name in ("ef_apply", "ef_convention_report"):
+        params = inspect.signature(getattr(qschur.SchurContext, name)).parameters
+        assert "star" in params and "reps_side" not in params

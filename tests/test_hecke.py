@@ -212,6 +212,28 @@ def test_double_coset_sum_examples(ak22, ak32):
     assert all(coeff.is_one() for coeff in d3.terms.values())
 
 
+def test_perm_sum_weights(ak32):
+    S = ak32.scalars
+    perms = [identity(3), (2, 1, 3), (3, 2, 1)]
+    expected = {
+        "plain": [S.one()] * 3,
+        "unit": [S.one()] * 3,
+        "qlen": [S.one(), S.q(1), S.q(3)],
+        "signed": [S.one(), -S.q(-1), -S.q(-3)],
+    }
+    for weight, coeffs in expected.items():
+        want = ak32.zero()
+        for w, c in zip(perms, coeffs):
+            want = want + ak32.T(w).scale(c)
+        assert ak32.perm_sum(perms, weight) == want
+    assert ak32.perm_sum([], "qlen").is_zero()
+    with pytest.raises(ValueError):
+        ak32.perm_sum(perms, "signd")
+    # the y-side weight is not a coset weight
+    with pytest.raises(ValueError):
+        ak32.coset_sum((2, 1), identity(3), (1, 2), weight="signed")
+
+
 def test_u_product_vanishing_pattern():
     for n in (1, 2, 3):
         ctx = AlgebraContext(n, 2)

@@ -7,6 +7,8 @@ from qschur.linalg import RowSpace, rank_exact
 from qschur.ring import Specialization
 from qschur.schur import (FALLBACK_FLAGS, EFIndex, ModuleElement,
                           SchurContext, verify_basis_with_fallback)
+from qschur.symgrp import (CompositionBlocks, compose, invert, length,
+                           young_subgroup)
 from qschur.tableaux import enumerate_ssyt, superstandard
 
 QLEN = dict(m_convention="qlen", y_convention="signed")
@@ -64,14 +66,74 @@ def test_basis_vector_membership(schur22):
         schur22.certify_membership(ModuleElement(mu, generic.elem), spec)
 
 
-@pytest.mark.parametrize("star,side", [("inverted", "right"), ("inverse", "rigth")])
-def test_ef_conventions_reject_unknown_values(schur21, star, side):
+@pytest.mark.parametrize("star", ["inverted", "right"])
+def test_ef_conventions_reject_unknown_values(schur21, star):
     x = schur21.x_module(schur21.weight([(2,)]))
     with pytest.raises(ValueError):
-        schur21.ef_apply(EFIndex(1, 1), "F", x, star=star, reps_side=side)
+        schur21.ef_apply(EFIndex(1, 1), "F", x, star=star)
     with pytest.raises(ValueError):
         schur21.ef_convention_report([Specialization.random(1, Random(3))],
-                                     star=star, reps_side=side)
+                                     star=star)
+
+
+def test_final_slot_is_not_a_ladder_index(schur22):
+    # (m_r, r) = (2, 2) has no alpha: refused like every other bad index
+    x = schur22.x_module(schur22.weight([(1,), (1,)]))
+    assert EFIndex(2, 2) not in schur22.ef_indices()
+    for kind, sign in (("E", 1), ("F", -1)):
+        with pytest.raises(ValueError, match="not a ladder index"):
+            schur22.weight_step(x.weight, EFIndex(2, 2), sign)
+        with pytest.raises(ValueError, match="not a ladder index"):
+            schur22.ef_apply(EFIndex(2, 2), kind, x)
+    with pytest.raises(ValueError):
+        schur22.ef_apply(EFIndex(3, 1), "E", x)
+
+
+def _reference_coset_factor(algebra, target, source, star, reps_side):
+    """The reference coset factor, by explicit grouping: split the target
+    bar group into right (or left) cosets of its intersection with the
+    source bar group, shortest element first, and keep each coset's
+    shortest element."""
+    tgt = young_subgroup(CompositionBlocks(target.bar()))
+    src = set(young_subgroup(CompositionBlocks(source.bar())))
+    inter = [w for w in tgt if w in src]
+    reps = []
+    seen = set()
+    for w in sorted(tgt, key=lambda w: (length(w), w)):
+        if w in seen:
+            continue
+        if reps_side == "right":
+            coset = {compose(h, w) for h in inter}
+        else:
+            coset = {compose(w, h) for h in inter}
+        seen |= coset
+        reps.append(w)
+    S = algebra.scalars
+    out = algebra.zero()
+    for x in reps:
+        t = algebra.T(invert(x) if star == "inverse" else x)
+        out = out + t.scale(S.q(length(x)))
+    return out
+
+
+@pytest.mark.parametrize("config", [(2, 2, (2, 2)), (3, 1, (3,)),
+                                    (3, 2, (2, 2)), (2, 3, (2, 2, 2)),
+                                    (3, 1, (4,))])
+def test_coset_factor_is_the_two_reference_operators(config):
+    # the four (star, side) pairs of the reference are two operators:
+    # left-coset representatives are the inverses of right-coset ones
+    sc = SchurContext(*config)
+    alg = sc.algebra
+    for target in sc.weights():
+        for source in sc.weights():
+            ref = {(star, side): _reference_coset_factor(
+                       alg, target, source, star, side)
+                   for star in ("inverse", "plain")
+                   for side in ("right", "left")}
+            inverse = sc._coset_factor(alg, target, source, "inverse")
+            plain = sc._coset_factor(alg, target, source, "plain")
+            assert inverse == ref["inverse", "right"] == ref["plain", "left"]
+            assert plain == ref["plain", "right"] == ref["inverse", "left"]
 
 
 def test_weyl_dim_counts(schur21, schur22):

@@ -3,10 +3,11 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from qschur.symgrp import (CompositionBlocks, all_permutations, compose,
-                           coset_factorize, coset_reps_min, double_cosets,
-                           identity, invert, is_min_coset_rep, length,
-                           reduced_word, transposition, young_subgroup)
+from qschur.symgrp import (CompositionBlocks, all_permutations,
+                           common_refinement, compose, coset_factorize,
+                           coset_reps_min, double_cosets, identity, invert,
+                           is_min_coset_rep, length, reduced_word,
+                           transposition, young_subgroup)
 
 
 def test_length_examples():
@@ -64,6 +65,33 @@ def test_young_subgroup_size():
         for part in comp:
             expected *= factorial(part)
         assert len(young_subgroup(bl)) == expected
+
+
+def _compositions(n):
+    """Compositions of n, zero parts allowed, as cuts of [0, n]."""
+    def parts(cuts):
+        bounds = [0] + sorted(cuts) + [n]
+        return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    return st.lists(st.integers(0, n), max_size=n + 1).map(parts)
+
+
+def test_common_refinement_examples():
+    assert common_refinement((2, 1), (1, 2)) == (1, 1, 1)
+    assert common_refinement((3, 0, 2), (4, 1)) == (3, 1, 1)
+    assert common_refinement((2, 2), (2, 2)) == (2, 2)
+    with pytest.raises(ValueError):
+        common_refinement((2,), (1, 2))
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(_compositions(n), _compositions(n))))
+def test_common_refinement_subgroup_is_the_intersection(pair):
+    a, b = pair
+    both = common_refinement(a, b)
+    assert sum(both) == sum(a) and 0 not in both
+    assert set(young_subgroup(CompositionBlocks(both))) == \
+        set(young_subgroup(CompositionBlocks(a))) & \
+        set(young_subgroup(CompositionBlocks(b)))
 
 
 def test_coset_reps_examples():
