@@ -1,6 +1,7 @@
 """Exact arithmetic for Ariki-Koike algebras and cyclotomic q-Schur modules."""
 
-from .ring import ContextMismatch, ExactScalar, ScalarContext, Specialization
+from .ring import (ContextMismatch, ExactScalar, ExponentOverflow, ScalarContext,
+                   Specialization)
 from .linalg import (ResourceLimit, RowSpace, nullspace, rank_exact,
                      solve_in_span)
 from .symgrp import (CompositionBlocks, compose, coset_reps_min,

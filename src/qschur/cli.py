@@ -2,7 +2,8 @@
 verification suites, with deterministic machine-readable output.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 resource
-limit exceeded, 4 internal failure (an invariant of the package broke,
+limit exceeded (a size or time budget, or a Q-exponent too wide for the
+packed scalar keys), 4 internal failure (an invariant of the package broke,
 such as scalars of different contexts meeting or an AssertionError from
 an internal check; a bug, not bad input).
 All randomness flows from --seed (or QSCHUR_SEED).
@@ -21,7 +22,7 @@ from random import Random
 from .branching import BranchContext
 from .hecke import AlgebraContext
 from .linalg import ResourceLimit
-from .ring import ContextMismatch, Specialization
+from .ring import ContextMismatch, ExponentOverflow, Specialization
 from .schur import SchurContext, verify_basis_with_fallback
 from .symgrp import all_permutations
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
@@ -395,7 +396,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ResourceLimit as exc:
+    except (ResourceLimit, ExponentOverflow) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE
     except (ContextMismatch, AssertionError) as exc:

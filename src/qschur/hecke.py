@@ -637,6 +637,8 @@ class AKElement:
             scalar = self.ctx.scalars.from_int(scalar)
         if scalar.is_zero():
             return self.ctx.zero()
+        if scalar is self.ctx.scalars.one():
+            return self
         return AKElement(self.ctx,
                          {k: v * scalar for k, v in self.terms.items()})
 
@@ -691,10 +693,13 @@ class AKElement:
         # the loop of `_accumulate`, inlined: this is the innermost loop of
         # every product, and going through the helper made basis
         # certification 10-13% slower
+        # a table entry with the ring's shared `one()` (every L_i entry
+        # that does not overflow) needs no multiplication
+        one = self.ctx.scalars.one()
         out = {}
         for (c, w), coeff in self.terms.items():
             for key, scal in table(index, c, w):
-                cur = coeff * scal
+                cur = coeff if scal is one else coeff * scal
                 prev = out.get(key)
                 if prev is not None:
                     cur = prev + cur

@@ -5,6 +5,22 @@ a sparse Laurent polynomial: each term maps an exponent vector
 (e_q, e_Q1, ..., e_Qr) to a plain Python integer coefficient.  The
 q-exponent may be negative, the Q-exponents may not.
 
+The exponent vector of a term is stored packed into one Python int
+(Kronecker substitution; the packed monomials of Monagan and Pearce,
+ISSAC 2009).  Each Q-exponent has a slot of `_SLOT_BITS` = 32 bits, Q_1
+lowest, and the signed q-exponent sits above all r slots:
+
+    key = e_q << 32 r | e_r << 32 (r - 1) | ... | e_2 << 32 | e_1
+
+so the product of two monomials is the sum of their keys and the unit's
+key is 0.  A floor shift `key >> 32 r` decodes any e_q, and masks decode
+the slots.  The top bit of each slot is a guard: constructors refuse a
+Q-exponent >= 2^31 with ValueError, so the sum of two valid keys never
+carries out of a slot, and a product with a guard bit set in any of its
+keys raises ExponentOverflow instead of wrapping.  Keys are decoded only
+at the edges: `terms()` (which returns exponent tuples), `text()`,
+`to_json()`, `specialize()` and `repr`.
+
 `PointContext` is the image of that ring at one rational `Specialization`:
 the exact ring Q there, or F_p, p = 2^61 - 1, where a/b maps to
 a * b^-1 mod p.  Both maps are ring homomorphisms, so an element built
@@ -34,6 +50,7 @@ from typing import Protocol
 
 __all__ = [
     "ContextMismatch",
+    "ExponentOverflow",
     "Scalar",
     "ScalarRing",
     "ScalarContext",
@@ -50,6 +67,19 @@ __all__ = [
 
 class ContextMismatch(ValueError):
     """Scalars from incompatible contexts (different r) were combined."""
+
+
+class ExponentOverflow(OverflowError):
+    """A product of scalars has a Q-exponent of 2^31 or more, which does
+    not fit its slot of the packed monomial key.  The CLI exits 3
+    (resource limit) on it."""
+
+
+#: width of one Q-exponent slot of a packed monomial key
+_SLOT_BITS = 32
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+#: Q-exponents stay below this; its bit is the slot's guard bit
+_Q_EXP_LIMIT = 1 << (_SLOT_BITS - 1)
 
 
 class Scalar(Protocol):
@@ -98,12 +128,36 @@ def _term_sort_key(exps):
 class ScalarContext:
     """Fixes the number r >= 1 of cyclotomic parameters Q_1..Q_r."""
 
-    __slots__ = ("r",)
+    __slots__ = ("r", "_qshift", "_guard", "_zero", "_one")
 
     def __init__(self, r: int):
         if r < 1:
             raise ValueError(f"need r >= 1, got {r}")
         self.r = int(r)
+        self._qshift = _SLOT_BITS * self.r
+        self._guard = sum(_Q_EXP_LIMIT << (_SLOT_BITS * k) for k in range(self.r))
+        # shared: scalars are immutable, and these are asked for per term
+        self._zero = ExactScalar(self, {})
+        self._one = ExactScalar(self, {0: 1})
+
+    # -- packed monomial keys --------------------------------------------
+
+    def _pack(self, exps) -> int:
+        """The key of the exponent vector (e_q, e_1, ..., e_r)."""
+        if len(exps) != self.r + 1:
+            raise ValueError("exponent vector has wrong length")
+        key = 0
+        for e in reversed(exps[1:]):
+            if not 0 <= e < _Q_EXP_LIMIT:
+                raise ValueError(f"Q-exponent {e} is negative or does not fit "
+                                 f"its slot (limit 2^{_SLOT_BITS - 1})")
+            key = key << _SLOT_BITS | e
+        return exps[0] << self._qshift | key
+
+    def _unpack(self, key: int) -> tuple:
+        """The exponent vector (e_q, e_1, ..., e_r) of a key."""
+        return (key >> self._qshift,) + tuple(
+            key >> (_SLOT_BITS * k) & _SLOT_MASK for k in range(self.r))
 
     def compatible(self, other: "ScalarContext") -> None:
         if self.r != other.r:
@@ -115,41 +169,34 @@ class ScalarContext:
     # -- constructors --------------------------------------------------
 
     def zero(self) -> "ExactScalar":
-        return ExactScalar(self, {})
+        return self._zero
 
     def from_int(self, k: int) -> "ExactScalar":
         if k == 0:
-            return self.zero()
-        return ExactScalar(self, {(0,) * (self.r + 1): int(k)})
+            return self._zero
+        return ExactScalar(self, {0: int(k)})
 
     def one(self) -> "ExactScalar":
-        return self.from_int(1)
+        return self._one
 
     def q(self, e: int = 1) -> "ExactScalar":
-        exps = [0] * (self.r + 1)
-        exps[0] = int(e)
-        return ExactScalar(self, {tuple(exps): 1})
+        return ExactScalar(self, {int(e) << self._qshift: 1})
 
     def Q(self, k: int, e: int = 1) -> "ExactScalar":
         if not 1 <= k <= self.r:
             raise ValueError(f"Q index {k} out of range 1..{self.r}")
-        if e < 0:
-            raise ValueError("Q-exponents must be non-negative")
         exps = [0] * (self.r + 1)
         exps[k] = int(e)
-        return ExactScalar(self, {tuple(exps): 1})
+        return ExactScalar(self, {self._pack(exps): 1})
 
     def from_terms(self, terms) -> "ExactScalar":
+        """The scalar with the given {(e_q, e_1, ..., e_r): coefficient}."""
         out: dict = {}
         for exps, c in dict(terms).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.r + 1:
-                raise ValueError("exponent vector has wrong length")
-            if any(e < 0 for e in exps[1:]):
-                raise ValueError("Q-exponents must be non-negative")
+            key = self._pack(tuple(int(e) for e in exps))
             if c:
-                out[exps] = out.get(exps, 0) + int(c)
-        return ExactScalar(self, {e: c for e, c in out.items() if c})
+                out[key] = out.get(key, 0) + int(c)
+        return ExactScalar(self, {k: c for k, c in out.items() if c})
 
     def elementary_symmetric(self, k: int) -> "ExactScalar":
         """e_k(Q_1, ..., Q_r); e_0 = 1."""
@@ -157,12 +204,8 @@ class ScalarContext:
             return self.one()
         if not 0 <= k <= self.r:
             raise ValueError(f"elementary symmetric degree {k} out of range")
-        terms = {}
-        for subset in combinations(range(1, self.r + 1), k):
-            exps = [0] * (self.r + 1)
-            for i in subset:
-                exps[i] = 1
-            terms[tuple(exps)] = 1
+        terms = {sum(1 << (_SLOT_BITS * (i - 1)) for i in subset): 1
+                 for subset in combinations(range(1, self.r + 1), k)}
         return ExactScalar(self, terms)
 
     def random_scalar(self, rng: Random, max_terms: int = 4,
@@ -237,7 +280,12 @@ class ScalarContext:
 class ExactScalar:
     """A sparse Laurent polynomial in q with polynomial Q-dependence.
 
-    Never mutated after construction; the term dict never stores zeros.
+    `_terms` maps the packed key of each monomial (see the module
+    docstring: e_q above r slots of 32 bits, one guard bit at the top of
+    each slot) to its nonzero int coefficient.  Products add keys and
+    raise ExponentOverflow if a guard bit is set; only `terms()`,
+    `text()`, `to_json()`, `specialize()` and `repr` decode them.  Never
+    mutated after construction.
     """
 
     __slots__ = ("ctx", "_terms")
@@ -249,13 +297,15 @@ class ExactScalar:
     # -- inspection -----------------------------------------------------
 
     def terms(self):
-        return dict(self._terms)
+        """{(e_q, e_1, ..., e_r): coefficient}, decoded from the keys."""
+        unpack = self.ctx._unpack
+        return {unpack(k): c for k, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0,) * (self.ctx.r + 1): 1}
+        return self._terms == {0: 1}
 
     def __bool__(self):
         return bool(self._terms)
@@ -264,7 +314,8 @@ class ExactScalar:
 
     def _coerce(self, other):
         if isinstance(other, ExactScalar):
-            self.ctx.compatible(other.ctx)
+            if other.ctx is not self.ctx:
+                self.ctx.compatible(other.ctx)
             return other
         if isinstance(other, int):
             return self.ctx.from_int(other)
@@ -302,14 +353,23 @@ class ExactScalar:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                nc = out.get(key, 0) + c1 * c2
+        get = out.get
+        right = other._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                nc = get(key, 0) + c1 * c2
                 if nc:
                     out[key] = nc
                 else:
                     del out[key]
+        # valid slots add without carrying, so a set guard bit is the
+        # only way a Q-exponent can leave its slot
+        guard = self.ctx._guard
+        for key in out:
+            if key & guard:
+                raise ExponentOverflow(
+                    f"a Q-exponent of the product reaches 2^{_SLOT_BITS - 1}")
         return ExactScalar(self.ctx, out)
 
     __rmul__ = __mul__
@@ -331,7 +391,7 @@ class ExactScalar:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ctx.r, tuple(sorted(self._terms.items()))))
+        return hash((self.ctx.r, frozenset(self._terms.items())))
 
     # -- evaluation -----------------------------------------------------
 
@@ -340,7 +400,7 @@ class ExactScalar:
             raise ValueError(
                 f"specialization has {len(s.Q_values)} Q-values, need {self.ctx.r}")
         total = Fraction(0)
-        for exps, c in self._terms.items():
+        for exps, c in self.terms().items():
             v = Fraction(c) * (Fraction(s.q_value) ** exps[0])
             for Qv, e in zip(s.Q_values, exps[1:]):
                 if e:
@@ -353,9 +413,10 @@ class ExactScalar:
     def text(self) -> str:
         if not self._terms:
             return "0"
+        terms = self.terms()
         parts = []
-        for exps in sorted(self._terms, key=_term_sort_key):
-            c = self._terms[exps]
+        for exps in sorted(terms, key=_term_sort_key):
+            c = terms[exps]
             factors = []
             if exps[0]:
                 factors.append(f"q^{exps[0]}")
@@ -370,9 +431,10 @@ class ExactScalar:
         return " ".join(parts)
 
     def to_json(self) -> dict:
+        terms = self.terms()
         return {"terms": [
-            {"c": str(self._terms[e]), "q": e[0], "Q": list(e[1:])}
-            for e in sorted(self._terms, key=_term_sort_key)]}
+            {"c": str(terms[e]), "q": e[0], "Q": list(e[1:])}
+            for e in sorted(terms, key=_term_sort_key)]}
 
     def __repr__(self):
         return f"ExactScalar({self.text()})"

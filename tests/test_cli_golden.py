@@ -19,8 +19,13 @@ m = (3,3), r = 2, `compute x|y|z|h` for lambda = ([1],[1],[1]) and
 z|h` for ([2],[],[1]) at m = (1,1,1), r = 3.  Of these, the two `compute
 L` (L_3 at r = 1), `compute z|h` of ([1],[1],[1]) (L_1) and `compute
 z|h` of ([2],[],[1]) (L_2) multiply through a Jucys-Murphy exponent that
-overflows (c_i + 1 = r).  A change to how the verdicts or elements are
-computed must leave every byte the same.
+overflows (c_i + 1 = r).  Last, five cases at r = 4 or in text form,
+where the scalars' packed exponent keys are decoded and sorted for
+printing: `compute L --i 2 --n 2 --r 4 --format text`, `compute x` (json)
+and `compute y` (text) for lambda = ([1],[],[1],[]) at m = (1,1,1,1),
+r = 4, `compute h --format text` for lambda = ([2],[]) at m = (2,2), and
+`verify relations --r 4 --n 2 --samples 2 --format json`.  A change to
+how the verdicts or elements are computed must leave every byte the same.
 """
 
 import io
