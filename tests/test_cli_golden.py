@@ -21,7 +21,7 @@ L` (L_3 at r = 1), `compute z|h` of ([1],[1],[1]) (L_1) and `compute
 z|h` of ([2],[],[1]) (L_2) multiply through a Jucys-Murphy exponent that
 overflows (c_i + 1 = r).  Last, five cases at r = 4 or in text form,
 where the scalars' packed exponent keys are decoded and sorted for
-printing: `compute L --i 2 --n 2 --r 4 --format text`, `compute x` (json)
+printing: `compute L --r 4 --i 2 --n 2 --format text`, `compute x` (json)
 and `compute y` (text) for lambda = ([1],[],[1],[]) at m = (1,1,1,1),
 r = 4, `compute h --format text` for lambda = ([2],[]) at m = (2,2), and
 `verify relations --r 4 --n 2 --samples 2 --format json`.  A change to
