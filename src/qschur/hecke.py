@@ -14,19 +14,22 @@ multiplication primitive is left multiplication by a single generator:
 The Jucys-Murphy elements L_i commute, so L_i * L^c T_w is the single
 monomial L^{c+e_i} T_w unless the exponent c_i overflows; only then is L_i
 applied as its generator word q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1},
-once per monomial.  The context memoises T_j per term (`_lmul_term`) and
-the overflowing L_i entries (`_lmul_L_term`).
+once per monomial.  The context memoises T_j per term on the left
+(`_lmul_term`) and on the right (`_rmul_term`, one ordinary product per
+term), and the overflowing L_i entries (`_lmul_L_term`).
 
 Sparse sums go through one helper, `_accumulate`, which adds (key,
-scalar) pairs into a term dict and drops keys that cancel.  Left
-multiplication by T_j or L_i (`AKElement._lmul`) keeps its own copy of
-that loop inline: it is the innermost loop of every product, and the
-extra call per term made basis certification measurably slower.
+scalar) pairs into a term dict and drops keys that cancel.  Multiplying by
+a per-term table (`AKElement._termwise`) keeps its own copy of that loop
+inline: it is the innermost loop of every product, and the extra call per
+term made basis certification measurably slower.
 
 General products expand the left factor's T_w into generator words and
 apply its L-part through the per-term L_i table.  Correctness is
 established by the relation / associativity / closure-dimension test
-suite rather than by a confluence proof.
+suite rather than by a confluence proof.  One closure routine,
+`AKElement.closure`, serves the closure dimension (left steps from 1) and
+the module spans of `schur` (right steps from x_mu).
 
 Coefficients come from a scalar ring passed to the context (default: the
 generic ring `ScalarContext(r)`).  The engine uses only the `ScalarRing`
@@ -59,8 +62,8 @@ from random import Random
 from .linalg import ResourceLimit, RowSpace
 from .ring import (PRIME, PointContext, Scalar, ScalarContext, ScalarRing,
                    Specialization, UnmappablePoint)
-from .symgrp import (CompositionBlocks, Perm, all_permutations, compose,
-                     double_cosets, identity, length, reduced_word,
+from .symgrp import (CompositionBlocks, Perm, all_permutations,
+                     double_coset, identity, length, reduced_word,
                      transposition, young_subgroup)
 from .tableaux import Multicomposition, bracket_reversed, w_lambda
 
@@ -112,10 +115,10 @@ class AlgebraContext:
         self._exchange = {}      # (a, b) -> (A, B) monomial dicts
         self._lmul_terms = {}    # (j, c, w) -> tuple of ((c', w'), scalar)
         self._lmul_L_terms = {}  # (i, c, w) -> tuple of ((c', w'), scalar)
+        self._rmul_terms = {}    # (j, c, w) -> tuple of ((c', w'), scalar)
         self._words = {}         # w -> reduced word
         self._basis = None
         self._basis_index = None
-        self._rmats = None       # right_gen_matrices, over a point ring
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -269,7 +272,7 @@ class AlgebraContext:
             self._exchange[(a, b)] = (A, B)
             return A, B
 
-    # -- term-level left multiplication ---------------------------------------
+    # -- term-level multiplication ---------------------------------------------
 
     def _lmul_term(self, j: int, c, w):
         """T_j * (L^c T_w) as a tuple of ((c', w'), scalar)."""
@@ -334,38 +337,28 @@ class AlgebraContext:
             self._lmul_L_terms[key] = result
         return result
 
-    # -- right multiplication matrices -----------------------------------------
-
-    def right_gen_matrices(self):
-        """For each generator index j, the matrix of right multiplication
-        by T_j on the basis (rows indexed like basis_monomials), over a
-        `PointContext` ring.
-
-        Each row is sparse: the (column, value) pairs of its nonzero
-        entries, in column order, with the values `coeff.v` of the ring."""
-        if self._rmats is None:
-            index = self.basis_index()
-            mats = []
-            for j in range(self.n):
-                gen = self.T(j)
-                mats.append([sorted((index[key], coeff.v) for key, coeff in
-                                    (self.basis_element(c, w) * gen).terms.items())
-                             for (c, w) in self.basis_monomials()])
-            self._rmats = mats
-        return self._rmats
+    def _rmul_term(self, j: int, c, w):
+        """(L^c T_w) * T_j as a tuple of ((c', w'), scalar), computed once
+        by an ordinary product and stored."""
+        key = (j, c, w)
+        with self._lock:
+            result = self._rmul_terms.get(key)
+            if result is None:
+                term = AKElement(self, {(c, w): self.scalars.one()})
+                result = tuple((term * self.T(j)).terms.items())
+                self._rmul_terms[key] = result
+        return result
 
     # -- distinguished elements ----------------------------------------------
 
     def perm_sum(self, perms, weight) -> "AKElement":
         """Sum of c(w) T_w over the distinct permutations `perms`, where
-        c(w) is 1 for the weight "plain" (or "unit"), q^{l(w)} for "qlen"
-        and (-q)^{-l(w)} for "signed"."""
+        c(w) is 1 for the weight "plain", q^{l(w)} for "qlen" and
+        (-q)^{-l(w)} for "signed"."""
         S = self.scalars
-        if weight in ("plain", "unit"):
-            one = S.one()
-
+        if weight == "plain":
             def coeff(w):
-                return one
+                return S.one()
         elif weight == "qlen":
             def coeff(w):
                 return S.q(length(w))
@@ -385,27 +378,15 @@ class AlgebraContext:
                              weight or self.m_convention)
 
     def coset_sum(self, left_comp, d: Perm, right_comp, weight=None) -> "AKElement":
-        """Sum of T_w over the double coset S_left d S_right.
+        """Sum of T_w over the double coset S_left d S_right, any d in it.
 
-        The explicit weight "unit" gives plain unit coefficients (the
-        public double-coset-sum contract); otherwise the m-convention
-        applies.  "signed" is not a coset weight."""
+        The weight is the m-convention unless "plain" or "qlen" is asked
+        for; "signed" is not a coset weight."""
         weight = weight or self.m_convention
-        if weight not in ("unit", "plain", "qlen"):
+        if weight not in ("plain", "qlen"):
             raise ValueError(f"unknown weight {weight!r}")
-        lgrp = young_subgroup(CompositionBlocks(left_comp))
-        rgrp = young_subgroup(CompositionBlocks(right_comp))
-        return self.perm_sum({compose(compose(u, d), v)
-                              for u in lgrp for v in rgrp}, weight)
-
-    def double_coset_sum(self, left_comp, d: Perm, right_comp) -> "AKElement":
-        """Unit-coefficient sum over the double coset of d; d is
-        normalised internally to the distinguished representative."""
-        for _, members in double_cosets(CompositionBlocks(left_comp),
-                                        CompositionBlocks(right_comp)):
-            if d in members:
-                return self.perm_sum(members, "unit")
-        raise ValueError("element does not belong to any double coset")
+        return self.perm_sum(double_coset(CompositionBlocks(left_comp), d,
+                                          CompositionBlocks(right_comp)), weight)
 
     def pi(self, a: int, x: Scalar) -> "AKElement":
         """pi_a(x) = (M_1 - x)(M_2 - x)...(M_a - x); pi_0 = 1."""
@@ -474,20 +455,8 @@ class AlgebraContext:
             raise ResourceLimit(f"closure dimension {D} exceeds limit {max_dim}")
         if spec is None:
             spec = Specialization.random(self.r, Random(seed))
-        return self.ranks_at(spec, [(D, AlgebraContext._close)])[0]
-
-    def _close(self, add) -> None:
-        """Breadth-first closure of 1 under left multiplication by the
-        generators, feeding each element to `add` (True when it is new)."""
-        start = self.one()
-        add(start)
-        queue = [start]
-        while queue:
-            e = queue.pop()
-            for j in range(self.n):
-                f = e.lmul_gen(j)
-                if add(f):
-                    queue.append(f)
+        return self.ranks_at(spec, [(D, lambda algebra, add: algebra.one()
+                                     .closure(AKElement.lmul_gen, add))])[0]
 
     def ranks_at(self, spec: Specialization, blocks) -> list[int]:
         """Rank at the rational point `spec` of each block of elements.
@@ -680,16 +649,22 @@ class AKElement:
         """Left multiplication by the generator T_j (T_0 = L_1)."""
         if not 0 <= j <= self.ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
-        return self._lmul(self.ctx._lmul_term, j)
+        return self._termwise(self.ctx._lmul_term, j)
+
+    def rmul_gen(self, j: int) -> "AKElement":
+        """Right multiplication by the generator T_j (T_0 = L_1)."""
+        if not 0 <= j <= self.ctx.n - 1:
+            raise ValueError(f"generator index {j} out of range")
+        return self._termwise(self.ctx._rmul_term, j)
 
     def _lmul_L(self, i: int) -> "AKElement":
         """Left multiplication by the Jucys-Murphy element L_i, term by term
         through the context's memo `_lmul_L_term`."""
-        return self._lmul(self.ctx._lmul_L_term, i)
+        return self._termwise(self.ctx._lmul_L_term, i)
 
-    def _lmul(self, table, index: int) -> "AKElement":
-        """Left multiplication by the element whose per-term products
-        `table(index, c, w)` returns."""
+    def _termwise(self, table, index: int) -> "AKElement":
+        """The product, on the side the table multiplies, with the element
+        whose per-term products `table(index, c, w)` returns."""
         # the loop of `_accumulate`, inlined: this is the innermost loop of
         # every product, and going through the helper made basis
         # certification 10-13% slower
@@ -708,6 +683,19 @@ class AKElement:
                 else:
                     out[key] = cur
         return AKElement(self.ctx, out)
+
+    def closure(self, step, add) -> None:
+        """The closure of this element under `step(e, j)` for each
+        generator j: feeds each element to `add` and steps further, newest
+        first, those it accepts."""
+        add(self)
+        queue = [self]
+        while queue:
+            e = queue.pop()
+            for j in range(self.ctx.n):
+                f = step(e, j)
+                if add(f):
+                    queue.append(f)
 
     # -- evaluation -----------------------------------------------------------
 

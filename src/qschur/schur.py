@@ -15,7 +15,8 @@ shortfall at the point is inconclusive and is retried at fresh points.
 
 Module spans, membership, the E/F convention checks and the hom-space
 oracle build x_mu, the ladder images and every product over
-`point_algebra(spec)`, the algebra over Q at their point.
+`point_algebra(spec)`, the algebra over Q at their point; a module span
+is the closure of x_mu there under `AKElement.rmul_gen`.
 
 There are two E/F ladder operators, picked by `star` (see `_coset_factor`);
 `validated_ef_conventions` tries "inverse", then "plain", and raises
@@ -142,10 +143,14 @@ class SchurContext:
 
     # -- distinguished elements -------------------------------------------
 
-    def x_element(self, mu: Multicomposition) -> AKElement:
-        key = mu.parts
+    def x_element(self, mu: Multicomposition,
+                  algebra: AlgebraContext | None = None) -> AKElement:
+        """x_mu over `algebra` (default: this context's), built once."""
+        if algebra is None:
+            algebra = self.algebra
+        key = (algebra, mu.parts)
         if key not in self._x_cache:
-            self._x_cache[key] = self.algebra.x_element(mu)
+            self._x_cache[key] = algebra.x_element(mu)
         return self._x_cache[key]
 
     def x_module(self, mu: Multicomposition) -> ModuleElement:
@@ -250,38 +255,18 @@ class SchurContext:
     def module_span(self, mu: Multicomposition, spec: Specialization) -> RowSpace:
         """Row space of the right ideal generated by x_mu at the point.
 
-        Closes x_mu under right multiplication by each T_j, applied through
-        the sparse rows of `right_gen_matrices`, in an exact `RowSpace`."""
+        The closure of x_mu over `point_algebra(spec)` under right
+        multiplication by each generator T_j, in an exact `RowSpace`."""
         key = (mu.parts, spec)
         cached = self._span_cache.get(key)
         if cached is not None:
             return cached
         algebra = self.point_algebra(spec)
-        mats = algebra.right_gen_matrices()
-        D = algebra.dimension()
-        space = RowSpace(D)
-        xvec = algebra.x_element(mu).vector()
-        space.add(xvec)
-        queue = [xvec]
-        while queue:
-            v = queue.pop()
-            for j in range(self.n):
-                nxt = self._apply_right_gen(v, j, mats)
-                if space.add(nxt):
-                    queue.append(nxt)
+        space = RowSpace(algebra.dimension())
+        self.x_element(mu, algebra).closure(
+            AKElement.rmul_gen, lambda e: space.add(e.vector()))
         self._span_cache[key] = space
         return space
-
-    def _apply_right_gen(self, vec, j, mats):
-        """vec times the matrix of right multiplication by T_j, walking
-        only the nonzero (column, value) pairs of each sparse row."""
-        mat = mats[j]
-        out = [Fraction(0)] * len(vec)
-        for i, vi in enumerate(vec):
-            if vi:
-                for k, mv in mat[i]:
-                    out[k] += vi * mv
-        return out
 
     def certify_membership(self, me: ModuleElement, spec: Specialization) -> bool:
         """One-sided membership certificate e in x_mu H at the point; e
@@ -384,7 +369,7 @@ class SchurContext:
         for spec in specs:
             algebra = self.point_algebra(spec)
             for mu in self.weights():
-                x_mu = ModuleElement(mu, algebra.x_element(mu))
+                x_mu = ModuleElement(mu, self.x_element(mu, algebra))
                 for idx in self.ef_indices():
                     for kind in ("E", "F"):
                         img = self.ef_apply(idx, kind, x_mu, star=star)
@@ -408,7 +393,7 @@ class SchurContext:
         the second condition makes h -> v h well defined on x_mu H."""
         algebra = self.point_algebra(spec)
         D = algebra.dimension()
-        x = algebra.x_element(mu)
+        x = self.x_element(mu, algebra)
         # annihilator of x_mu: kernel of h -> x_mu h (columns = x_mu * b_j)
         cols = [(x * algebra.basis_element(c, w)).vector()
                 for (c, w) in algebra.basis_monomials()]

@@ -28,6 +28,7 @@ __all__ = [
     "coset_reps_min",
     "is_min_coset_rep",
     "coset_factorize",
+    "double_coset",
     "double_cosets",
 ]
 
@@ -183,23 +184,28 @@ def coset_factorize(blocks: CompositionBlocks, w: Perm):
     return u, d
 
 
+def double_coset(left: CompositionBlocks, d: Perm, right: CompositionBlocks):
+    """The double coset S_left d S_right as a frozenset, each element formed
+    once: the left cosets S_left x of the distinct shortest x in S_left d v,
+    v in S_right."""
+    if not left.n == len(d) == right.n:
+        raise ValueError("size mismatch")
+    reps = {coset_factorize(left, compose(d, v))[1] for v in young_subgroup(right)}
+    return frozenset(compose(u, x) for u in young_subgroup(left) for x in reps)
+
+
 def double_cosets(left: CompositionBlocks, right: CompositionBlocks):
     """All double cosets S_left w S_right as (rep, frozenset of elements).
 
     The representative is the unique minimal-length element.  Cosets are
     returned sorted by representative.
     """
-    if left.n != right.n:
-        raise ValueError("size mismatch")
-    n = left.n
-    lgrp = young_subgroup(left)
-    rgrp = young_subgroup(right)
     seen = set()
     out = []
-    for w in all_permutations(n):
+    for w in all_permutations(left.n):
         if w in seen:
             continue
-        coset = frozenset(compose(compose(u, w), v) for u in lgrp for v in rgrp)
+        coset = double_coset(left, w, right)
         seen |= coset
         minlen = min(length(x) for x in coset)
         reps = [x for x in coset if length(x) == minlen]

@@ -32,8 +32,11 @@ def test_deleted_api_is_gone():
     assert not hasattr(qschur.ring, "FpContext")
     assert not hasattr(qschur.AKElement, "specialize_vector")
     assert not hasattr(qschur.AKElement, "residue_vector")
-    for name in ("_apply_right", "_right_word"):
+    for name in ("_apply_right", "_right_word", "_apply_right_gen"):
         assert not hasattr(qschur.SchurContext, name)
+    # one closure through the engine; coset sums from symgrp.double_coset
+    for name in ("right_gen_matrices", "_close", "double_coset_sum"):
+        assert not hasattr(qschur.AlgebraContext, name)
     # two ladder operators, chosen by `star` alone; right cosets always
     for name in ("ef_apply", "ef_convention_report"):
         params = inspect.signature(getattr(qschur.SchurContext, name)).parameters

@@ -61,6 +61,7 @@ def check_products_at_point(ctx, modulus, data):
     assert image(point, a * b) == ra * rb
     assert image(point, a + b) == ra + rb
     assert image(point, a.lmul_gen(j)) == ra.lmul_gen(j)
+    assert image(point, a * ctx.T(j)) == ra.rmul_gen(j)
 
 
 @pytest.mark.parametrize("n,r", sorted(CONTEXTS))
@@ -75,16 +76,6 @@ def test_reduce_then_multiply_equals_multiply_then_reduce(n, r, data):
 @given(data=st.data())
 def test_specialise_then_multiply_equals_multiply_then_specialise(n, r, data):
     check_products_at_point(CONTEXTS[(n, r)], None, data)
-
-
-@pytest.mark.parametrize("n,r", sorted(CONTEXTS))
-def test_right_gen_matrices_match_specialised_generic_products(n, r):
-    ctx = CONTEXTS[(n, r)]
-    spec = Specialization.random(r, Random(n * 10 + r))
-    expected = [[[(k, v) for k, v in enumerate(specialize_vector(
-                     ctx.basis_element(c, w) * ctx.T(j), spec)) if v]
-                 for c, w in ctx.basis_monomials()] for j in range(n)]
-    assert ctx.over(PointContext(spec)).right_gen_matrices() == expected
 
 
 @pytest.mark.parametrize("n,r", sorted(CONTEXTS))

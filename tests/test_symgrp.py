@@ -1,13 +1,14 @@
+from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qschur.symgrp import (CompositionBlocks, all_permutations,
                            common_refinement, compose, coset_factorize,
-                           coset_reps_min, double_cosets, identity, invert,
-                           is_min_coset_rep, length, reduced_word,
-                           transposition, young_subgroup)
+                           coset_reps_min, double_coset, double_cosets,
+                           identity, invert, is_min_coset_rep, length,
+                           reduced_word, transposition, young_subgroup)
 
 
 def test_length_examples():
@@ -149,3 +150,52 @@ def test_double_cosets_partition_and_minimality():
             assert not (seen & members)
             seen |= members
         assert len(seen) == factorial(n)
+
+
+def compositions(n, cuts):
+    """The composition of n cut at the given points of 0..n; a repeated
+    cut, or a cut at 0 or n, gives a zero part."""
+    cuts = sorted(cuts)
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+
+def all_products_cosets(left, right):
+    """Each permutation's double coset by the all-products comprehension,
+    the reference for `double_coset`; computed once per double coset."""
+    lgrp, rgrp = young_subgroup(left), young_subgroup(right)
+    found = {}
+    for d in all_permutations(left.n):
+        if d not in found:
+            coset = {compose(compose(u, d), v) for u in lgrp for v in rgrp}
+            found.update(dict.fromkeys(coset, coset))
+    return found
+
+
+def check_double_coset(left, right):
+    lb, rb = CompositionBlocks(left), CompositionBlocks(right)
+    for d, coset in all_products_cosets(lb, rb).items():
+        assert double_coset(lb, d, rb) == coset, (left, d, right)
+
+
+def test_double_coset_equals_all_products_small():
+    # every pair of compositions of n <= 3 into at most n + 1 parts
+    for n in range(1, 4):
+        comps = {compositions(n, cuts) for k in range(n + 1)
+                 for cuts in product(range(n + 1), repeat=k)}
+        for left in comps:
+            for right in comps:
+                check_double_coset(left, right)
+    with pytest.raises(ValueError):
+        double_coset(CompositionBlocks((2,)), identity(3), CompositionBlocks((3,)))
+
+
+def compositions_of(n):
+    return st.lists(st.integers(0, n), max_size=n).map(
+        lambda cuts: compositions(n, cuts))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4, 5).flatmap(
+    lambda n: st.tuples(compositions_of(n), compositions_of(n))))
+def test_double_coset_equals_all_products(pair):
+    check_double_coset(*pair)
