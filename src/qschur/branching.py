@@ -123,7 +123,7 @@ class BranchContext:
             entries.append(rows)
         return TypedTableau(small, self.small_shape, entries)
 
-    def branch_dim_identity(self, check_bijection: bool = True) -> dict:
+    def branch_dim_identity(self) -> dict:
         """Layer quotient sizes against the smaller module's tableau
         counts, through the explicit strip-the-marked-box bijection."""
         layers = self.filtration_layers()
@@ -138,12 +138,10 @@ class BranchContext:
                 [list(c) for c in lam_small.parts], m=self.mprime)
             wd = small.weyl_dim_count(lam_small)
             qd = len(layer.quotient)
-            match = wd == qd
-            if check_bijection:
-                stripped = {self.strip_marked(A) for _, A in layer.quotient}
-                target = set(enumerate_ssyt(lam_small, self.small_shape))
-                match = match and stripped == target \
-                    and len(stripped) == len(layer.quotient)
+            stripped = {self.strip_marked(A) for _, A in layer.quotient}
+            target = set(enumerate_ssyt(lam_small, self.small_shape))
+            match = wd == qd and stripped == target \
+                and len(stripped) == len(layer.quotient)
             holds = holds and match
             out_layers.append({"node": list(layer.node),
                                "quotient_dim": qd,
@@ -180,11 +178,6 @@ class BranchContext:
             if mu == weight:
                 space.add(self.basis_element(mu, A, spec).vector())
         return space
-
-    def tau_of_layer(self, i: int) -> Multicomposition:
-        """The type of the marked tableau of layer i."""
-        return t_lambda_x(self.lam, self.nodes[i - 1],
-                          self.big.shape).type_weight()
 
     def highest_weight_check(self, i: int, spec: Specialization,
                              conventions_validated: bool = True) -> dict:

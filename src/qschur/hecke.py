@@ -192,17 +192,11 @@ class AlgebraContext:
         return self.basis_element((0,) * self.n, tuple(arg))
 
     def jucys_murphy(self, i: int) -> "AKElement":
-        """L_i, itself a basis monomial."""
+        """L_i: the basis monomial L^{e_i}, or for r = 1 its reduction by
+        the cyclotomic relation."""
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
-        c = [0] * self.n
-        c[i - 1] = 1
-        if self.r == 1:
-            # the exponent overflows immediately; reduce through the engine
-            e = self.one()
-            e = e._lmul_L(i)
-            return e
-        return self.basis_element(c, identity(self.n))
+        return self.one()._lmul_L(i)
 
     def unscaled_jm(self, i: int) -> "AKElement":
         """The unscaled commuting family M_1 = T_0, M_i = T_{i-1} M_{i-1}
@@ -559,14 +553,6 @@ class AlgebraContext:
         pairs = [((tuple(int(x) for x in t["c"]), tuple(int(x) for x in t["w"])),
                   self.scalars.from_json(t["coeff"])) for t in data["terms"]]
         return AKElement(self, _accumulate({}, pairs))
-
-    def random_element(self, rng: Random, max_terms: int = 3) -> "AKElement":
-        basis = self.basis_monomials()
-        out = self.zero()
-        for _ in range(rng.randint(0, max_terms)):
-            c, w = basis[rng.randrange(len(basis))]
-            out = out + AKElement(self, {(c, w): self.scalars.random_scalar(rng)})
-        return out
 
     def __repr__(self):
         return (f"AlgebraContext(n={self.n}, r={self.r}, "

@@ -7,9 +7,8 @@ It is also every rank the certificates take, over F_p at a point and,
 for a block short there, over Q at the same point.  Over Q it is
 fraction-free: each row is stored as a primitive integer vector (content
 1, positive pivot), and the exact Fraction values of the reduced echelon
-form are read off as entry / pivot.  The Bareiss `rank_exact` is the
-reference: nothing in the package calls it, and the tests check
-`RowSpace` against it.
+form are read off as entry / pivot.  The tests check `RowSpace` against
+an independent Bareiss rank, `rank_exact` in `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
-    "rank_exact",
     "RowSpace",
     "nullspace",
     "solve_in_span",
@@ -40,43 +38,6 @@ def _primitive(vec):
     """vec divided by the gcd of its entries."""
     g = gcd(*vec)
     return vec if g <= 1 else [x // g for x in vec]
-
-
-def rank_exact(matrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination on integer rows.
-
-    Deterministic: pivots are chosen as the first nonzero entry in
-    column-major sweep order.
-    """
-    rows = [_integer_row(row) for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    nrows = len(rows)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        pval = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            ival = rows[i][col]
-            for j in range(col, ncols):
-                rows[i][j] = (pval * rows[i][j] - ival * rows[rank][j]) // prev
-        prev = pval
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 class RowSpace:
@@ -166,13 +127,9 @@ class RowSpace:
                 for r, p in zip(self._rows, self._pivots)]
 
 
-def nullspace(rows, ncols=None):
-    """Basis of {x : M x = 0} for the matrix with the given rows, one
-    vector per free column of the reduced echelon form."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Basis of {x : M x = 0} for the matrix with the given rows and ncols
+    columns, one vector per free column of the reduced echelon form."""
     space = RowSpace(ncols)
     for row in rows:
         space.add(row)

@@ -19,15 +19,16 @@ Q-exponent >= 2^31 with ValueError, so the sum of two valid keys never
 carries out of a slot, and a product with a guard bit set in any of its
 keys raises ExponentOverflow instead of wrapping.  Keys are decoded only
 at the edges: `terms()` (which returns exponent tuples), `text()`,
-`to_json()`, `specialize()` and `repr`.
+`to_json()` and `repr`.
 
 `PointContext` is the image of that ring at one rational `Specialization`:
 the exact ring Q there, or F_p, p = 2^61 - 1, where a/b maps to
 a * b^-1 mod p.  Both maps are ring homomorphisms, so an element built
 over the image is the generic element evaluated (and reduced) there, and
 a rank that is full mod p is full at the rational point too.  Every check
-taken at a point computes over one of these rings;
-`ExactScalar.specialize` is the reference the tests compare them with.
+taken at a point computes over one of these rings; the tests compare them
+with a term-by-term evaluation of the generic scalar (`specialize` in
+`tests/conftest.py`).
 
 All rings satisfy `ScalarRing`, the small protocol that `hecke` relies
 on; their elements satisfy `Scalar`.
@@ -208,15 +209,6 @@ class ScalarContext:
                  for subset in combinations(range(1, self.r + 1), k)}
         return ExactScalar(self, terms)
 
-    def random_scalar(self, rng: Random, max_terms: int = 4,
-                      coeff_bound: int = 9, exp_bound: int = 3) -> "ExactScalar":
-        terms = {}
-        for _ in range(rng.randint(0, max_terms)):
-            exps = (rng.randint(-exp_bound, exp_bound),) + tuple(
-                rng.randint(0, exp_bound) for _ in range(self.r))
-            terms[exps] = terms.get(exps, 0) + rng.randint(-coeff_bound, coeff_bound)
-        return self.from_terms(terms)
-
     # -- parsing --------------------------------------------------------
 
     def from_json(self, data) -> "ExactScalar":
@@ -284,8 +276,8 @@ class ExactScalar:
     docstring: e_q above r slots of 32 bits, one guard bit at the top of
     each slot) to its nonzero int coefficient.  Products add keys and
     raise ExponentOverflow if a guard bit is set; only `terms()`,
-    `text()`, `to_json()`, `specialize()` and `repr` decode them.  Never
-    mutated after construction.
+    `text()`, `to_json()` and `repr` decode them.  Never mutated after
+    construction.
     """
 
     __slots__ = ("ctx", "_terms")
@@ -303,9 +295,6 @@ class ExactScalar:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
 
     def __bool__(self):
         return bool(self._terms)
@@ -392,21 +381,6 @@ class ExactScalar:
 
     def __hash__(self):
         return hash((self.ctx.r, frozenset(self._terms.items())))
-
-    # -- evaluation -----------------------------------------------------
-
-    def specialize(self, s: "Specialization") -> Fraction:
-        if len(s.Q_values) != self.ctx.r:
-            raise ValueError(
-                f"specialization has {len(s.Q_values)} Q-values, need {self.ctx.r}")
-        total = Fraction(0)
-        for exps, c in self.terms().items():
-            v = Fraction(c) * (Fraction(s.q_value) ** exps[0])
-            for Qv, e in zip(s.Q_values, exps[1:]):
-                if e:
-                    v *= Fraction(Qv) ** e
-            total += v
-        return total
 
     # -- serialization ----------------------------------------------------
 

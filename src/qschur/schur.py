@@ -52,6 +52,9 @@ __all__ = [
 #: the recorded fallback convention flags, tried iff the literal pair fails
 FALLBACK_FLAGS = ("qlen", "signed")
 
+#: fresh random points tried after the first when no point is given
+RETRIES = 3
+
 
 def _check_ef_convention(star: str) -> None:
     if star not in ("inverse", "plain"):
@@ -153,9 +156,6 @@ class SchurContext:
             self._x_cache[key] = algebra.x_element(mu)
         return self._x_cache[key]
 
-    def x_module(self, mu: Multicomposition) -> ModuleElement:
-        return ModuleElement(mu, self.x_element(mu))
-
     def z_element(self, lam: Multicomposition) -> AKElement:
         """z_lam evaluated at the unit: x_lam T_{w_lam} y_{lam'}."""
         key = lam.parts
@@ -204,7 +204,6 @@ class SchurContext:
 
     def verify_basis_independence(self, lam: Multicomposition, seed: int = 0,
                                   spec: Specialization | None = None,
-                                  retries: int = 3,
                                   max_dim: int = 10_000) -> dict:
         """Certify that the basis vectors of lam have full rank.
 
@@ -229,7 +228,7 @@ class SchurContext:
         rng = Random(seed)
         attempts = 0
         report = None
-        while attempts < (1 if spec is not None else 1 + retries):
+        while attempts < (1 if spec is not None else 1 + RETRIES):
             attempts += 1
             point = spec if spec is not None else Specialization.random(self.r, rng)
             ranks = self.algebra.ranks_at(point, fills)
@@ -374,8 +373,7 @@ class SchurContext:
                     for kind in ("E", "F"):
                         img = self.ef_apply(idx, kind, x_mu, star=star)
                         if not (img.elem.is_zero()
-                                or self.module_span(img.weight, spec).contains(
-                                    img.elem.vector())):
+                                or self.certify_membership(img, spec)):
                             checks.append({"mu": mu.to_json(),
                                            "idx": [idx.i, idx.k],
                                            "kind": kind,
@@ -459,20 +457,19 @@ def validated_ef_conventions(sc: SchurContext, specs) -> dict:
 
 
 def verify_basis_with_fallback(n: int, r: int, m, lam_parts, seed: int = 0,
-                               retries: int = 3, max_dim: int = 10_000) -> dict:
+                               max_dim: int = 10_000) -> dict:
     """Run the independence certification under the literal convention
     flags first; on failure, rerun under the recorded fallback flags.
     The report always states which flags were used."""
     literal = SchurContext(n, r, m)
     lam = literal.weight(lam_parts)
-    report = literal.verify_basis_independence(lam, seed=seed, retries=retries,
-                                               max_dim=max_dim)
+    report = literal.verify_basis_independence(lam, seed=seed, max_dim=max_dim)
     report["literal_flags"] = True
     if not report["certified"]:
         fb = SchurContext(n, r, m, m_convention=FALLBACK_FLAGS[0],
                           y_convention=FALLBACK_FLAGS[1])
         fb_report = fb.verify_basis_independence(fb.weight(lam_parts), seed=seed,
-                                                 retries=retries, max_dim=max_dim)
+                                                 max_dim=max_dim)
         fb_report["literal_flags"] = False
         fb_report["literal_report"] = report
         return fb_report

@@ -25,7 +25,6 @@ __all__ = [
     "common_refinement",
     "set_stabilizer",
     "young_subgroup",
-    "coset_reps_min",
     "is_min_coset_rep",
     "coset_factorize",
     "double_coset",
@@ -162,12 +161,6 @@ def is_min_coset_rep(blocks: CompositionBlocks, w: Perm) -> bool:
         if any(a > b for a, b in zip(vals, vals[1:])):
             return False
     return True
-
-
-def coset_reps_min(blocks: CompositionBlocks):
-    """The distinguished representatives of the cosets S_blocks \\ S_n,
-    in lexicographic order."""
-    return [w for w in all_permutations(blocks.n) if is_min_coset_rep(blocks, w)]
 
 
 def coset_factorize(blocks: CompositionBlocks, w: Perm):

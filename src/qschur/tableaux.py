@@ -119,12 +119,6 @@ class Multicomposition:
     def r(self) -> int:
         return len(self.parts)
 
-    def shape(self) -> MultiShape:
-        return MultiShape(self.m)
-
-    def component_sizes(self):
-        return tuple(sum(c) for c in self.parts)
-
     def is_partition(self) -> bool:
         return all(all(a >= b for a, b in zip(c, c[1:])) for c in self.parts)
 
@@ -177,9 +171,6 @@ class Multicomposition:
 
     def __repr__(self):
         return f"Multicomposition({self.trimmed()})"
-
-    def key(self):
-        return self.parts
 
     # -- serialization ------------------------------------------------------
 
@@ -324,14 +315,6 @@ class NumericTableau:
     def entry(self, a, b, c):
         return self.rows[c - 1][a - 1][b - 1]
 
-    def position_of(self, value):
-        for c, comp in enumerate(self.rows, start=1):
-            for a, row in enumerate(comp, start=1):
-                for b, v in enumerate(row, start=1):
-                    if v == value:
-                        return (a, b, c)
-        raise ValueError(f"value {value} not present")
-
     def act(self, w: Perm) -> "NumericTableau":
         """Entrywise action: each entry e is replaced by w(e)."""
         return NumericTableau(self.shape, [
@@ -352,10 +335,6 @@ class NumericTableau:
         width = max((len(r) for r in rows), default=0)
         return [frozenset(r[j] for r in rows if len(r) > j)
                 for j in range(width)]
-
-    def is_row_standard(self) -> bool:
-        return all(all(a < b for a, b in zip(row, row[1:]))
-                   for row in self.bar_rows())
 
     def __eq__(self, other):
         return (isinstance(other, NumericTableau)
@@ -729,17 +708,21 @@ def _component_addable(comp):
     return out
 
 
+def _nodes(lam: Multicomposition, component_nodes):
+    """The nodes (i, j, k) that `component_nodes` gives for each component
+    k, in ascending node order: last component first, lowest row first."""
+    if not lam.is_partition():
+        raise ValueError("nodes are defined for multipartitions")
+    nodes = [(i, j, k) for k, comp in enumerate(lam.parts, start=1)
+             for (i, j) in component_nodes(comp)]
+    nodes.sort(key=lambda node: (-node[2], -node[0]))
+    return nodes
+
+
 def removable_nodes(lam: Multicomposition):
     """Removable nodes in ascending node order: the first node is the
     least one (last component, lowest row)."""
-    if not lam.is_partition():
-        raise ValueError("nodes are defined for multipartitions")
-    nodes = []
-    for k, comp in enumerate(lam.parts, start=1):
-        for (i, j) in _component_removable(comp):
-            nodes.append((i, j, k))
-    nodes.sort(key=lambda node: (-node[2], -node[0]))
-    return nodes
+    return _nodes(lam, _component_removable)
 
 
 def addable_nodes(lam: Multicomposition):
@@ -747,14 +730,7 @@ def addable_nodes(lam: Multicomposition):
 
     A node (i, lambda_i + 1) is addable when i = 1 or the row above is
     strictly longer (so the first empty row of a component is addable)."""
-    if not lam.is_partition():
-        raise ValueError("nodes are defined for multipartitions")
-    nodes = []
-    for k, comp in enumerate(lam.parts, start=1):
-        for (i, j) in _component_addable(comp):
-            nodes.append((i, j, k))
-    nodes.sort(key=lambda node: (-node[2], -node[0]))
-    return nodes
+    return _nodes(lam, _component_addable)
 
 
 def remove_node(lam: Multicomposition, node: Node, m=None) -> Multicomposition:

@@ -1,20 +1,99 @@
+"""Shared fixtures, and the references and random inputs the tests check
+the package against: a Bareiss rank for `RowSpace`, term-by-term
+evaluation of generic scalars and elements for the at-point rings, and
+random generic scalars and elements."""
+
 from fractions import Fraction
 
 import pytest
 
-from qschur.hecke import AlgebraContext
+from qschur.hecke import AKElement, AlgebraContext
+from qschur.linalg import _integer_row
 from qschur.schur import SchurContext
+
+
+def rank_exact(matrix) -> int:
+    """Exact rank by fraction-free (Bareiss) elimination on integer rows.
+
+    Deterministic: pivots are chosen as the first nonzero entry in
+    column-major sweep order.
+    """
+    rows = [_integer_row(row) for row in matrix]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    nrows = len(rows)
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, nrows):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+        pval = rows[rank][col]
+        for i in range(rank + 1, nrows):
+            ival = rows[i][col]
+            for j in range(col, ncols):
+                rows[i][j] = (pval * rows[i][j] - ival * rows[rank][j]) // prev
+        prev = pval
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def specialize(scalar, spec) -> Fraction:
+    """The value of a generic `ExactScalar` at a rational point."""
+    if len(spec.Q_values) != scalar.ctx.r:
+        raise ValueError(
+            f"specialization has {len(spec.Q_values)} Q-values, need {scalar.ctx.r}")
+    total = Fraction(0)
+    for exps, c in scalar.terms().items():
+        v = Fraction(c) * (Fraction(spec.q_value) ** exps[0])
+        for Qv, e in zip(spec.Q_values, exps[1:]):
+            if e:
+                v *= Fraction(Qv) ** e
+        total += v
+    return total
 
 
 def specialize_vector(e, spec):
     """The coordinates of a generic element at a rational point, through
-    `ExactScalar.specialize`: the reference that elements built over a
-    point ring (`AKElement.vector`) are compared against."""
+    `specialize`: the reference that elements built over a point ring
+    (`AKElement.vector`) are compared against."""
     index = e.ctx.basis_index()
     vec = [Fraction(0)] * len(index)
     for key, coeff in e.terms.items():
-        vec[index[key]] = coeff.specialize(spec)
+        vec[index[key]] = specialize(coeff, spec)
     return vec
+
+
+def random_scalar(ctx, rng, max_terms: int = 4,
+                  coeff_bound: int = 9, exp_bound: int = 3):
+    """A random generic scalar of the `ScalarContext` ctx."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = (rng.randint(-exp_bound, exp_bound),) + tuple(
+            rng.randint(0, exp_bound) for _ in range(ctx.r))
+        terms[exps] = terms.get(exps, 0) + rng.randint(-coeff_bound, coeff_bound)
+    return ctx.from_terms(terms)
+
+
+def random_element(ctx, rng, max_terms: int = 3):
+    """A random element of the generic `AlgebraContext` ctx."""
+    basis = ctx.basis_monomials()
+    out = ctx.zero()
+    for _ in range(rng.randint(0, max_terms)):
+        c, w = basis[rng.randrange(len(basis))]
+        out = out + AKElement(ctx, {(c, w): random_scalar(ctx.scalars, rng)})
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,10 @@ from random import Random
 
 import pytest
 
-from conftest import specialize_vector
+from conftest import random_element, rank_exact, specialize_vector
 from qschur.branching import BranchContext
 from qschur.cli import main as cli_main
 from qschur.hecke import AlgebraContext
-from qschur.linalg import rank_exact
 from qschur.ring import Specialization
 from qschur.schur import SchurContext, validated_ef_conventions, verify_basis_with_fallback
 from qschur.symgrp import (CompositionBlocks, all_permutations, compose,
@@ -272,7 +271,7 @@ def test_criterion_10_determinism_and_roundtrip():
         ctx = AlgebraContext(n, r)
         rng = Random(555 + n + r)
         for _ in range(334):
-            e = ctx.random_element(rng)
+            e = random_element(ctx, rng)
             if ctx.parse(e.text()) != e or ctx.from_json(e.to_json()) != e:
                 rt_ok = False
             count += 1

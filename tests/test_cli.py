@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from conftest import random_element
 from qschur import cli
 from qschur.cli import main
 from qschur.hecke import AlgebraContext
@@ -215,7 +216,7 @@ def test_roundtrip_thousand_random_elements():
         ctx = AlgebraContext(n, r)
         rng = Random(1000 + n * 10 + r)
         for _ in range(per_ctx):
-            e = ctx.random_element(rng)
+            e = random_element(ctx, rng)
             assert ctx.parse(e.text()) == e
             assert ctx.from_json(e.to_json()) == e
             assert ctx.from_json(json.dumps(e.to_json())) == e

@@ -1,12 +1,18 @@
-"""Every name a module lists in `__all__` exists.
+"""The package's public surface: every name a module lists in `__all__`
+exists, deleted names stay deleted, and every public function, method and
+class has a caller in the package or is library API.
 
 The bench tracer wraps each `__all__` entry of the eight modules by name,
 so a name left in `__all__` after its definition is deleted breaks a
-traced run.
+traced run.  The tests' references and random inputs (the Bareiss rank,
+scalar specialisation, random scalars and elements) live in
+`tests/conftest.py`, not in the package.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +47,73 @@ def test_deleted_api_is_gone():
     for name in ("ef_apply", "ef_convention_report"):
         params = inspect.signature(getattr(qschur.SchurContext, name)).parameters
         assert "star" in params and "reps_side" not in params
+    # names with no caller in the package, and the tests' references
+    for owner, name in (
+            (qschur.BranchContext, "tau_of_layer"),
+            (qschur.Multicomposition, "component_sizes"),
+            (qschur.Multicomposition, "key"),
+            (qschur.Multicomposition, "shape"),
+            (qschur.NumericTableau, "position_of"),
+            (qschur.NumericTableau, "is_row_standard"),
+            (qschur.symgrp, "coset_reps_min"),
+            (qschur, "coset_reps_min"),
+            (qschur.ExactScalar, "is_one"),
+            (qschur.SchurContext, "x_module"),
+            (qschur.linalg, "rank_exact"),
+            (qschur, "rank_exact"),
+            (qschur.ExactScalar, "specialize"),
+            (qschur.AlgebraContext, "random_element"),
+            (qschur.ScalarContext, "random_scalar")):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    # options that only ever took one value
+    params = inspect.signature(qschur.BranchContext.branch_dim_identity).parameters
+    assert "check_bijection" not in params
+    for fn in (qschur.SchurContext.verify_basis_independence,
+               qschur.verify_basis_with_fallback):
+        assert "retries" not in inspect.signature(fn).parameters
+    ncols = inspect.signature(qschur.nullspace).parameters["ncols"]
+    assert ncols.default is inspect.Parameter.empty
+
+
+#: public names kept without a caller in the package: the paper-level
+#: library API the README and the acceptance suite use, the checks the
+#: bench and the acceptance suite call, and the console entry point
+LIBRARY_API = {
+    "chi", "chi_ge", "chi_gt", "row_stabilizer", "column_stabilizer",
+    "superstandard", "hom_space_images", "cellular_hom_dimension",
+    "idempotent_apply", "double_cosets", "gamma", "gamma_inverse",
+    "dominance_composition", "w_lambda", "act", "parse",
+    "from_json", "validated_ef_conventions", "highest_weight_check",
+    "triangularity_check", "main",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of each public module-level function and
+    class and each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_name_has_a_caller():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(qschur.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = [f"{module}:{qualname}"
+                for module, tree in trees.items()
+                for qualname, name in _public_definitions(tree)
+                if name not in used and name not in LIBRARY_API]
+    assert not uncalled, f"public names with no caller in the package: {uncalled}"

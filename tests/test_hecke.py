@@ -8,9 +8,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import specialize_vector
+from conftest import random_element, rank_exact, specialize, specialize_vector
 from qschur.hecke import AKElement, AlgebraContext
-from qschur.linalg import ResourceLimit, RowSpace, rank_exact
+from qschur.linalg import ResourceLimit, RowSpace
 from qschur.ring import PRIME, FpScalar, PointContext, Specialization
 from qschur.symgrp import all_permutations, identity, transposition
 from qschur.tableaux import Multicomposition, bracket_leq, bracket_reversed
@@ -56,7 +56,7 @@ def test_jm_family_commutes(ak32):
 
 
 def test_unit_and_braid(ak32):
-    a = ak32.random_element(Random(2))
+    a = random_element(ak32, Random(2))
     assert a * ak32.one() == a and ak32.one() * a == a
     T1, T2 = ak32.T(1), ak32.T(2)
     assert (T1 * T2) * T1 == T1 * (T2 * T1)
@@ -95,7 +95,7 @@ def test_associativity_random_triples():
 
 
 def test_mul_gen_sides(ak22):
-    e = ak22.random_element(Random(3))
+    e = random_element(ak22, Random(3))
     with pytest.raises(ValueError):
         e.lmul_gen(5)
 
@@ -127,7 +127,7 @@ def reduce_mod_p(fp_ctx, e):
     spec = fp_ctx.scalars.spec
     terms = {}
     for key, coeff in e.terms.items():
-        v = coeff.specialize(spec)
+        v = specialize(coeff, spec)
         v = v.numerator * pow(v.denominator, -1, PRIME) % PRIME
         if v:
             terms[key] = FpScalar(v)
@@ -141,7 +141,7 @@ def reduce_mod_p(fp_ctx, e):
 def test_lmul_L_table_matches_word_path(n, r, ring, seed):
     rng = Random(seed)
     ctx = WORD_CONTEXTS[(n, r)]
-    e = ctx.random_element(rng, max_terms=5)
+    e = random_element(ctx, rng, max_terms=5)
     if ring == "fp":
         # a fresh context, so the overflow entries are built over F_p
         fp = AlgebraContext(n, r, scalars=PointContext(Specialization.random(r, rng),
@@ -209,7 +209,7 @@ def test_double_coset_sum_examples(ak22, ak32):
     Y2 = young_subgroup(CompositionBlocks((1, 2)))
     brute = {compose(compose(u, identity(3)), v) for u in Y1 for v in Y2}
     assert {w for (_, w) in d3.terms} == brute
-    assert all(coeff.is_one() for coeff in d3.terms.values())
+    assert all(coeff == ak32.scalars.one() for coeff in d3.terms.values())
 
 
 def test_perm_sum_weights(ak32):
@@ -299,8 +299,8 @@ def test_exponents_stay_in_range():
     ctx = AlgebraContext(2, 2)
     rng = Random(31)
     for _ in range(150):
-        a = ctx.random_element(rng)
-        b = ctx.random_element(rng)
+        a = random_element(ctx, rng)
+        b = random_element(ctx, rng)
         for (c, w), coeff in (a * b).terms.items():
             assert all(0 <= e < ctx.r for e in c)
             assert not coeff.is_zero()
@@ -310,7 +310,7 @@ def test_normal_form_idempotent(ak22):
     from qschur.hecke import AKElement
     rng = Random(37)
     for _ in range(50):
-        e = ak22.random_element(rng)
+        e = random_element(ak22, rng)
         again = AKElement(ak22, dict(e.terms))
         assert again == e
         assert ak22.parse(e.text()) == e

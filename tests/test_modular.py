@@ -18,10 +18,10 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import specialize_vector
+from conftest import random_element, rank_exact, specialize, specialize_vector
 from qschur import cli
 from qschur.hecke import AKElement, AlgebraContext
-from qschur.linalg import RowSpace, rank_exact
+from qschur.linalg import RowSpace
 from qschur.ring import (PRIME, FpScalar, PointContext, QScalar,
                          Specialization, UnmappablePoint)
 from qschur.schur import SchurContext
@@ -47,7 +47,7 @@ def image(point: AlgebraContext, e: AKElement) -> AKElement:
     coefficient at the point, then reduce mod p over F_p."""
     S = point.scalars
     lift = QScalar if S.modulus is None else residue
-    terms = {k: lift(v.specialize(S.spec)) for k, v in e.terms.items()}
+    terms = {k: lift(specialize(v, S.spec)) for k, v in e.terms.items()}
     return AKElement(point, {k: v for k, v in terms.items() if not v.is_zero()})
 
 
@@ -55,7 +55,7 @@ def check_products_at_point(ctx, modulus, data):
     n, r = ctx.n, ctx.r
     point = ctx.over(PointContext(data.draw(points(r)), modulus))
     rng = Random(data.draw(st.integers(0, 2 ** 32)))
-    a, b = ctx.random_element(rng), ctx.random_element(rng)
+    a, b = random_element(ctx, rng), random_element(ctx, rng)
     j = data.draw(st.integers(0, n - 1))
     ra, rb = image(point, a), image(point, b)
     assert image(point, a * b) == ra * rb
