@@ -24,8 +24,8 @@ a per-term table (`AKElement._termwise`) keeps its own copy of that loop
 inline: it is the innermost loop of every product, and the extra call per
 term made basis certification measurably slower.
 
-General products expand the left factor's T_w into generator words and
-apply its L-part through the per-term L_i table.  Correctness is
+General products a * b walk the weak order: `Multiples(b)` makes each
+L^c T_w b from a shorter multiple by one T_j or L_i step.  Correctness is
 established by the relation / associativity / closure-dimension test
 suite rather than by a confluence proof.  One closure routine,
 `AKElement.closure`, serves the closure dimension (left steps from 1) and
@@ -67,7 +67,7 @@ from .symgrp import (CompositionBlocks, Perm, all_permutations,
                      transposition, young_subgroup)
 from .tableaux import Multicomposition, bracket_reversed, w_lambda
 
-__all__ = ["AlgebraContext", "AKElement"]
+__all__ = ["AlgebraContext", "AKElement", "Multiples"]
 
 
 def _accumulate(out: dict, pairs) -> dict:
@@ -559,6 +559,35 @@ class AlgebraContext:
                 f"m={self.m_convention!r}, y={self.y_convention!r})")
 
 
+class Multiples:
+    """The left multiples L^c T_w b of one element b, each one step from a
+    shorter one: T_w b = T_j (T_{s_j w} b), j the first letter of w's
+    reduced word, and L^c T_w b = L_i (L^{c-e_i} T_w b), i the first index
+    with c_i > 0.  Filled lazily; concurrent fills store equal values."""
+
+    def __init__(self, b: "AKElement"):
+        self.ctx = b.ctx
+        self._entries = {((0,) * b.ctx.n, identity(b.ctx.n)): b}
+
+    def _entry(self, c, w) -> "AKElement":
+        e = self._entries.get((c, w))
+        if e is None:
+            i = next((i for i, ci in enumerate(c) if ci), None)
+            if i is None:
+                j = self.ctx.word(w)[0]
+                e = self._entry(c, w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]) \
+                    .lmul_gen(j)
+            else:
+                e = self._entry(c[:i] + (c[i] - 1,) + c[i + 1:], w)._lmul_L(i + 1)
+            self._entries[c, w] = e
+        return e
+
+    def left(self, a: "AKElement") -> "AKElement":
+        """a * b, one pass over the terms of `a`."""
+        a.ctx.compatible(self.ctx)
+        return a._termwise(lambda _, c, w: self._entry(c, w).terms.items(), None)
+
+
 class AKElement:
     """A normal-form element; immutable after construction."""
 
@@ -602,18 +631,7 @@ class AKElement:
             if self.ctx.scalars.is_scalar(other):
                 return self.scale(other)
             return NotImplemented
-        self.ctx.compatible(other.ctx)
-        out = self.ctx.zero()
-        n = self.ctx.n
-        for (c, w), coeff in sorted(self.terms.items()):
-            e = other
-            for j in reversed(self.ctx.word(w)):
-                e = e.lmul_gen(j)
-            for i in range(n, 0, -1):
-                for _ in range(c[i - 1]):
-                    e = e._lmul_L(i)
-            out = out + e.scale(coeff)
-        return out
+        return Multiples(other).left(self)
 
     def __rmul__(self, other):
         if self.ctx.scalars.is_scalar(other):
@@ -654,13 +672,14 @@ class AKElement:
         # the loop of `_accumulate`, inlined: this is the innermost loop of
         # every product, and going through the helper made basis
         # certification 10-13% slower
-        # a table entry with the ring's shared `one()` (every L_i entry
-        # that does not overflow) needs no multiplication
+        # a factor that is the ring's shared `one()` (an L_i entry that does
+        # not overflow, a plain T-sum's coefficient) needs no multiplication
         one = self.ctx.scalars.one()
         out = {}
         for (c, w), coeff in self.terms.items():
             for key, scal in table(index, c, w):
-                cur = coeff if scal is one else coeff * scal
+                cur = (coeff if scal is one else scal if coeff is one
+                       else coeff * scal)
                 prev = out.get(key)
                 if prev is not None:
                     cur = prev + cur

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .hecke import AKElement, AlgebraContext
+from .hecke import AKElement, AlgebraContext, Multiples
 from .linalg import ResourceLimit, RowSpace, nullspace
 from .ring import PointContext, Specialization
 from .symgrp import (CompositionBlocks, common_refinement, invert,
@@ -90,10 +90,10 @@ class EFIndex:
 class SchurContext:
     """Weights Lambda_{n,r}(m) over one Ariki-Koike algebra instance.
 
-    All cached values (x and z elements, module spans, word tables) are
-    immutable and keyed deterministically, so concurrent readers at worst
-    recompute an identical value; the underlying algebra context carries
-    the only synchronised caches.
+    All cached values (x and z elements, module spans, the per-lambda
+    tables of `basis_vector`) are keyed deterministically; the tables fill
+    lazily, and concurrent fills store equal values.  The underlying
+    algebra context carries the only synchronised caches.
     """
 
     def __init__(self, n: int, r: int, m,
@@ -111,6 +111,7 @@ class SchurContext:
         self._z_cache = {}
         self._span_cache = {}
         self._points = {}
+        self._tables = (None, {})   # (algebra, {lam.parts: Multiples(R)})
 
     @property
     def m(self):
@@ -174,20 +175,25 @@ class SchurContext:
         """h_A = (sum over the double coset of 1_A) u+_{[lam]} T_{w_lam}
         y_{lam'}; for the superstandard tableau this equals z_lam.
 
-        Built over `algebra`, this context's algebra by default; the
-        at-point checks pass the same algebra over F_p or Q."""
+        Built over `algebra` (this context's by default; the at-point
+        checks pass one over F_p or Q) from one `Multiples(u+_{[lam]}
+        T_{w_lam} y_{lam'})` per lam, kept for the last algebra asked for."""
         if A.shape != lam or A.type_weight() != mu:
             raise ValueError("tableau does not match (lam, mu)")
         if not A.is_semistandard():
             raise ValueError("tableau is not semistandard")
         if algebra is None:
             algebra = self.algebra
-        d = one_A(A)
-        cs = algebra.coset_sum(mu.bar(), d, lam.bar())
-        w, _ = w_lambda(lam)
-        h = cs * algebra.u_plus(lam.bracket()) * algebra.T(w) \
-            * algebra.y_element(lam.dual())
-        return WeylBasisVector(lam, mu, A, h)
+        owner, tables = self._tables
+        if owner is not algebra:
+            owner, tables = self._tables = (algebra, {})
+        table = tables.get(lam.parts)
+        if table is None:
+            w, _ = w_lambda(lam)
+            table = tables[lam.parts] = Multiples(algebra.u_plus(
+                lam.bracket()) * algebra.T(w) * algebra.y_element(lam.dual()))
+        cs = algebra.coset_sum(mu.bar(), one_A(A), lam.bar())
+        return WeylBasisVector(lam, mu, A, table.left(cs))
 
     def tableaux_by_type(self, lam: Multicomposition):
         """All semistandard lam-tableaux grouped by their type weight."""

@@ -1,7 +1,8 @@
 """Shared fixtures, and the references and random inputs the tests check
 the package against: a Bareiss rank for `RowSpace`, term-by-term
-evaluation of generic scalars and elements for the at-point rings, and
-random generic scalars and elements."""
+evaluation of generic scalars and elements for the at-point rings, the
+word-expansion product for the weak-order product `Multiples`, and random
+generic scalars and elements."""
 
 from fractions import Fraction
 
@@ -73,6 +74,25 @@ def specialize_vector(e, spec):
     for key, coeff in e.terms.items():
         vec[index[key]] = specialize(coeff, spec)
     return vec
+
+
+def word_product(a, b):
+    """a * b by word expansion: each term L^c T_w of `a` applies T_w to `b`
+    as its reduced word, one generator at a time, then the L_i one at a
+    time, and the scaled results are added up.  The reference for the
+    weak-order product (`hecke.Multiples`)."""
+    a.ctx.compatible(b.ctx)
+    out = a.ctx.zero()
+    n = a.ctx.n
+    for (c, w), coeff in sorted(a.terms.items()):
+        e = b
+        for j in reversed(a.ctx.word(w)):
+            e = e.lmul_gen(j)
+        for i in range(n, 0, -1):
+            for _ in range(c[i - 1]):
+                e = e._lmul_L(i)
+        out = out + e.scale(coeff)
+    return out
 
 
 def random_scalar(ctx, rng, max_terms: int = 4,

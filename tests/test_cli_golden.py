@@ -24,7 +24,11 @@ where the scalars' packed exponent keys are decoded and sorted for
 printing: `compute L --r 4 --i 2 --n 2 --format text`, `compute x` (json)
 and `compute y` (text) for lambda = ([1],[],[1],[]) at m = (1,1,1,1),
 r = 4, `compute h --format text` for lambda = ([2],[]) at m = (2,2), and
-`verify relations --r 4 --n 2 --samples 2 --format json`.  A change to
+`verify relations --r 4 --n 2 --samples 2 --format json`.  Then, past the
+bench's 16-vector cap at n = 4: `verify basis --format json --seed 9` for
+the seven multipartitions of (4,2,(2,2)) with more than 16 basis vectors
+(18 to 45), and `compute h --format json` for lambda = ([2,1],[1,0]),
+mu = ([1,0],[2,1]), tableau index 1, over the generic ring.  A change to
 how the verdicts or elements are computed must leave every byte the same.
 """
 

@@ -8,7 +8,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, rank_exact, specialize, specialize_vector
+from conftest import (random_element, random_scalar, rank_exact, specialize,
+                      specialize_vector, word_product)
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import ResourceLimit, RowSpace
 from qschur.ring import PRIME, FpScalar, PointContext, Specialization
@@ -151,6 +152,50 @@ def test_lmul_L_table_matches_word_path(n, r, ring, seed):
         assert e._lmul_L(i) == lmul_L_by_word(e, i)
         for j in range(1, i):
             assert e._lmul_L(j)._lmul_L(i) == e._lmul_L(i)._lmul_L(j)
+
+
+# -- products along the weak order ---------------------------------------------------
+
+PRODUCT_CONTEXTS = {(n, r): AlgebraContext(n, r)
+                    for n in (1, 2, 3, 4) for r in (1, 2, 3)}
+
+
+def cancelling_pair(ctx, j, rng):
+    """(T_j + x, T_j + y), j >= 1, with y = -x - (q - q^-1): by the
+    quadratic relation the T_j terms of their product cancel."""
+    S = ctx.scalars
+    x = random_scalar(S, rng)
+    y = -x - (S.q(1) - S.q(-1))
+    return ctx.T(j) + ctx.from_scalar(x), ctx.T(j) + ctx.from_scalar(y)
+
+
+def test_cancelling_pair_cancels(ak32):
+    for j in (1, 2):
+        a, b = cancelling_pair(ak32, j, Random(j))
+        key = ((0, 0, 0), transposition(3, j))
+        assert key in a.terms and key in b.terms
+        assert key not in (a * b).terms
+
+
+@pytest.mark.parametrize("ring", ["generic", "Q", "F_p"])
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 4), r=st.integers(1, 3), cancel=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+def test_weak_order_product_matches_word_expansion(ring, n, r, cancel, seed):
+    # r = 1 overflows every L_i; `cancel` adds a pair whose product
+    # cancels terms
+    rng = Random(seed)
+    ctx = PRODUCT_CONTEXTS[(n, r)]
+    a = random_element(ctx, rng, max_terms=4)
+    b = random_element(ctx, rng, max_terms=4)
+    if cancel and n > 1:
+        da, db = cancelling_pair(ctx, rng.randrange(1, n), rng)
+        a, b = a + da, b + db
+    if ring != "generic":
+        spec = Specialization.random(r, rng)
+        point = ctx.over(PointContext(spec, PRIME if ring == "F_p" else None))
+        a, b = (point.from_vector(specialize_vector(e, spec)) for e in (a, b))
+    assert a * b == word_product(a, b)
 
 
 # -- pi / u / x / y / v -----------------------------------------------------------

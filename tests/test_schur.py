@@ -1,15 +1,17 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
 import pytest
 
 from conftest import rank_exact, specialize_vector
 from qschur.linalg import RowSpace
-from qschur.ring import Specialization
+from qschur.ring import PRIME, PointContext, Specialization
 from qschur.schur import (FALLBACK_FLAGS, EFIndex, ModuleElement,
                           SchurContext, verify_basis_with_fallback)
 from qschur.symgrp import (CompositionBlocks, compose, invert, length,
                            young_subgroup)
-from qschur.tableaux import enumerate_ssyt, superstandard
+from qschur.tableaux import enumerate_ssyt, one_A, superstandard, w_lambda
 
 QLEN = dict(m_convention="qlen", y_convention="signed")
 
@@ -69,6 +71,79 @@ def test_basis_vector_membership(schur22):
     generic = schur22.basis_vector(lam, mu, A)
     with pytest.raises(ValueError):
         schur22.certify_membership(ModuleElement(mu, generic.elem), spec)
+
+
+def plain_chain(algebra, lam, mu, A):
+    """h_A as the plain chain cs_A * u+_{[lam]} * T_{w_lam} * y_{lam'},
+    with no per-lambda table."""
+    cs = algebra.coset_sum(mu.bar(), one_A(A), lam.bar())
+    w, _ = w_lambda(lam)
+    return (cs * algebra.u_plus(lam.bracket()) * algebra.T(w)
+            * algebra.y_element(lam.dual()))
+
+
+@pytest.mark.parametrize("n,r,m,rings", [
+    (3, 2, (3, 3), ("F_p", "Q")),
+    (2, 3, (2, 2, 2), ("F_p", "Q")),
+    (2, 2, (2, 2), ("generic",))])
+def test_basis_vector_table_matches_plain_chain(n, r, m, rings):
+    sc = SchurContext(n, r, m)
+    spec = Specialization.random(r, Random(13))
+    for ring in rings:
+        algebra = sc.algebra if ring == "generic" else sc.algebra.over(
+            PointContext(spec, PRIME if ring == "F_p" else None))
+        for lam in sc.partitions():
+            for A in enumerate_ssyt(lam, sc.shape):
+                mu = A.type_weight()
+                h = sc.basis_vector(lam, mu, A, algebra).elem
+                assert h.ctx is algebra
+                assert h == plain_chain(algebra, lam, mu, A)
+
+
+def test_basis_vector_tables_follow_the_algebra_asked_for():
+    sc = SchurContext(2, 2, (2, 2))
+    spec = Specialization.random(2, Random(5))
+    fp = sc.algebra.over(PointContext(spec, PRIME))
+    q = sc.algebra.over(PointContext(spec))
+    lam = sc.weight([(1,), (1,)])
+    A = enumerate_ssyt(lam, sc.shape)[0]
+    mu = A.type_weight()
+    for algebra in (fp, q, fp, sc.algebra, q):
+        h = sc.basis_vector(lam, mu, A, algebra).elem
+        assert h.ctx is algebra
+        assert h == plain_chain(algebra, lam, mu, A)
+        # the tables of one algebra at a time
+        owner, tables = sc._tables
+        assert owner is algebra and tables
+        assert all(table.ctx is algebra for table in tables.values())
+
+
+def test_basis_vector_tables_under_concurrent_readers():
+    # eight threads share one context, asking for h_A over two algebras in
+    # turn: they race to swap the kept algebra and to fill one table
+    sc = SchurContext(3, 2, (3, 3))
+    spec = Specialization.random(2, Random(29))
+    algebras = [sc.algebra.over(PointContext(spec, modulus))
+                for modulus in (PRIME, None)]
+    jobs = [(lam, A, algebras[k % 2]) for lam in sc.partitions()
+            for k, A in enumerate(enumerate_ssyt(lam, sc.shape))]
+    Random(3).shuffle(jobs)
+    serial = [plain_chain(algebra, lam, A.type_weight(), A)
+              for lam, A, algebra in jobs]
+
+    def work(job):
+        lam, A, algebra = job
+        return sc.basis_vector(lam, A.type_weight(), A, algebra).elem
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(work, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (_, _, algebra), s, p in zip(jobs, serial, parallel, strict=True):
+        assert p.ctx is algebra and p == s
 
 
 @pytest.mark.parametrize("star", ["inverted", "right"])
