@@ -40,7 +40,8 @@ class FiltrationLayer:
 
 
 class BranchContext:
-    """Restriction data for one multipartition of n+1 boxes."""
+    """Restriction data for one multipartition of n+1 boxes.  The labels,
+    their stripped shapes and the h_A of the last point are kept."""
 
     def __init__(self, n: int, r: int, m, lam_parts,
                  m_convention: str = "plain", y_convention: str = "plain"):
@@ -62,6 +63,7 @@ class BranchContext:
         # shapes, which live at later positions of this list.
         self.nodes = list(reversed(removable_nodes(self.lam)))
         self._labels = None
+        self._stripped = {}        # {A.entries: strip_marked(A).shape}
         self._point = (None, {})   # (spec, {(mu.parts, A.entries): h_A})
 
     @property
@@ -123,6 +125,12 @@ class BranchContext:
             entries.append(rows)
         return TypedTableau(small, self.small_shape, entries)
 
+    def _stripped_shape(self, A: TypedTableau) -> Multicomposition:
+        """`strip_marked(A).shape`, computed once per label."""
+        if A.entries not in self._stripped:
+            self._stripped[A.entries] = self.strip_marked(A).shape
+        return self._stripped[A.entries]
+
     def branch_dim_identity(self) -> dict:
         """Layer quotient sizes against the smaller module's tableau
         counts, through the explicit strip-the-marked-box bijection."""
@@ -183,6 +191,8 @@ class BranchContext:
                              conventions_validated: bool = True) -> dict:
         """Every raising operator of the restricted algebra sends the
         layer's marked vector into the span of the deeper layers."""
+        if not 1 <= i <= len(self.nodes):
+            raise ValueError(f"layer {i} is not one of 1..{len(self.nodes)}")
         if not conventions_validated:
             return {"layer": i, "certified": False,
                     "reason": "ladder conventions failed validation"}
@@ -214,15 +224,14 @@ class BranchContext:
         assert every contributing tableau dominates A after stripping."""
         me = ModuleElement(mu, self.basis_element(mu, A, spec))
         image = self.big.ef_apply(idx, kind, me)
-        base_shape = self.strip_marked(A).shape
+        base_shape = self._stripped_shape(A)
         report = {"idx": [idx.i, idx.k], "kind": kind, "mu": mu.to_json()}
         if image.elem.is_zero():
             report["status"] = "zero"
             report["dominance_holds"] = True
             return report
-        target = image.weight
-        basis_labels = [(nu, B) for (nu, B) in self.restriction_labels()
-                        if nu == target]
+        basis_labels = [(nu, B) for nu, B in self.restriction_labels()
+                        if nu == image.weight]
         rows = [self.basis_element(nu, B, spec).vector()
                 for nu, B in basis_labels]
         status, coeffs = solve_in_span(rows, image.elem.vector())
@@ -232,17 +241,11 @@ class BranchContext:
             report["dominance_holds"] = False
             return report
         report["status"] = "expanded"
-        holds = True
-        support = []
-        for (nu, B), c in zip(basis_labels, coeffs):
-            if c:
-                dom = dominance_multiweight(
-                    Multicomposition([list(p) for p in self.strip_marked(B).shape.parts],
-                                     m=self.mprime),
-                    Multicomposition([list(p) for p in base_shape.parts],
-                                     m=self.mprime))
-                support.append({"B_type": nu.to_json(), "dominates": dom})
-                holds = holds and dom
-        report["support"] = support
-        report["dominance_holds"] = holds
+        report["support"] = [
+            {"B_type": nu.to_json(),
+             "dominates": dominance_multiweight(self._stripped_shape(B),
+                                                base_shape)}
+            for (nu, B), c in zip(basis_labels, coeffs) if c]
+        report["dominance_holds"] = all(
+            s["dominates"] for s in report["support"])
         return report

@@ -29,7 +29,10 @@ L^c T_w b from a shorter multiple by one T_j or L_i step.  Correctness is
 established by the relation / associativity / closure-dimension test
 suite rather than by a confluence proof.  One closure routine,
 `AKElement.closure`, serves the closure dimension (left steps from 1) and
-the module spans of `schur` (right steps from x_mu).
+the module spans of `schur` (right steps from x_mu).  It skips a second
+T_j (j >= 1) in a row and an r-th T_0 in a row, whose results the
+quadratic relation T_j^2 = (q - q^-1) T_j + 1 and the cyclotomic relation
+already span.
 
 Coefficients come from a scalar ring passed to the context (default: the
 generic ring `ScalarContext(r)`).  The engine uses only the `ScalarRing`
@@ -692,15 +695,22 @@ class AKElement:
     def closure(self, step, add) -> None:
         """The closure of this element under `step(e, j)` for each
         generator j: feeds each element to `add` and steps further, newest
-        first, those it accepts."""
+        first, those it accepts.  `add` must accept exactly the elements
+        outside the span of those it accepted, as two steps are skipped:
+        T_j (j >= 1) after T_j, since e = f T_j gives e T_j = (q - q^-1) e
+        + f, and T_0 after r - 1 T_0 steps from g, since the cyclotomic
+        relation writes g T_0^r in g, ..., g T_0^{r-1} (likewise on the
+        left)."""
         add(self)
-        queue = [self]
+        queue = [(self, 0, 0)]   # element, the T_j that made it, T_0 run
         while queue:
-            e = queue.pop()
+            e, last, run = queue.pop()
             for j in range(self.ctx.n):
+                if (j and j == last) or (j == 0 and run == self.ctx.r - 1):
+                    continue
                 f = step(e, j)
                 if add(f):
-                    queue.append(f)
+                    queue.append((f, j, 0 if j else run + 1))
 
     # -- evaluation -----------------------------------------------------------
 

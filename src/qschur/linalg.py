@@ -2,7 +2,8 @@
 
 Inputs are lists of Fractions (or ints); no floating point.  `RowSpace`
 is the one Gauss-Jordan routine: it keeps rows in reduced echelon form,
-and null spaces and `solve_in_span` read their answers off its pivots.
+and null spaces read their answers off its pivots; `solve_in_span`
+eliminates over its nb vectors, not over one equation per coordinate.
 It is also every rank the certificates take, over F_p at a point and,
 for a block short there, over Q at the same point.  Over Q it is
 fraction-free: each row is stored as a primitive integer vector (content
@@ -153,16 +154,16 @@ def solve_in_span(basis_rows, target):
     """
     if any(len(row) != len(target) for row in basis_rows):
         raise ValueError("basis rows and target differ in length")
-    nb = len(basis_rows)
-    # one equation per coordinate: the unknowns, then the right-hand side
-    system = RowSpace(nb + 1)
-    for equation in zip(*basis_rows, target):
-        system.add(equation)
-    if nb in system._pivots:
+    D, nb = len(target), len(basis_rows)
+    # one row [b_i | e_i | 0] per vector; the probe [target | 0 | 1] then
+    # reduces to s [target - sum c_i b_i | -c | 1], whose first D entries
+    # vanish exactly when target is in the span
+    space = RowSpace(D + nb + 1)
+    for i, row in enumerate(basis_rows):
+        space.add([*row, *(int(k == i) for k in range(nb)), 0])
+    red = space._reduce([*target, *[0] * nb, 1])
+    if any(red[:D]):
         return "inconsistent", None
-    if system.rank < nb:
+    if sum(p < D for p in space._pivots) < nb:
         return "nonunique", None
-    coeffs = [Fraction(0)] * nb
-    for row, pc in zip(system._rows, system._pivots):
-        coeffs[pc] = Fraction(row[nb], row[pc])
-    return "ok", coeffs
+    return "ok", [Fraction(-x, red[-1]) for x in red[D:-1]]

@@ -1,8 +1,9 @@
 """Shared fixtures, and the references and random inputs the tests check
 the package against: a Bareiss rank for `RowSpace`, term-by-term
 evaluation of generic scalars and elements for the at-point rings, the
-word-expansion product for the weak-order product `Multiples`, and random
-generic scalars and elements."""
+word-expansion product for the weak-order product `Multiples`, the
+closure that steps by every generator for the pruned `AKElement.closure`,
+and random generic scalars and elements."""
 
 from fractions import Fraction
 
@@ -93,6 +94,20 @@ def word_product(a, b):
                 e = e._lmul_L(i)
         out = out + e.scale(coeff)
     return out
+
+
+def unpruned_closure(seed, step, add) -> None:
+    """The closure of `seed` under `step(e, j)` for every generator j and
+    every accepted element, with no step skipped: the reference for
+    `AKElement.closure`, which leaves out the steps the relations span."""
+    add(seed)
+    queue = [seed]
+    while queue:
+        e = queue.pop()
+        for j in range(seed.ctx.n):
+            f = step(e, j)
+            if add(f):
+                queue.append(f)
 
 
 def random_scalar(ctx, rng, max_terms: int = 4,

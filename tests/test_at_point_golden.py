@@ -6,9 +6,13 @@ the two `validated_ef_conventions` reports of (3,2,(2,2)) (neither
 validates, so they come from the `ConventionError`), one validating
 `ef_convention_report` at (2,2,(2,2)), `hom_space_images` for
 (2,1,(2,)) under the literal and the fallback flags and for one weight
-pair of (2,2,(2,2)), `module_span(mu, spec).basis()` for three weights,
-and every `triangularity_check` and `highest_weight_check` report of
-lambda = ([1],[2]) at (3,2,(3,3)).  Fractions are written as strings.
+pair of (2,2,(2,2)), `module_span(mu, spec).basis()` for three weights
+at r = 2 and for one weight each of (3,1,(3,)) and (2,3,(2,2,2)), every
+`triangularity_check` and `highest_weight_check` report of
+lambda = ([1],[2]) at (3,2,(3,3)), and every `triangularity_check` report
+of lambda = ([1],[1],[]) at (2,3,(2,2,2)).  The r = 1 and r = 3 cases pin
+the paths whose work depends on r (the closure stops stepping by T_0 after
+r - 1 steps in a row).  Fractions are written as strings.
 
 Regenerate with `PYTHONPATH=src python tests/test_at_point_golden.py`;
 a change to how these checks compute must leave every byte the same.
@@ -78,6 +82,13 @@ def build() -> dict:
                             (sc32, "3_2_22", [(1, 1), (0, 1)])):
         mu = sc.weight(parts)
         spans[f"{name} {mu.to_json()}"] = sc.module_span(mu, spec2).basis()
+    spec3 = _points(3)[0]
+    sc23 = SchurContext(2, 3, (2, 2, 2))
+    for sc, name, parts, spec in (
+            (SchurContext(3, 1, (3,)), "3_1_3", [(3,)], spec1),
+            (sc23, "2_3_222", [(), (1,), (1,)], spec3)):
+        mu = sc.weight(parts)
+        spans[f"{name} {mu.to_json()}"] = sc.module_span(mu, spec).basis()
     out["module_span_basis"] = spans
 
     bc = BranchContext(2, 2, (3, 3), [[1], [2]])
@@ -88,6 +99,13 @@ def build() -> dict:
         for kind in ("E", "F")]
     out["highest_weight_3_2_33"] = [
         bc.highest_weight_check(i, spec2) for i in range(1, len(bc.nodes) + 1)]
+
+    bc = BranchContext(1, 3, (2, 2, 2), [[1], [1], []])
+    out["triangularity_2_3_222"] = [
+        bc.triangularity_check(idx, kind, mu, A, spec3)
+        for mu, A in bc.restriction_labels()
+        for idx in bc.small_ef_indices()
+        for kind in ("E", "F")]
     return out
 
 

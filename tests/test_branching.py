@@ -101,6 +101,18 @@ def test_highest_weight_requires_validated_conventions():
     assert "reason" in rep
 
 
+@pytest.mark.parametrize("validated", [True, False])
+def test_highest_weight_refuses_a_layer_out_of_range(validated):
+    # layers count from 1; layer 0 or -1 used to read the last layer's
+    # marked tableau through a negative index, and len + 1 gave IndexError
+    bc = BranchContext(1, 2, (2, 2), [(1,), (1,)])
+    spec = Specialization.random(2, Random(31))
+    for i in (0, -1, len(bc.nodes) + 1):
+        with pytest.raises(ValueError, match="layer"):
+            bc.highest_weight_check(i, spec, conventions_validated=validated)
+    assert bc.highest_weight_check(len(bc.nodes), spec)["certified"]
+
+
 def test_highest_weight_larger_context_needs_weighted_flags():
     # under the plain flags the basis of the left ideal is independent but
     # not spanning, and a ladder image escapes; the weighted normalisation

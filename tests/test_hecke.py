@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (random_element, random_scalar, rank_exact, specialize,
-                      specialize_vector, word_product)
+                      specialize_vector, unpruned_closure, word_product)
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import ResourceLimit, RowSpace
 from qschur.ring import PRIME, FpScalar, PointContext, Specialization
+from qschur.schur import SchurContext
 from qschur.symgrp import all_permutations, identity, transposition
 from qschur.tableaux import Multicomposition, bracket_leq, bracket_reversed
 
@@ -81,6 +82,76 @@ def test_closure_resource_limit():
     ctx = AlgebraContext(3, 2)
     with pytest.raises(ResourceLimit):
         ctx.regular_closure_dim(max_dim=10)
+
+
+class _LoggedSpace:
+    """A `RowSpace` of an algebra's vectors that logs every `add` call."""
+
+    def __init__(self, algebra):
+        self.space = RowSpace(algebra.dimension(),
+                              modulus=algebra.scalars.modulus)
+        self.log = []
+
+    def add(self, e):
+        vec = e.vector()
+        grew = self.space.add(vec)
+        self.log.append((vec, grew))
+        return grew
+
+
+def _with_refusals_left_out(short, long):
+    """Whether the call log `short` is `long` with some refused calls left
+    out: the same calls, results and accepted vectors, in the same order."""
+    rest = iter(long)
+    for entry in short:
+        for other in rest:
+            if other == entry:
+                break
+            if other[1]:
+                return False
+        else:
+            return False
+    return not any(grew for _, grew in rest)
+
+
+@pytest.mark.parametrize("modulus", [None, PRIME], ids=["Q", "Fp"])
+@pytest.mark.parametrize("n,r,m", [(3, 1, (3,)), (3, 2, (2, 2)),
+                                   (2, 3, (2, 2, 2))])
+def test_pruned_closure_matches_unpruned(n, r, m, modulus):
+    sc = SchurContext(n, r, m)
+    spec = Specialization.random(r, Random(31))
+    algebra = sc.algebra.over(PointContext(spec, modulus))
+    # left steps from 1, right steps from x_mu
+    starts = [(algebra.one(), AKElement.lmul_gen)] + [
+        (sc.x_element(mu, algebra), AKElement.rmul_gen)
+        for mu in sc.weights()[::3]]
+    skipped = 0
+    for seed, step in starts:
+        pruned, full = _LoggedSpace(algebra), _LoggedSpace(algebra)
+        seed.closure(step, pruned.add)
+        unpruned_closure(seed, step, full.add)
+        assert _with_refusals_left_out(pruned.log, full.log)
+        assert pruned.space._rows == full.space._rows
+        assert pruned.space._pivots == full.space._pivots
+        skipped += len(full.log) - len(pruned.log)
+    assert skipped > 0
+
+
+def test_pruned_closure_skips_the_steps_the_relations_span():
+    # the 20 module spans of (3,2,(2,2)) at one point: the same 396
+    # accepted vectors, from 832 candidates instead of 1208
+    sc = SchurContext(3, 2, (2, 2))
+    algebra = sc.point_algebra(Specialization.random(2, Random(101)))
+    counts = []
+    for closure in (AKElement.closure, unpruned_closure):
+        calls = accepted = 0
+        for mu in sc.weights():
+            logged = _LoggedSpace(algebra)
+            closure(sc.x_element(mu, algebra), AKElement.rmul_gen, logged.add)
+            calls += len(logged.log)
+            accepted += logged.space.rank
+        counts.append((calls, accepted))
+    assert counts == [(832, 396), (1208, 396)]
 
 
 def test_associativity_random_triples():

@@ -262,6 +262,30 @@ def _reference_solve(rows, target):
     return "ok", coeffs
 
 
+@pytest.mark.parametrize("rows,target,expected", [
+    # no vectors: only the zero target is in the (zero) span
+    ([], [0, 0], ("ok", [])),
+    ([], [0, 3], ("inconsistent", None)),
+    # zero rows are a rank defect, unless the target escapes the span
+    ([[0, 0]], [0, 0], ("nonunique", None)),
+    ([[0, 0], [0, 0]], [Fraction(1, 2), 0], ("inconsistent", None)),
+    ([[1, 0], [0, 0]], [5, 0], ("nonunique", None)),
+    # duplicate rows: "inconsistent" takes precedence over "nonunique"
+    ([[1, 2], [1, 2]], [2, 4], ("nonunique", None)),
+    ([[1, 2], [1, 2]], [0, 1], ("inconsistent", None)),
+    ([[1, 2], [2, 4], [0, 1]], [1, 3], ("nonunique", None)),
+    # zero coordinates: every target is the empty one
+    ([], [], ("ok", [])),
+    ([[]], [], ("nonunique", None)),
+    ([[], []], [], ("nonunique", None)),
+    # one vector, fractional coefficient
+    ([[2, 0, 4]], [3, 0, 6], ("ok", [Fraction(3, 2)])),
+])
+def test_solve_in_span_edge_cases(rows, target, expected):
+    assert solve_in_span(rows, target) == expected
+    assert _reference_solve(rows, target) == expected
+
+
 # ints, small fractions with mixed denominators, and huge numerators
 _entries = st.one_of(
     st.just(0),
