@@ -14,8 +14,7 @@ from .tableaux import (MultiShape, Multicomposition, NumericTableau,
                        w_lambda)
 from .hecke import AKElement, AlgebraContext
 from .schur import (ConventionError, EFIndex, ModuleElement, SchurContext,
-                    WeylBasisVector, validated_ef_conventions,
-                    verify_basis_with_fallback)
+                    validated_ef_conventions, verify_basis_with_fallback)
 from .branching import BranchContext, FiltrationLayer
 
 __version__ = "0.1.0"

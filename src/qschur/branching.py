@@ -173,7 +173,7 @@ class BranchContext:
         key = (mu.parts, A.entries)
         if key not in vectors:
             vectors[key] = self.big.basis_vector(
-                self.lam, mu, A, self.big.point_algebra(spec)).elem
+                self.lam, mu, A, self.big.point_algebra(spec))
         return vectors[key]
 
     def small_ef_indices(self):

@@ -47,11 +47,24 @@ class _Budget:
             raise ResourceLimit("wall-clock budget exceeded")
 
 
-def _parse_json_arg(text, what):
+def _nested_ints(x, depth) -> bool:
+    if depth == 0:
+        return type(x) is int
+    return isinstance(x, list) and all(_nested_ints(y, depth - 1) for y in x)
+
+
+def _parse_json_arg(text, what, depth):
+    """The JSON value of an option, which must be ints (not booleans)
+    nested in `depth` levels of lists: 1 for --m, 2 for a shape or weight,
+    4 for a tableau."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except (TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"malformed {what}: {text!r} ({exc})")
+    if not _nested_ints(value, depth):
+        raise UsageError(f"{what} must be a list of "
+                         f"{'lists of ' * (depth - 1)}ints, got {text!r}")
+    return value
 
 
 class UsageError(ValueError):
@@ -81,10 +94,10 @@ def _flags(args) -> dict:
 def _shape_args(args, need_lambda=False):
     lam_parts = None
     if args.lam is not None:
-        lam_parts = _parse_json_arg(args.lam, "--lambda")
+        lam_parts = _parse_json_arg(args.lam, "--lambda", 2)
     elif need_lambda:
         raise UsageError("--lambda is required")
-    m = _parse_json_arg(args.m, "--m") if args.m else None
+    m = _parse_json_arg(args.m, "--m", 1) if args.m else None
     r = args.r
     if r is None:
         if m is not None:
@@ -113,7 +126,7 @@ def cmd_enum(args) -> int:
     if args.what == "multicomp":
         if args.n is None or args.m is None:
             raise UsageError("enum multicomp needs --n and --m")
-        m = _parse_json_arg(args.m, "--m")
+        m = _parse_json_arg(args.m, "--m", 1)
         items = enumerate_multicompositions(args.n, MultiShape(tuple(m)),
                                             partitions_only=args.partitions)
         payload = {"count": len(items), "items": [w.to_json() for w in items]}
@@ -126,9 +139,9 @@ def cmd_enum(args) -> int:
         lam = Multicomposition(lam_parts, m=[max(1, len(c)) for c in lam_parts])
         weight = None
         if args.mu:
-            weight = Multicomposition(_parse_json_arg(args.mu, "--mu"), m=m)
+            weight = Multicomposition(_parse_json_arg(args.mu, "--mu", 2), m=m)
         if args.type:
-            weight = Multicomposition(_parse_json_arg(args.type, "--type"), m=m)
+            weight = Multicomposition(_parse_json_arg(args.type, "--type", 2), m=m)
         tabs = enumerate_ssyt(lam, bounds, weight)
         payload = {"count": len(tabs), "items": [t.to_json() for t in tabs]}
         lines = [f"count: {len(tabs)}"] + [json.dumps(t.to_json()["entries"])
@@ -317,13 +330,13 @@ def cmd_compute(args) -> int:
     elif args.what == "h":
         mu = lam
         if args.mu:
-            mu = sc.weight(_parse_json_arg(args.mu, "--mu"))
+            mu = sc.weight(_parse_json_arg(args.mu, "--mu", 2))
         tabs = enumerate_ssyt(lam, sc.shape, mu)
         if not tabs:
             raise UsageError("no semistandard tableau for the given (lambda, mu)")
         index = args.index or 0
         if args.tableau:
-            entries = _parse_json_arg(args.tableau, "--tableau")
+            entries = _parse_json_arg(args.tableau, "--tableau", 4)
             try:
                 A = TypedTableau(lam, sc.shape, entries)
             except ValueError as exc:
@@ -336,7 +349,7 @@ def cmd_compute(args) -> int:
                 raise UsageError(f"tableau index {index} out of range"
                                  f" 0..{len(tabs) - 1}")
             A = tabs[index]
-        elem = sc.basis_vector(lam, mu, A).elem
+        elem = sc.basis_vector(lam, mu, A)
     else:
         raise UsageError(f"unknown compute target {args.what!r}")
     print(_emit(elem.to_json(), fmt, [elem.text()]))

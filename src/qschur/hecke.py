@@ -15,8 +15,9 @@ The Jucys-Murphy elements L_i commute, so L_i * L^c T_w is the single
 monomial L^{c+e_i} T_w unless the exponent c_i overflows; only then is L_i
 applied as its generator word q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1},
 once per monomial.  The context memoises T_j per term on the left
-(`_lmul_term`) and on the right (`_rmul_term`, one ordinary product per
-term), and the overflowing L_i entries (`_lmul_L_term`).
+(`_lmul_term`) and the overflowing L_i entries (`_lmul_L_term`), and keeps
+one `Multiples(T_j)` per generator for right multiplication: its entry
+(L^c T_w) T_j is made from a shorter one, so terms share prefixes.
 
 Sparse sums go through one helper, `_accumulate`, which adds (key,
 scalar) pairs into a term dict and drops keys that cancel.  Multiplying by
@@ -38,16 +39,17 @@ Coefficients come from a scalar ring passed to the context (default: the
 generic ring `ScalarContext(r)`).  The engine uses only the `ScalarRing`
 protocol of `ring`: the constructors zero / one / from_int / q / Q /
 elementary_symmetric and the test is_scalar on the ring, and + - * neg and
-is_zero on its elements.  Any ring with that protocol works.  The generic
-ring parses, prints and computes; every check at a rational point builds
-its elements over `PointContext`, the image of the generic ring at the
-point, over Q or F_p, and reads them with `vector()`.  `ranks_at` is the
-one rank certificate at a point, used by the closure dimension, the basis
-certificate in `schur` and the lemma-2.4 freeness ranks: it builds each
-block over F_p at the point, where a full rank is a full rank at the point
-because reduction is a ring homomorphism, and rebuilds only a block short
-mod p (or every block, when the point does not map to F_p) over Q to rank
-it exactly.
+the truth value (false at zero) on its elements, so the plain `Fraction`s
+of the ring over Q at a point serve as they are.  Any ring with that
+protocol works.  The generic ring parses, prints and computes; every check
+at a rational point builds its elements over `PointContext`, the image of
+the generic ring at the point, over Q or F_p, and reads them with
+`vector()`.  `ranks_at` is the one rank certificate at a point, used by
+the closure dimension, the basis certificate in `schur` and the lemma-2.4
+freeness ranks: it builds each block over F_p at the point, where a full
+rank is a full rank at the point because reduction is a ring homomorphism,
+and rebuilds only a block short mod p (or every block, when the point does
+not map to F_p) over Q to rank it exactly.
 
 Contexts memoise term-level products behind an RLock, so a context and the
 elements created under it are safe for concurrent read use from multiple
@@ -79,7 +81,7 @@ def _accumulate(out: dict, pairs) -> dict:
     for key, scal in pairs:
         prev = out.get(key)
         cur = scal if prev is None else prev + scal
-        if cur.is_zero():
+        if not cur:
             out.pop(key, None)
         else:
             out[key] = cur
@@ -118,8 +120,7 @@ class AlgebraContext:
         self._exchange = {}      # (a, b) -> (A, B) monomial dicts
         self._lmul_terms = {}    # (j, c, w) -> tuple of ((c', w'), scalar)
         self._lmul_L_terms = {}  # (i, c, w) -> tuple of ((c', w'), scalar)
-        self._rmul_terms = {}    # (j, c, w) -> tuple of ((c', w'), scalar)
-        self._words = {}         # w -> reduced word
+        self._rmul_tables = {}   # j -> Multiples(T_j)
         self._basis = None
         self._basis_index = None
 
@@ -160,14 +161,6 @@ class AlgebraContext:
     def basis_index(self):
         self.basis_monomials()
         return self._basis_index
-
-    def word(self, w: Perm):
-        with self._lock:
-            word = self._words.get(w)
-            if word is None:
-                word = reduced_word(w)
-                self._words[w] = word
-        return word
 
     # -- element constructors ---------------------------------------------
 
@@ -217,7 +210,7 @@ class AlgebraContext:
         if isinstance(s, int):
             s = self.scalars.from_int(s)
         return AKElement(self, {((0,) * self.n, identity(self.n)): s}) \
-            if not s.is_zero() else self.zero()
+            if s else self.zero()
 
     def from_vector(self, vec) -> "AKElement":
         """The inverse of `AKElement.vector`, over a `PointContext` ring."""
@@ -332,18 +325,6 @@ class AlgebraContext:
         result = tuple(e.terms.items())
         with self._lock:
             self._lmul_L_terms[key] = result
-        return result
-
-    def _rmul_term(self, j: int, c, w):
-        """(L^c T_w) * T_j as a tuple of ((c', w'), scalar), computed once
-        by an ordinary product and stored."""
-        key = (j, c, w)
-        with self._lock:
-            result = self._rmul_terms.get(key)
-            if result is None:
-                term = AKElement(self, {(c, w): self.scalars.one()})
-                result = tuple((term * self.T(j)).terms.items())
-                self._rmul_terms[key] = result
         return result
 
     # -- distinguished elements ----------------------------------------------
@@ -577,7 +558,7 @@ class Multiples:
         if e is None:
             i = next((i for i, ci in enumerate(c) if ci), None)
             if i is None:
-                j = self.ctx.word(w)[0]
+                j = reduced_word(w)[0]
                 e = self._entry(c, w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]) \
                     .lmul_gen(j)
             else:
@@ -622,7 +603,7 @@ class AKElement:
     def scale(self, scalar) -> "AKElement":
         if isinstance(scalar, int):
             scalar = self.ctx.scalars.from_int(scalar)
-        if scalar.is_zero():
+        if not scalar:
             return self.ctx.zero()
         if scalar is self.ctx.scalars.one():
             return self
@@ -659,10 +640,16 @@ class AKElement:
         return self._termwise(self.ctx._lmul_term, j)
 
     def rmul_gen(self, j: int) -> "AKElement":
-        """Right multiplication by the generator T_j (T_0 = L_1)."""
+        """Right multiplication by the generator T_j (T_0 = L_1), read from
+        the context's `Multiples(T_j)`."""
         if not 0 <= j <= self.ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
-        return self._termwise(self.ctx._rmul_term, j)
+        ctx = self.ctx
+        with ctx._lock:
+            table = ctx._rmul_tables.get(j)
+            if table is None:
+                table = ctx._rmul_tables[j] = Multiples(ctx.T(j))
+        return table.left(self)
 
     def _lmul_L(self, i: int) -> "AKElement":
         """Left multiplication by the Jucys-Murphy element L_i, term by term
@@ -686,7 +673,7 @@ class AKElement:
                 prev = out.get(key)
                 if prev is not None:
                     cur = prev + cur
-                if cur.is_zero():
+                if not cur:
                     out.pop(key, None)
                 else:
                     out[key] = cur
@@ -715,13 +702,13 @@ class AKElement:
     # -- evaluation -----------------------------------------------------------
 
     def vector(self):
-        """Coordinates on basis_monomials over a `PointContext` ring: the
-        values `coeff.v`, Fractions over Q or residues in [0, p) over F_p,
-        and 0 off the support."""
-        index = self.ctx.basis_index()
+        """Coordinates on basis_monomials over a `PointContext` ring, read
+        through its `value`: Fractions over Q or residues in [0, p) over
+        F_p, and 0 off the support."""
+        index, value = self.ctx.basis_index(), self.ctx.scalars.value
         vec = [0] * len(index)
         for key, coeff in self.terms.items():
-            vec[index[key]] = coeff.v
+            vec[index[key]] = value(coeff)
         return vec
 
     # -- serialization ----------------------------------------------------------

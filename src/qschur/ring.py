@@ -22,16 +22,17 @@ at the edges: `terms()` (which returns exponent tuples), `text()`,
 `to_json()` and `repr`.
 
 `PointContext` is the image of that ring at one rational `Specialization`:
-the exact ring Q there, or F_p, p = 2^61 - 1, where a/b maps to
-a * b^-1 mod p.  Both maps are ring homomorphisms, so an element built
-over the image is the generic element evaluated (and reduced) there, and
-a rank that is full mod p is full at the rational point too.  Every check
-taken at a point computes over one of these rings; the tests compare them
-with a term-by-term evaluation of the generic scalar (`specialize` in
-`tests/conftest.py`).
+the exact ring Q there, whose elements are plain `Fraction`s, or F_p,
+p = 2^61 - 1, where a/b maps to the `FpScalar` a * b^-1 mod p.  Both
+maps are ring homomorphisms, so an element built over the image is the
+generic element evaluated (and reduced) there, and a rank that is full
+mod p is full at the rational point too.  Every check taken at a point computes
+over one of these rings; the tests compare them with a term-by-term
+evaluation of the generic scalar (`specialize` in `tests/conftest.py`).
 
 All rings satisfy `ScalarRing`, the small protocol that `hecke` relies
-on; their elements satisfy `Scalar`.
+on; their elements satisfy `Scalar`: ring arithmetic and a truth value
+that is false exactly at zero.
 
 All values are immutable after construction and all operations are pure,
 so scalars are safe to share between threads.
@@ -43,7 +44,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import prod
 from random import Random
@@ -60,8 +60,6 @@ __all__ = [
     "PRIME",
     "UnmappablePoint",
     "PointContext",
-    "PointScalar",
-    "QScalar",
     "FpScalar",
 ]
 
@@ -85,7 +83,8 @@ _Q_EXP_LIMIT = 1 << (_SLOT_BITS - 1)
 
 class Scalar(Protocol):
     """An element of a scalar ring, as the multiplication engine uses it:
-    ring operations with elements of the same ring, and a zero test."""
+    ring operations with elements of the same ring, and `bool`, false
+    exactly for zero (`ExactScalar`, `Fraction`, `FpScalar`)."""
 
     def __add__(self, other): ...
 
@@ -95,13 +94,14 @@ class Scalar(Protocol):
 
     def __neg__(self): ...
 
-    def is_zero(self) -> bool: ...
+    def __bool__(self) -> bool: ...
 
 
 class ScalarRing(Protocol):
     """A coefficient ring for the engine: Z[q^+-1, Q_1..Q_r] or an image
     of it.  `is_scalar` tells the engine which operands it may treat as
-    scalars (ints and the ring's own elements)."""
+    scalars (ints and the ring's own elements: `ExactScalar`, `Fraction`
+    over Q at a point, `FpScalar` over F_p)."""
 
     r: int
 
@@ -293,9 +293,6 @@ class ExactScalar:
         unpack = self.ctx._unpack
         return {unpack(k): c for k, c in self._terms.items()}
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -459,30 +456,33 @@ class UnmappablePoint(ValueError):
     divisible by p."""
 
 
-def _residue(x: Fraction) -> int:
+def _residue(x: Fraction) -> "FpScalar":
     if x.denominator % PRIME == 0:
         raise UnmappablePoint(f"denominator of {x} is 0 mod p")
-    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+    return FpScalar(x.numerator * pow(x.denominator, -1, PRIME) % PRIME)
+
+
+def _residue_pow(x: "FpScalar", e: int) -> "FpScalar":
+    return FpScalar(pow(x.v, e, PRIME))
 
 
 class PointContext:
     """The image of Z[q^+-1, Q_1..Q_r] at one rational point `spec`: the
-    exact ring Q (`modulus=None`, elements `QScalar`) or F_p
+    exact ring Q (`modulus=None`, elements plain `Fraction`s) or F_p
     (`modulus=PRIME`, elements `FpScalar`).  A point with no image in F_p
     (a denominator, or q, is 0 mod p) is refused with UnmappablePoint."""
 
-    __slots__ = ("spec", "r", "modulus", "_lift", "_make", "_pow", "_q", "_Q",
-                 "_e", "_zero", "_one")
+    __slots__ = ("spec", "r", "modulus", "_lift", "_pow", "_q", "_Q", "_e",
+                 "_zero", "_one")
 
     def __init__(self, spec: Specialization, modulus: int | None = None):
         self.spec = spec
         self.r = spec.r
         self.modulus = modulus
         if modulus is None:
-            self._lift, self._make, self._pow = Fraction, QScalar, pow
+            self._lift, self._pow = Fraction, pow
         elif modulus == PRIME:
-            self._lift, self._make = _residue, FpScalar
-            self._pow = partial(pow, mod=PRIME)
+            self._lift, self._pow = _residue, _residue_pow
         else:
             raise ValueError(f"modulus must be None or PRIME, got {modulus}")
         self._q = self._lift(spec.q_value)
@@ -490,37 +490,41 @@ class PointContext:
             raise UnmappablePoint(f"q = {spec.q_value} is 0 mod p")
         self._Q = tuple(self._lift(v) for v in spec.Q_values)
         # shared: elements are immutable, and these are asked for per term
-        self._zero = self.from_rational(0)
-        self._one = self.from_rational(1)
-        self._e = tuple(self.from_rational(sum(map(prod, combinations(
+        self._zero = self._lift(0)
+        self._one = self._lift(1)
+        self._e = tuple(self._lift(sum(map(prod, combinations(
             spec.Q_values, k)))) for k in range(self.r + 1))
 
     def is_scalar(self, x) -> bool:
-        return isinstance(x, (int, self._make))
+        return isinstance(x, (int, type(self._one)))
 
-    def from_rational(self, x) -> "PointScalar":
+    def from_rational(self, x):
         """The image of a rational number (or an int) in this ring."""
-        return self._make(self._lift(x))
+        return self._lift(x)
 
     from_int = from_rational
 
-    def zero(self) -> "PointScalar":
+    def value(self, x):
+        """An element's plain value: itself over Q, `x.v` over F_p."""
+        return x if self.modulus is None else x.v
+
+    def zero(self):
         return self._zero
 
-    def one(self) -> "PointScalar":
+    def one(self):
         return self._one
 
-    def q(self, e: int = 1) -> "PointScalar":
-        return self._make(self._pow(self._q, e))
+    def q(self, e: int = 1):
+        return self._pow(self._q, e)
 
-    def Q(self, k: int, e: int = 1) -> "PointScalar":
+    def Q(self, k: int, e: int = 1):
         if not 1 <= k <= self.r:
             raise ValueError(f"Q index {k} out of range 1..{self.r}")
         if e < 0:
             raise ValueError("Q-exponents must be non-negative")
-        return self._make(self._pow(self._Q[k - 1], e))
+        return self._pow(self._Q[k - 1], e)
 
-    def elementary_symmetric(self, k: int) -> "PointScalar":
+    def elementary_symmetric(self, k: int):
         """e_k(Q_1, ..., Q_r); e_0 = 1."""
         if not 0 <= k <= self.r:
             raise ValueError(f"elementary symmetric degree {k} out of range")
@@ -537,12 +541,11 @@ class PointContext:
         return hash(("PointContext", self.spec, self.modulus))
 
 
-class PointScalar:
-    """An element of a PointContext ring, its value `v`.
+class FpScalar:
+    """A residue mod PRIME, its value `v` stored reduced in [0, PRIME).
 
     Carries no ring: the point lives in the PointContext, and algebra
-    contexts refuse to mix elements over different rings.  The
-    subclasses give the arithmetic of their field.
+    contexts refuse to mix elements over different rings.
     """
 
     __slots__ = ("v",)
@@ -550,14 +553,11 @@ class PointScalar:
     def __init__(self, v):
         self.v = v
 
-    def is_zero(self) -> bool:
-        return not self.v
-
     def __bool__(self):
         return bool(self.v)
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not FpScalar:
             return NotImplemented
         return self.v == other.v
 
@@ -565,40 +565,7 @@ class PointScalar:
         return hash(self.v)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.v})"
-
-
-class QScalar(PointScalar):
-    """An exact value at the point: `v` is a Fraction."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        try:
-            return QScalar(self.v + other.v)
-        except AttributeError:
-            return NotImplemented
-
-    def __sub__(self, other):
-        try:
-            return QScalar(self.v - other.v)
-        except AttributeError:
-            return NotImplemented
-
-    def __mul__(self, other):
-        try:
-            return QScalar(self.v * other.v)
-        except AttributeError:
-            return NotImplemented
-
-    def __neg__(self):
-        return QScalar(-self.v)
-
-
-class FpScalar(PointScalar):
-    """A residue mod PRIME, stored reduced in [0, PRIME)."""
-
-    __slots__ = ()
+        return f"FpScalar({self.v})"
 
     def __add__(self, other):
         try:

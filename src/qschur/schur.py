@@ -41,7 +41,6 @@ from .tableaux import (MultiShape, Multicomposition, TypedTableau,
 __all__ = [
     "SchurContext",
     "ModuleElement",
-    "WeylBasisVector",
     "EFIndex",
     "FALLBACK_FLAGS",
     "ConventionError",
@@ -66,16 +65,6 @@ class ModuleElement:
     """An element of the permutation module of the tagged weight."""
 
     weight: Multicomposition
-    elem: AKElement
-
-
-@dataclass(frozen=True)
-class WeylBasisVector:
-    """One basis vector: the value at 1 of the map indexed by (mu, A)."""
-
-    lam: Multicomposition
-    mu: Multicomposition
-    tableau: TypedTableau
     elem: AKElement
 
 
@@ -174,7 +163,7 @@ class SchurContext:
 
     def basis_vector(self, lam: Multicomposition, mu: Multicomposition,
                      A: TypedTableau,
-                     algebra: AlgebraContext | None = None) -> WeylBasisVector:
+                     algebra: AlgebraContext | None = None) -> AKElement:
         """h_A = (sum over the double coset of 1_A) u+_{[lam]} T_{w_lam}
         y_{lam'}; for the superstandard tableau this equals z_lam.
 
@@ -196,7 +185,7 @@ class SchurContext:
             table = tables[lam.parts] = Multiples(algebra.u_plus(
                 lam.bracket()) * algebra.T(w) * algebra.y_element(lam.dual()))
         cs = algebra.coset_sum(mu.bar(), one_A(A), lam.bar())
-        return WeylBasisVector(lam, mu, A, table.left(cs))
+        return table.left(cs)
 
     def tableaux_by_type(self, lam: Multicomposition):
         """All semistandard lam-tableaux grouped by their type weight."""
@@ -230,7 +219,7 @@ class SchurContext:
         def block(mu, As):
             def fill(algebra, add):
                 for A in As:
-                    add(self.basis_vector(lam, mu, A, algebra).elem)
+                    add(self.basis_vector(lam, mu, A, algebra))
             return len(As), fill
 
         fills = [block(mu, As) for mu, As in groups]

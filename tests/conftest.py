@@ -12,6 +12,7 @@ import pytest
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import _integer_row
 from qschur.schur import SchurContext
+from qschur.symgrp import reduced_word
 
 
 def rank_exact(matrix) -> int:
@@ -87,7 +88,7 @@ def word_product(a, b):
     n = a.ctx.n
     for (c, w), coeff in sorted(a.terms.items()):
         e = b
-        for j in reversed(a.ctx.word(w)):
+        for j in reversed(reduced_word(w)):
             e = e.lmul_gen(j)
         for i in range(n, 0, -1):
             for _ in range(c[i - 1]):

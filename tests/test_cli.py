@@ -129,6 +129,18 @@ def test_usage_errors_exit_two():
     code, _ = run_cli(["verify", "relations", "--n", "2", "--r", "2",
                        "--flags", "m_convention=bogus"])
     assert code == 2
+    # well-formed JSON of the wrong shape is a usage error too
+    for argv in (["verify", "basis", "--lambda", "3", "--m", "[2]", "--r", "1"],
+                 ["compute", "z", "--lambda", "[1,2]", "--r", "1"],
+                 ["enum", "ssyt", "--lambda", "[[2]]", "--m", "5", "--r", "1"],
+                 ["enum", "multicomp", "--n", "2", "--m", "3"],
+                 ["enum", "ssyt", "--lambda", "[[2]]", "--m", "[2]",
+                  "--mu", "[2]"],
+                 ["enum", "ssyt", "--lambda", "[[2]]", "--m", "[2]",
+                  "--type", "[[true,true]]"],
+                 ["compute", "h", "--lambda", "[[2]]", "--m", "[2]",
+                  "--tableau", "[[1]]"]):
+        assert run_cli(argv)[0] == 2, argv
 
 
 def test_resource_limit_exit_three():

@@ -63,7 +63,17 @@ def test_deleted_api_is_gone():
             (qschur, "rank_exact"),
             (qschur.ExactScalar, "specialize"),
             (qschur.AlgebraContext, "random_element"),
-            (qschur.ScalarContext, "random_scalar")):
+            (qschur.ScalarContext, "random_scalar"),
+            # one scalar protocol: plain Fractions at a Q point, `bool` for
+            # zero, right multiplication from one `Multiples` per generator
+            (qschur.ring, "QScalar"),
+            (qschur.ring, "PointScalar"),
+            (qschur.ring.FpScalar, "is_zero"),
+            (qschur.ExactScalar, "is_zero"),
+            (qschur.schur, "WeylBasisVector"),
+            (qschur, "WeylBasisVector"),
+            (qschur.AlgebraContext, "word"),
+            (qschur.AlgebraContext, "_rmul_term")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     # options that only ever took one value
     params = inspect.signature(qschur.BranchContext.branch_dim_identity).parameters

@@ -419,7 +419,7 @@ def test_exponents_stay_in_range():
         b = random_element(ctx, rng)
         for (c, w), coeff in (a * b).terms.items():
             assert all(0 <= e < ctx.r for e in c)
-            assert not coeff.is_zero()
+            assert coeff
 
 
 def test_normal_form_idempotent(ak22):
@@ -456,7 +456,7 @@ def test_concurrent_reads_share_context():
 
         def work(c, pair):
             # a product, then right multiplication by a generator, which
-            # races to fill the right-multiplication memo as well
+            # races to fill the right-multiplication tables as well
             a, b, j = pair
             e = c.basis_element(*a) * c.basis_element(*b)
             return [e, e.rmul_gen(j)]
@@ -476,4 +476,5 @@ def test_concurrent_reads_share_context():
             assert s.terms.keys() == p.terms.keys()
             assert all(s.terms[k] == p.terms[k] for k in s.terms)
     assert any(i == 3 for i, _, _ in fresh._lmul_L_terms)
-    assert fresh._rmul_terms
+    assert fresh._rmul_tables
+    assert all(len(table._entries) > 1 for table in fresh._rmul_tables.values())
