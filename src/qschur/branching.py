@@ -45,6 +45,9 @@ class BranchContext:
 
     def __init__(self, n: int, r: int, m, lam_parts,
                  m_convention: str = "plain", y_convention: str = "plain"):
+        if n < 1:
+            raise ValueError(f"need n + 1 >= 2 boxes, got {n + 1}: one box "
+                             "has no restriction to check")
         m = tuple(int(x) for x in m)
         if any(mk < n + 1 for mk in m):
             raise ValueError("every component bound must be at least n+1")

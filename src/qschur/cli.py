@@ -126,6 +126,8 @@ def cmd_enum(args) -> int:
     if args.what == "multicomp":
         if args.n is None or args.m is None:
             raise UsageError("enum multicomp needs --n and --m")
+        if args.n < 1:
+            raise UsageError("need n >= 1")
         m = _parse_json_arg(args.m, "--m", 1)
         items = enumerate_multicompositions(args.n, MultiShape(tuple(m)),
                                             partitions_only=args.partitions)

@@ -1,25 +1,39 @@
 """Scalar rings for the multiplication engine.
 
 `ScalarContext` is the ground ring Z[q, q^-1, Q_1, ..., Q_r].  A scalar is
-a sparse Laurent polynomial: each term maps an exponent vector
-(e_q, e_Q1, ..., e_Qr) to a plain Python integer coefficient.  The
-q-exponent may be negative, the Q-exponents may not.
+a sparse Laurent polynomial with plain Python integer coefficients; the
+q-exponent may be negative, the Q-exponents may not.  It is stored as
+q^lo times one packed int per Q-monomial (Kronecker substitution twice:
+the packed monomials of Monagan and Pearce, ISSAC 2009, and integer-encoded
+polynomials as in Fateman 2010 and Harvey, JSC 44 (2009)).
 
-The exponent vector of a term is stored packed into one Python int
-(Kronecker substitution; the packed monomials of Monagan and Pearce,
-ISSAC 2009).  Each Q-exponent has a slot of `_SLOT_BITS` = 32 bits, Q_1
-lowest, and the signed q-exponent sits above all r slots:
+The Q-exponents of a monomial form one int key, each in a slot of
+`_SLOT_BITS` = 32 bits, Q_1 lowest:
 
-    key = e_q << 32 r | e_r << 32 (r - 1) | ... | e_2 << 32 | e_1
+    key = e_r << 32 (r - 1) | ... | e_2 << 32 | e_1
 
-so the product of two monomials is the sum of their keys and the unit's
-key is 0.  A floor shift `key >> 32 r` decodes any e_q, and masks decode
-the slots.  The top bit of each slot is a guard: constructors refuse a
+so the product of two Q-monomials is the sum of their keys and the unit's
+key is 0.  The top bit of each slot is a guard: constructors refuse a
 Q-exponent >= 2^31 with ValueError, so the sum of two valid keys never
 carries out of a slot, and a product with a guard bit set in any of its
-keys raises ExponentOverflow instead of wrapping.  Keys are decoded only
-at the edges: `terms()` (which returns exponent tuples), `text()`,
-`to_json()` and `repr`.
+keys raises ExponentOverflow instead of wrapping.
+
+The q-polynomial of each Q-monomial, divided by q^lo, is that polynomial
+evaluated at q = 2^w: coefficient i sits in the signed w-bit slot i, and
+a negative slot borrows from the one above.  `lo` is the lowest
+q-exponent of the whole scalar, so some Q-monomial has a nonzero slot 0.
+A product of scalars adds keys and `lo`s and multiplies the packed ints,
+one big-int multiply per pair of Q-monomials; a sum shifts the operand
+with the higher `lo` up and strips the low slots that every Q-monomial
+has lost.  Each scalar carries a bound on the sum of its absolute
+coefficients (b1 + b2 for a sum, b1 * b2 for a product), which bounds
+every coefficient an operation can make.  Operations run at w = 64 while
+that bound fits a signed 64-bit slot; otherwise they run at a width that
+holds it, and the result is re-encoded at the narrowest multiple of 64
+bits that holds its coefficients.  So no coefficient ever wraps, every
+value has one form, and `==` and `hash` compare `(lo, w, packed ints)`.
+Only `terms()` (which returns exponent tuples), `text()`, `to_json()`
+and `repr` decode.
 
 `PointContext` is the image of that ring at one rational `Specialization`:
 the exact ring Q there, whose elements are plain `Fraction`s, or F_p,
@@ -81,6 +95,37 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 _Q_EXP_LIMIT = 1 << (_SLOT_BITS - 1)
 
 
+def _width(b: int) -> int:
+    """The narrowest q-slot width, a multiple of 64 bits, whose signed
+    range holds every int of absolute value at most b."""
+    return 64 * (b.bit_length() // 64 + 1)
+
+
+def _encode(group: dict, lo: int, w: int) -> int:
+    """{e: c} as the int sum c 2^(w (e - lo)): one signed w-bit slot per
+    q-exponent from lo."""
+    return sum(c << w * (e - lo) for e, c in group.items())
+
+
+def _decode(terms: dict, lo: int, w: int) -> dict:
+    """{key: {e: c}} of packed groups: the inverse of `_encode`, reading
+    each slot as signed and borrowing from the slot above."""
+    mask, half, full = (1 << w) - 1, 1 << (w - 1), 1 << w
+    out = {}
+    for key, p in terms.items():
+        g, e = {}, lo
+        while p:
+            c = p & mask
+            if c >= half:
+                c -= full
+            if c:
+                g[e] = c
+            p = (p - c) >> w
+            e += 1
+        out[key] = g
+    return out
+
+
 class Scalar(Protocol):
     """An element of a scalar ring, as the multiplication engine uses it:
     ring operations with elements of the same ring, and `bool`, false
@@ -129,36 +174,47 @@ def _term_sort_key(exps):
 class ScalarContext:
     """Fixes the number r >= 1 of cyclotomic parameters Q_1..Q_r."""
 
-    __slots__ = ("r", "_qshift", "_guard", "_zero", "_one")
+    __slots__ = ("r", "_guard", "_zero", "_one")
 
     def __init__(self, r: int):
         if r < 1:
             raise ValueError(f"need r >= 1, got {r}")
         self.r = int(r)
-        self._qshift = _SLOT_BITS * self.r
         self._guard = sum(_Q_EXP_LIMIT << (_SLOT_BITS * k) for k in range(self.r))
         # shared: scalars are immutable, and these are asked for per term
-        self._zero = ExactScalar(self, {})
-        self._one = ExactScalar(self, {0: 1})
+        self._zero = ExactScalar(self, {}, 0, 64, 0)
+        self._one = ExactScalar(self, {0: 1}, 0, 64, 1)
 
-    # -- packed monomial keys --------------------------------------------
+    # -- packed keys and groups ------------------------------------------
 
-    def _pack(self, exps) -> int:
-        """The key of the exponent vector (e_q, e_1, ..., e_r)."""
-        if len(exps) != self.r + 1:
+    def _pack(self, qexps) -> int:
+        """The key of the Q-exponents (e_1, ..., e_r)."""
+        if len(qexps) != self.r:
             raise ValueError("exponent vector has wrong length")
         key = 0
-        for e in reversed(exps[1:]):
+        for e in reversed(qexps):
             if not 0 <= e < _Q_EXP_LIMIT:
                 raise ValueError(f"Q-exponent {e} is negative or does not fit "
                                  f"its slot (limit 2^{_SLOT_BITS - 1})")
             key = key << _SLOT_BITS | e
-        return exps[0] << self._qshift | key
+        return key
 
     def _unpack(self, key: int) -> tuple:
-        """The exponent vector (e_q, e_1, ..., e_r) of a key."""
-        return (key >> self._qshift,) + tuple(
-            key >> (_SLOT_BITS * k) & _SLOT_MASK for k in range(self.r))
+        """The Q-exponents (e_1, ..., e_r) of a key."""
+        return tuple(key >> (_SLOT_BITS * k) & _SLOT_MASK for k in range(self.r))
+
+    def _build(self, groups) -> "ExactScalar":
+        """The scalar sum c q^e Q^key over {key: {e: c}}, in canonical form:
+        lowest q-exponent `lo`, and the narrowest width holding every c."""
+        groups = {k: {e: c for e, c in g.items() if c} for k, g in groups.items()}
+        groups = {k: g for k, g in groups.items() if g}
+        if not groups:
+            return self._zero
+        coeffs = [c for g in groups.values() for c in g.values()]
+        lo = min(e for g in groups.values() for e in g)
+        w = _width(max(map(abs, coeffs)))
+        return ExactScalar(self, {k: _encode(g, lo, w) for k, g in groups.items()},
+                           lo, w, sum(map(abs, coeffs)))
 
     def compatible(self, other: "ScalarContext") -> None:
         if self.r != other.r:
@@ -173,31 +229,34 @@ class ScalarContext:
         return self._zero
 
     def from_int(self, k: int) -> "ExactScalar":
+        k = int(k)
         if k == 0:
             return self._zero
-        return ExactScalar(self, {0: int(k)})
+        return ExactScalar(self, {0: k}, 0, _width(abs(k)), abs(k))
 
     def one(self) -> "ExactScalar":
         return self._one
 
     def q(self, e: int = 1) -> "ExactScalar":
-        return ExactScalar(self, {int(e) << self._qshift: 1})
+        return ExactScalar(self, {0: 1}, int(e), 64, 1)
 
     def Q(self, k: int, e: int = 1) -> "ExactScalar":
         if not 1 <= k <= self.r:
             raise ValueError(f"Q index {k} out of range 1..{self.r}")
-        exps = [0] * (self.r + 1)
-        exps[k] = int(e)
-        return ExactScalar(self, {self._pack(exps): 1})
+        exps = [0] * self.r
+        exps[k - 1] = int(e)
+        return ExactScalar(self, {self._pack(exps): 1}, 0, 64, 1)
 
     def from_terms(self, terms) -> "ExactScalar":
         """The scalar with the given {(e_q, e_1, ..., e_r): coefficient}."""
-        out: dict = {}
+        groups: dict = {}
         for exps, c in dict(terms).items():
-            key = self._pack(tuple(int(e) for e in exps))
-            if c:
-                out[key] = out.get(key, 0) + int(c)
-        return ExactScalar(self, {k: c for k, c in out.items() if c})
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != self.r + 1:
+                raise ValueError("exponent vector has wrong length")
+            g = groups.setdefault(self._pack(exps[1:]), {})
+            g[exps[0]] = g.get(exps[0], 0) + int(c)
+        return self._build(groups)
 
     def elementary_symmetric(self, k: int) -> "ExactScalar":
         """e_k(Q_1, ..., Q_r); e_0 = 1."""
@@ -207,7 +266,7 @@ class ScalarContext:
             raise ValueError(f"elementary symmetric degree {k} out of range")
         terms = {sum(1 << (_SLOT_BITS * (i - 1)) for i in subset): 1
                  for subset in combinations(range(1, self.r + 1), k)}
-        return ExactScalar(self, terms)
+        return ExactScalar(self, terms, 0, 64, len(terms))
 
     # -- parsing --------------------------------------------------------
 
@@ -272,26 +331,33 @@ class ScalarContext:
 class ExactScalar:
     """A sparse Laurent polynomial in q with polynomial Q-dependence.
 
-    `_terms` maps the packed key of each monomial (see the module
-    docstring: e_q above r slots of 32 bits, one guard bit at the top of
-    each slot) to its nonzero int coefficient.  Products add keys and
-    raise ExponentOverflow if a guard bit is set; only `terms()`,
-    `text()`, `to_json()` and `repr` decode them.  Never mutated after
-    construction.
+    The value is q^`_lo` times the sum over `_terms` of Q^key P(q): each
+    packed Q-key (see the module docstring) maps to a nonzero int, its
+    q-polynomial P evaluated at q = 2^`_w`, one signed `_w`-bit slot per
+    q-exponent, with some slot 0 nonzero.  `_bound` bounds the sum of the
+    absolute coefficients; an operation whose bound does not fit a signed
+    64-bit slot runs wider, and its result is re-encoded at the narrowest
+    width holding its coefficients, so equal values have equal
+    `(_lo, _w, _terms)`.  Never mutated after construction.
     """
 
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ("ctx", "_terms", "_lo", "_w", "_bound")
 
-    def __init__(self, ctx: ScalarContext, terms: dict):
+    def __init__(self, ctx: ScalarContext, terms: dict, lo: int, w: int, bound: int):
         self.ctx = ctx
         self._terms = terms
+        self._lo = lo
+        self._w = w
+        self._bound = bound
 
     # -- inspection -----------------------------------------------------
 
     def terms(self):
-        """{(e_q, e_1, ..., e_r): coefficient}, decoded from the keys."""
+        """{(e_q, e_1, ..., e_r): coefficient}, decoded from the groups."""
         unpack = self.ctx._unpack
-        return {unpack(k): c for k, c in self._terms.items()}
+        return {(e,) + unpack(k): c
+                for k, g in _decode(self._terms, self._lo, self._w).items()
+                for e, c in g.items()}
 
     def __bool__(self):
         return bool(self._terms)
@@ -307,23 +373,52 @@ class ExactScalar:
             return self.ctx.from_int(other)
         return NotImplemented
 
+    def _at(self, w):
+        """The packed groups re-encoded at slot width w >= `_w`."""
+        if w == self._w:
+            return self._terms
+        return {k: _encode(g, self._lo, w)
+                for k, g in _decode(self._terms, self._lo, self._w).items()}
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
+        if not (self._terms and other._terms):
+            return self if self._terms else other
+        bound = self._bound + other._bound
+        if self._w == other._w == 64 and not bound >> 63:
+            w, out, b = 64, self._terms, other._terms
+        else:
+            w = max(self._w, other._w, _width(bound))
+            out, b = self._at(w), other._at(w)
+        lo, d = self._lo, other._lo - self._lo
+        if d < 0:
+            lo, d, out, b = other._lo, -d, b, out
+        out = dict(out)
+        d *= w
+        for k, p in b.items():
+            p = out.get(k, 0) + (p << d)
+            if p:
+                out[k] = p
             else:
-                out.pop(e, None)
-        return ExactScalar(self.ctx, out)
+                del out[k]
+        if not out:
+            return self.ctx._zero
+        if not d and not any(p & ((1 << w) - 1) for p in out.values()):
+            # the lowest q-part cancelled: strip the zero slots all share
+            s = min(((p & -p).bit_length() - 1) // w for p in out.values())
+            out = {k: p >> w * s for k, p in out.items()}
+            lo += s
+        if w != 64:
+            return self.ctx._build(_decode(out, lo, w))
+        return ExactScalar(self.ctx, out, lo, 64, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(self.ctx, {e: -c for e, c in self._terms.items()})
+        return ExactScalar(self.ctx, {k: -p for k, p in self._terms.items()},
+                           self._lo, self._w, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -338,17 +433,23 @@ class ExactScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self._terms and other._terms):
+            return self.ctx._zero
+        bound = self._bound * other._bound
+        if self._w == other._w == 64 and not bound >> 63:
+            w, a, b = 64, self._terms, other._terms
+        else:
+            w = max(self._w, other._w, _width(bound))
+            a, b = self._at(w), other._at(w)
         out: dict = {}
         get = out.get
-        right = other._terms.items()
-        for k1, c1 in self._terms.items():
-            for k2, c2 in right:
+        right = b.items()
+        for k1, p1 in a.items():
+            for k2, p2 in right:
                 key = k1 + k2
-                nc = get(key, 0) + c1 * c2
-                if nc:
-                    out[key] = nc
-                else:
-                    del out[key]
+                out[key] = get(key, 0) + p1 * p2
+        if not all(out.values()):
+            out = {k: p for k, p in out.items() if p}
         # valid slots add without carrying, so a set guard bit is the
         # only way a Q-exponent can leave its slot
         guard = self.ctx._guard
@@ -356,7 +457,12 @@ class ExactScalar:
             if key & guard:
                 raise ExponentOverflow(
                     f"a Q-exponent of the product reaches 2^{_SLOT_BITS - 1}")
-        return ExactScalar(self.ctx, out)
+        # the lowest q-parts of both factors are nonzero polynomials in Q,
+        # and so is their product: no slot needs stripping
+        lo = self._lo + other._lo
+        if w != 64:
+            return self.ctx._build(_decode(out, lo, w))
+        return ExactScalar(self.ctx, out, lo, 64, bound)
 
     __rmul__ = __mul__
 
@@ -374,10 +480,11 @@ class ExactScalar:
         if not isinstance(other, ExactScalar):
             return NotImplemented
         self.ctx.compatible(other.ctx)
-        return self._terms == other._terms
+        return (self._terms == other._terms and self._lo == other._lo
+                and self._w == other._w)
 
     def __hash__(self):
-        return hash((self.ctx.r, frozenset(self._terms.items())))
+        return hash((self.ctx.r, self._lo, self._w, frozenset(self._terms.items())))
 
     # -- serialization ----------------------------------------------------
 

@@ -22,6 +22,9 @@ def test_context_validates_bounds():
         BranchContext(2, 1, (2,), [(3,)])
     with pytest.raises(ValueError):
         BranchContext(1, 2, (2, 2), [(0, 2), (0,)])
+    # n + 1 = 1 is refused for what it is, before m' = m - e_r is formed
+    with pytest.raises(ValueError, match="one box has no restriction"):
+        BranchContext(0, 1, (1,), [(1,)])
 
 
 def test_restriction_labels_example():

@@ -44,6 +44,20 @@ def test_enum_multicomp_count():
     assert json.loads(out)["count"] == 10
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_enum_multicomp_refuses_n_below_one(n, capsys):
+    code, out = run_cli(["enum", "multicomp", "--n", n, "--m", "[2]"])
+    assert (code, out) == (2, "")
+    assert "need n >= 1" in capsys.readouterr().err
+
+
+def test_verify_branch_of_one_box_says_so(capsys):
+    code, _ = run_cli(["verify", "branch", "--lambda", "[[1]]", "--m", "[1]"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "one box has no restriction to check" in err
+
+
 def test_verify_basis_exit_zero():
     code, out = run_cli(["verify", "basis", "--lambda", "[[2]]", "--m", "[2]",
                          "--r", "1", "--format", "json", "--seed", "5"])
