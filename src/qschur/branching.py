@@ -210,7 +210,7 @@ class BranchContext:
         for idx in self.small_ef_indices():
             image = self.big.ef_apply(idx, "E", hX)
             entry = {"idx": [idx.i, idx.k]}
-            if image.elem.is_zero():
+            if not image.elem:
                 entry["status"] = "zero_exact"
             else:
                 span = self._span_of_labels(deeper, image.weight, spec)
@@ -229,7 +229,7 @@ class BranchContext:
         image = self.big.ef_apply(idx, kind, me)
         base_shape = self._stripped_shape(A)
         report = {"idx": [idx.i, idx.k], "kind": kind, "mu": mu.to_json()}
-        if image.elem.is_zero():
+        if not image.elem:
             report["status"] = "zero"
             report["dominance_holds"] = True
             return report

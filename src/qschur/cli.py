@@ -78,6 +78,16 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
+def _check_counts(args) -> None:
+    """--max-dim and --samples count things: a negative one is a usage
+    error, not a limit the run exceeded."""
+    for name in ("max_dim", "samples"):
+        value = getattr(args, name, 0)
+        if value < 0:
+            option = "--" + name.replace("_", "-")
+            raise UsageError(f"{option} must be >= 0, got {value}")
+
+
 def _flags(args) -> dict:
     out = {}
     if args.flags:
@@ -282,7 +292,7 @@ def _lemma24_report(n, r, seed, budget, max_dim, **flags):
             pairs += 1
             ub = ctx.u_minus(bracket_reversed(b))
             for (c, w) in basis:
-                if not (ua * ctx.basis_element(c, w) * ub).is_zero():
+                if ua * ctx.basis_element(c, w) * ub:
                     vanish_ok = False
                     break
             budget.check()
@@ -407,6 +417,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,9 @@ Sparse sums go through one helper, `_accumulate`, which adds (key,
 scalar) pairs into a term dict and drops keys that cancel.  Multiplying by
 a per-term table (`AKElement._termwise`) keeps its own copy of that loop
 inline: it is the innermost loop of every product, and the extra call per
-term made basis certification measurably slower.
+term made basis certification measurably slower.  Every path that
+finishes a term dict hands it to the ring's `normal`, so equal elements
+have equal term dicts in every ring.
 
 General products a * b walk the weak order: `Multiples(b)` makes each
 L^c T_w b from a shorter multiple by one T_j or L_i step.  Correctness is
@@ -38,13 +40,13 @@ already span.
 Coefficients come from a scalar ring passed to the context (default: the
 generic ring `ScalarContext(r)`).  The engine uses only the `ScalarRing`
 protocol of `ring`: the constructors zero / one / from_int / q / Q /
-elementary_symmetric and the test is_scalar on the ring, and + - * neg and
-the truth value (false at zero) on its elements, so the plain `Fraction`s
-of the ring over Q at a point serve as they are.  Any ring with that
-protocol works.  The generic ring parses, prints and computes; every check
-at a rational point builds its elements over `PointContext`, the image of
-the generic ring at the point, over Q or F_p, and reads them with
-`vector()`.  `ranks_at` is the one rank certificate at a point, used by
+elementary_symmetric, the test is_scalar and the finishing step normal on
+the ring, and + - * neg and the truth value (false at zero) on its
+elements, so the plain `Fraction`s and ints of the rings at a point serve
+as they are.  Any ring with that protocol works.  The generic ring
+parses, prints and computes; every check at a rational point builds its
+elements over `PointContext`, the image of the generic ring at the point,
+over Q or F_p, and reads them with `vector()`.  `ranks_at` is the one rank certificate at a point, used by
 the closure dimension, the basis certificate in `schur` and the lemma-2.4
 freeness ranks: it builds each block over F_p at the point, where a full
 rank is a full rank at the point because reduction is a ring homomorphism,
@@ -75,9 +77,9 @@ from .tableaux import Multicomposition, bracket_reversed, w_lambda
 __all__ = ["AlgebraContext", "AKElement", "Multiples"]
 
 
-def _accumulate(out: dict, pairs) -> dict:
+def _accumulate(scalars: ScalarRing, out: dict, pairs) -> dict:
     """Add each (key, scalar) pair into `out`, dropping keys whose sum is
-    zero; returns `out`."""
+    zero; returns the ring's `normal` form of the result."""
     for key, scal in pairs:
         prev = out.get(key)
         cur = scal if prev is None else prev + scal
@@ -85,7 +87,7 @@ def _accumulate(out: dict, pairs) -> dict:
             out.pop(key, None)
         else:
             out[key] = cur
-    return out
+    return scalars.normal(out)
 
 
 class AlgebraContext:
@@ -207,16 +209,14 @@ class AlgebraContext:
         return self.jucys_murphy(i).scale(self.scalars.q(i - 1))
 
     def from_scalar(self, s) -> "AKElement":
-        if isinstance(s, int):
-            s = self.scalars.from_int(s)
-        return AKElement(self, {((0,) * self.n, identity(self.n)): s}) \
-            if s else self.zero()
+        return self.one().scale(s)
 
     def from_vector(self, vec) -> "AKElement":
         """The inverse of `AKElement.vector`, over a `PointContext` ring."""
         basis, lift = self.basis_monomials(), self.scalars.from_rational
         return AKElement(self, _accumulate(
-            {}, ((basis[i], lift(x)) for i, x in enumerate(vec) if x)))
+            self.scalars, {},
+            ((basis[i], lift(x)) for i, x in enumerate(vec) if x)))
 
     # -- exchange table -----------------------------------------------------
 
@@ -245,12 +245,12 @@ class AlgebraContext:
                         for (x, y), coeff in table.items()]
 
             for _ in range(a):
-                A, B = (_accumulate({}, shifted(A, 0, 1, q1)),
-                        _accumulate({}, shifted(A, 0, 1, -csq)
+                A, B = (_accumulate(S, {}, shifted(A, 0, 1, q1)),
+                        _accumulate(S, {}, shifted(A, 0, 1, -csq)
                                     + shifted(B, 1, 0, S.one())))
             for _ in range(b):
-                A, B = (_accumulate({}, shifted(A, 1, 0, qm1)),
-                        _accumulate({}, shifted(A, 0, 1, cqq)
+                A, B = (_accumulate(S, {}, shifted(A, 1, 0, qm1)),
+                        _accumulate(S, {}, shifted(A, 0, 1, cqq)
                                     + shifted(B, 0, 1, S.one())))
 
             bound = max(a, b)
@@ -297,7 +297,7 @@ class AlgebraContext:
             for (x, y), coeff in B.items():
                 yield (c[:j - 1] + (x, y) + c[j + 1:], w), coeff
 
-        result = tuple(_accumulate({}, pairs()).items())
+        result = tuple(_accumulate(S, {}, pairs()).items())
         with self._lock:
             self._lmul_terms[key] = result
         return result
@@ -347,7 +347,7 @@ class AlgebraContext:
         else:
             raise ValueError(f"unknown weight {weight!r}")
         zero = (0,) * self.n
-        return AKElement(self, {(zero, w): coeff(w) for w in perms})
+        return AKElement(self, S.normal({(zero, w): coeff(w) for w in perms}))
 
     def young_sum(self, composition, weight=None) -> "AKElement":
         """Sum of T_w over the Young subgroup, with the context's
@@ -370,7 +370,7 @@ class AlgebraContext:
         """pi_a(x) = (M_1 - x)(M_2 - x)...(M_a - x); pi_0 = 1."""
         out = self.one()
         for j in range(1, a + 1):
-            out = out * (self.unscaled_jm(j) - self.from_scalar(1) * x)
+            out = out * (self.unscaled_jm(j) - self.from_scalar(x))
         return out
 
     def _check_bracket(self, bracket):
@@ -483,11 +483,11 @@ class AlgebraContext:
             e = b
             for k in range(self.r, 0, -1):
                 e = e.lmul_gen(0) - e * S.Q(k)
-            if not e.is_zero():
+            if e:
                 results["cyclotomic"] = False
             for i in range(1, self.n):
                 ti = b.lmul_gen(i)
-                if not (ti.lmul_gen(i) - ti * (q1 - qm1) - b).is_zero():
+                if ti.lmul_gen(i) - ti * (q1 - qm1) - b:
                     results["quadratic"] = False
             if self.n >= 2:
                 if word_apply([0, 1, 0, 1], b) != word_apply([1, 0, 1, 0], b):
@@ -529,14 +529,14 @@ class AlgebraContext:
                 c[int(lm.group(1)) - 1] = int(lm.group(2))
             w = tuple(int(x) for x in mt.group("w").split(","))
             terms.append(((tuple(c), w), coeff))
-        return AKElement(self, _accumulate({}, terms))
+        return AKElement(self, _accumulate(self.scalars, {}, terms))
 
     def from_json(self, data) -> "AKElement":
         if isinstance(data, str):
             data = json.loads(data)
         pairs = [((tuple(int(x) for x in t["c"]), tuple(int(x) for x in t["w"])),
                   self.scalars.from_json(t["coeff"])) for t in data["terms"]]
-        return AKElement(self, _accumulate({}, pairs))
+        return AKElement(self, _accumulate(self.scalars, {}, pairs))
 
     def __repr__(self):
         return (f"AlgebraContext(n={self.n}, r={self.r}, "
@@ -583,19 +583,17 @@ class AKElement:
 
     # -- ring structure -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
     def __add__(self, other: "AKElement") -> "AKElement":
         self.ctx.compatible(other.ctx)
-        return AKElement(self.ctx,
-                         _accumulate(dict(self.terms), other.terms.items()))
+        return AKElement(self.ctx, _accumulate(
+            self.ctx.scalars, dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        return AKElement(self.ctx, {k: -v for k, v in self.terms.items()})
+        return AKElement(self.ctx, self.ctx.scalars.normal(
+            {k: -v for k, v in self.terms.items()}))
 
     def __sub__(self, other):
         return self + (-other)
@@ -607,8 +605,8 @@ class AKElement:
             return self.ctx.zero()
         if scalar is self.ctx.scalars.one():
             return self
-        return AKElement(self.ctx,
-                         {k: v * scalar for k, v in self.terms.items()})
+        return AKElement(self.ctx, self.ctx.scalars.normal(
+            {k: v * scalar for k, v in self.terms.items()}))
 
     def __mul__(self, other):
         if not isinstance(other, AKElement):
@@ -677,7 +675,7 @@ class AKElement:
                     out.pop(key, None)
                 else:
                     out[key] = cur
-        return AKElement(self.ctx, out)
+        return AKElement(self.ctx, self.ctx.scalars.normal(out))
 
     def closure(self, step, add) -> None:
         """The closure of this element under `step(e, j)` for each
@@ -702,13 +700,13 @@ class AKElement:
     # -- evaluation -----------------------------------------------------------
 
     def vector(self):
-        """Coordinates on basis_monomials over a `PointContext` ring, read
-        through its `value`: Fractions over Q or residues in [0, p) over
-        F_p, and 0 off the support."""
-        index, value = self.ctx.basis_index(), self.ctx.scalars.value
+        """Coordinates on basis_monomials over a `PointContext` ring: its
+        values (Fractions over Q, ints in [0, p) over F_p) on the support,
+        and 0 off it."""
+        index = self.ctx.basis_index()
         vec = [0] * len(index)
         for key, coeff in self.terms.items():
-            vec[index[key]] = value(coeff)
+            vec[index[key]] = coeff
         return vec
 
     # -- serialization ----------------------------------------------------------

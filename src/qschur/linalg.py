@@ -121,9 +121,7 @@ class RowSpace:
         return False
 
     def basis(self):
-        """The reduced echelon rows, as Fractions over Q."""
-        if self.modulus is not None:
-            return [list(r) for r in self._rows]
+        """The reduced echelon rows, as Fractions (pivots over F_p are 1)."""
         return [[Fraction(x, r[p]) for x in r]
                 for r, p in zip(self._rows, self._pivots)]
 

@@ -37,16 +37,21 @@ and `repr` decode.
 
 `PointContext` is the image of that ring at one rational `Specialization`:
 the exact ring Q there, whose elements are plain `Fraction`s, or F_p,
-p = 2^61 - 1, where a/b maps to the `FpScalar` a * b^-1 mod p.  Both
-maps are ring homomorphisms, so an element built over the image is the
-generic element evaluated (and reduced) there, and a rank that is full
-mod p is full at the rational point too.  Every check taken at a point computes
-over one of these rings; the tests compare them with a term-by-term
-evaluation of the generic scalar (`specialize` in `tests/conftest.py`).
+p = 2^61 - 1, whose elements are plain ints: a/b maps to a * b^-1 mod p.
+Both maps are ring homomorphisms, so an element built over the image is
+the generic element evaluated (and reduced) there, and a rank that is
+full mod p is full at the rational point too.  Every check taken at a
+point computes over one of these rings; the tests compare them with a
+term-by-term evaluation of the generic scalar (`specialize` in
+`tests/conftest.py`).
 
 All rings satisfy `ScalarRing`, the small protocol that `hecke` relies
 on; their elements satisfy `Scalar`: ring arithmetic and a truth value
-that is false exactly at zero.
+that is false at zero.  Arithmetic on the ints of F_p is plain int
+arithmetic, so a result may be negative, at least p, or a nonzero
+multiple of p; the ring's `normal` reduces a finished term dict (value
+by key) into [0, p) and drops its zeros.  The other rings' elements are
+in normal form as they are, and their `normal` returns its argument.
 
 All values are immutable after construction and all operations are pure,
 so scalars are safe to share between threads.
@@ -74,7 +79,6 @@ __all__ = [
     "PRIME",
     "UnmappablePoint",
     "PointContext",
-    "FpScalar",
 ]
 
 
@@ -128,8 +132,10 @@ def _decode(terms: dict, lo: int, w: int) -> dict:
 
 class Scalar(Protocol):
     """An element of a scalar ring, as the multiplication engine uses it:
-    ring operations with elements of the same ring, and `bool`, false
-    exactly for zero (`ExactScalar`, `Fraction`, `FpScalar`)."""
+    ring operations with elements of the same ring, and `bool`, false at
+    zero: `ExactScalar`, `Fraction` over Q at a point, and int over F_p,
+    where a nonzero multiple of p is zero too until the ring's `normal`
+    reduces it."""
 
     def __add__(self, other): ...
 
@@ -146,7 +152,8 @@ class ScalarRing(Protocol):
     """A coefficient ring for the engine: Z[q^+-1, Q_1..Q_r] or an image
     of it.  `is_scalar` tells the engine which operands it may treat as
     scalars (ints and the ring's own elements: `ExactScalar`, `Fraction`
-    over Q at a point, `FpScalar` over F_p)."""
+    over Q at a point, int over F_p); `normal` puts a finished term dict
+    in normal form."""
 
     r: int
 
@@ -163,6 +170,8 @@ class ScalarRing(Protocol):
     def elementary_symmetric(self, k: int) -> Scalar: ...
 
     def is_scalar(self, x) -> bool: ...
+
+    def normal(self, terms: dict) -> dict: ...
 
 
 def _term_sort_key(exps):
@@ -222,6 +231,10 @@ class ScalarContext:
 
     def is_scalar(self, x) -> bool:
         return isinstance(x, (int, ExactScalar))
+
+    def normal(self, terms: dict) -> dict:
+        """A finished term dict: already in normal form here."""
+        return terms
 
     # -- constructors --------------------------------------------------
 
@@ -563,21 +576,23 @@ class UnmappablePoint(ValueError):
     divisible by p."""
 
 
-def _residue(x: Fraction) -> "FpScalar":
+def _residue(x) -> int:
+    """a/b as a * b^-1 mod p, in [0, p)."""
     if x.denominator % PRIME == 0:
         raise UnmappablePoint(f"denominator of {x} is 0 mod p")
-    return FpScalar(x.numerator * pow(x.denominator, -1, PRIME) % PRIME)
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
 
 
-def _residue_pow(x: "FpScalar", e: int) -> "FpScalar":
-    return FpScalar(pow(x.v, e, PRIME))
+def _residue_pow(x: int, e: int) -> int:
+    return pow(x, e, PRIME)
 
 
 class PointContext:
     """The image of Z[q^+-1, Q_1..Q_r] at one rational point `spec`: the
     exact ring Q (`modulus=None`, elements plain `Fraction`s) or F_p
-    (`modulus=PRIME`, elements `FpScalar`).  A point with no image in F_p
-    (a denominator, or q, is 0 mod p) is refused with UnmappablePoint."""
+    (`modulus=PRIME`, elements plain ints, in [0, p) in a normal term
+    dict).  A point with no image in F_p (a denominator, or q, is 0 mod
+    p) is refused with UnmappablePoint."""
 
     __slots__ = ("spec", "r", "modulus", "_lift", "_pow", "_q", "_Q", "_e",
                  "_zero", "_one")
@@ -611,9 +626,12 @@ class PointContext:
 
     from_int = from_rational
 
-    def value(self, x):
-        """An element's plain value: itself over Q, `x.v` over F_p."""
-        return x if self.modulus is None else x.v
+    def normal(self, terms: dict) -> dict:
+        """A finished term dict in normal form: as given over Q; over F_p
+        each value reduced into [0, p), and the zeros dropped."""
+        if self.modulus is None:
+            return terms
+        return {k: r for k, v in terms.items() if (r := v % PRIME)}
 
     def zero(self):
         return self._zero
@@ -646,53 +664,3 @@ class PointContext:
 
     def __hash__(self):
         return hash(("PointContext", self.spec, self.modulus))
-
-
-class FpScalar:
-    """A residue mod PRIME, its value `v` stored reduced in [0, PRIME).
-
-    Carries no ring: the point lives in the PointContext, and algebra
-    contexts refuse to mix elements over different rings.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __bool__(self):
-        return bool(self.v)
-
-    def __eq__(self, other):
-        if type(other) is not FpScalar:
-            return NotImplemented
-        return self.v == other.v
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __repr__(self):
-        return f"FpScalar({self.v})"
-
-    def __add__(self, other):
-        try:
-            v = self.v + other.v
-        except AttributeError:
-            return NotImplemented
-        return FpScalar(v - PRIME if v >= PRIME else v)
-
-    def __sub__(self, other):
-        try:
-            v = self.v - other.v
-        except AttributeError:
-            return NotImplemented
-        return FpScalar(v + PRIME if v < 0 else v)
-
-    def __mul__(self, other):
-        try:
-            return FpScalar(self.v * other.v % PRIME)
-        except AttributeError:
-            return NotImplemented
-
-    def __neg__(self):
-        return FpScalar(PRIME - self.v if self.v else 0)

@@ -352,7 +352,7 @@ class SchurContext:
             # boundary: one extra cyclotomic factor joins the u+ part
             N = me.weight.bracket()[idx.k]
             g = g * (algebra.unscaled_jm(N + 1)
-                     - algebra.from_scalar(1) * S.Q(idx.k + 1))
+                     - algebra.from_scalar(S.Q(idx.k + 1)))
         return ModuleElement(target, g * me.elem)
 
     def ef_convention_report(self, specs, star: str = "inverse") -> dict:
@@ -370,8 +370,7 @@ class SchurContext:
                 for idx in self.ef_indices():
                     for kind in ("E", "F"):
                         img = self.ef_apply(idx, kind, x_mu, star=star)
-                        if not (img.elem.is_zero()
-                                or self.certify_membership(img, spec)):
+                        if img.elem and not self.certify_membership(img, spec):
                             checks.append({"mu": mu.to_json(),
                                            "idx": [idx.i, idx.k],
                                            "kind": kind,

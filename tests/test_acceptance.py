@@ -65,7 +65,7 @@ def test_criterion_02_u_product_vanishing_and_freeness():
                     continue
                 ub = ctx.u_minus(bracket_reversed(b))
                 for (c, w) in basis:
-                    if not (ua * ctx.basis_element(c, w) * ub).is_zero():
+                    if ua * ctx.basis_element(c, w) * ub:
                         vanish_ok = False
     free_ok = True
     from math import factorial

@@ -169,6 +169,15 @@ def test_branch_max_dim_exit_three():
     assert code == 3
 
 
+@pytest.mark.parametrize("option,value", [("--samples", "-5"), ("--max-dim", "-1")])
+def test_negative_count_exits_two(option, value, capsys):
+    # a negative count is a user's mistake, not a limit the run exceeded
+    code, out = run_cli(["verify", "relations", "--n", "2", "--r", "1",
+                         option, value])
+    assert (code, out) == (2, "")
+    assert f"{option} must be >= 0" in capsys.readouterr().err
+
+
 def test_wallclock_budget_exit_three():
     code, _ = run_cli(["verify", "relations", "--n", "2", "--r", "2",
                        "--samples", "5", "--max-seconds", "0"])
