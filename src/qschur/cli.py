@@ -79,11 +79,11 @@ def _seed(args) -> int:
 
 
 def _check_counts(args) -> None:
-    """--max-dim and --samples count things: a negative one is a usage
-    error, not a limit the run exceeded."""
-    for name in ("max_dim", "samples"):
-        value = getattr(args, name, 0)
-        if value < 0:
+    """--max-dim and --samples count things and --max-seconds is a time: a
+    negative or NaN one is a usage error, not a limit the run exceeded."""
+    for name in ("max_dim", "samples", "max_seconds"):
+        value = getattr(args, name, None)
+        if value is not None and not value >= 0:
             option = "--" + name.replace("_", "-")
             raise UsageError(f"{option} must be >= 0, got {value}")
 
@@ -149,6 +149,8 @@ def cmd_enum(args) -> int:
         lam_parts, m, r = _shape_args(args, need_lambda=True)
         bounds = MultiShape(tuple(m))
         lam = Multicomposition(lam_parts, m=[max(1, len(c)) for c in lam_parts])
+        if args.mu and args.type:
+            raise UsageError("enum ssyt takes --mu or --type, not both")
         weight = None
         if args.mu:
             weight = Multicomposition(_parse_json_arg(args.mu, "--mu", 2), m=m)
@@ -237,8 +239,6 @@ def cmd_verify(args) -> int:
             sc = SchurContext(n, r, tuple(m), **flags)
             report = sc.verify_basis_independence(
                 sc.weight(lam_parts), seed=seed, max_dim=args.max_dim)
-            report["literal_flags"] = report["flags"] == {
-                "m_convention": "plain", "y_convention": "plain"}
         else:
             report = verify_basis_with_fallback(n, r, tuple(m), lam_parts,
                                                 seed=seed, max_dim=args.max_dim)

@@ -355,16 +355,12 @@ class AlgebraContext:
         return self.perm_sum(young_subgroup(CompositionBlocks(composition)),
                              weight or self.m_convention)
 
-    def coset_sum(self, left_comp, d: Perm, right_comp, weight=None) -> "AKElement":
-        """Sum of T_w over the double coset S_left d S_right, any d in it.
-
-        The weight is the m-convention unless "plain" or "qlen" is asked
-        for; "signed" is not a coset weight."""
-        weight = weight or self.m_convention
-        if weight not in ("plain", "qlen"):
-            raise ValueError(f"unknown weight {weight!r}")
+    def coset_sum(self, left_comp, d: Perm, right_comp) -> "AKElement":
+        """Sum of T_w over the double coset S_left d S_right, any d in it,
+        with the context's m-convention weighting."""
         return self.perm_sum(double_coset(CompositionBlocks(left_comp), d,
-                                          CompositionBlocks(right_comp)), weight)
+                                          CompositionBlocks(right_comp)),
+                             self.m_convention)
 
     def pi(self, a: int, x: Scalar) -> "AKElement":
         """pi_a(x) = (M_1 - x)(M_2 - x)...(M_a - x); pi_0 = 1."""
@@ -415,12 +411,9 @@ class AlgebraContext:
         return self.u_minus(lam.bracket()) * self.young_sum(
             lam.bar(), weight=self.y_convention)
 
-    def m_element(self, lam) -> "AKElement":
-        """The Young-subgroup sum of a multicomposition's bar (or of a
-        plain composition)."""
-        if isinstance(lam, Multicomposition):
-            return self.young_sum(lam.bar())
-        return self.young_sum(tuple(lam))
+    def m_element(self, lam: Multicomposition) -> "AKElement":
+        """The Young-subgroup sum of a multicomposition's bar."""
+        return self.young_sum(lam.bar())
 
     # -- global sanity oracle --------------------------------------------------
 

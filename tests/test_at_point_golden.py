@@ -2,8 +2,8 @@
 
 `data/at_point_golden.json` holds, at fixed rational points, the outputs
 of the checks that run over Q at a point and that no CLI command reaches:
-the two `validated_ef_conventions` reports of (3,2,(2,2)) (neither
-validates, so they come from the `ConventionError`), one validating
+the `validated_ef_conventions` report of (3,2,(2,2)) (it does not
+validate, so it comes from the `ConventionError`), one validating
 `ef_convention_report` at (2,2,(2,2)), `hom_space_images` for
 (2,1,(2,)) under the literal and the fallback flags and for one weight
 pair of (2,2,(2,2)), `module_span(mu, spec).basis()` for three weights

@@ -153,7 +153,10 @@ def test_usage_errors_exit_two():
                  ["enum", "ssyt", "--lambda", "[[2]]", "--m", "[2]",
                   "--type", "[[true,true]]"],
                  ["compute", "h", "--lambda", "[[2]]", "--m", "[2]",
-                  "--tableau", "[[1]]"]):
+                  "--tableau", "[[1]]"],
+                 # --mu and --type name the same weight: both is ambiguous
+                 ["enum", "ssyt", "--lambda", "[[2]]", "--m", "[2]",
+                  "--mu", "[[1,1]]", "--type", "[[2,0]]"]):
         assert run_cli(argv)[0] == 2, argv
 
 
@@ -169,9 +172,12 @@ def test_branch_max_dim_exit_three():
     assert code == 3
 
 
-@pytest.mark.parametrize("option,value", [("--samples", "-5"), ("--max-dim", "-1")])
+@pytest.mark.parametrize("option,value", [("--samples", "-5"), ("--max-dim", "-1"),
+                                          ("--max-seconds", "-1"),
+                                          ("--max-seconds", "nan")])
 def test_negative_count_exits_two(option, value, capsys):
-    # a negative count is a user's mistake, not a limit the run exceeded
+    # a negative count or time is a user's mistake, not a limit the run
+    # exceeded; a NaN time would silently disable the budget
     code, out = run_cli(["verify", "relations", "--n", "2", "--r", "1",
                          option, value])
     assert (code, out) == (2, "")

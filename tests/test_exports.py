@@ -43,10 +43,11 @@ def test_deleted_api_is_gone():
     # one closure through the engine; coset sums from symgrp.double_coset
     for name in ("right_gen_matrices", "_close", "double_coset_sum"):
         assert not hasattr(qschur.AlgebraContext, name)
-    # two ladder operators, chosen by `star` alone; right cosets always
+    # one ladder operator: no `star` or `reps_side` choice
     for name in ("ef_apply", "ef_convention_report"):
         params = inspect.signature(getattr(qschur.SchurContext, name)).parameters
-        assert "star" in params and "reps_side" not in params
+        assert "star" not in params and "reps_side" not in params
+    assert not hasattr(qschur.schur, "_check_ef_convention")
     # names with no caller in the package, and the tests' references
     for owner, name in (
             (qschur.BranchContext, "tau_of_layer"),

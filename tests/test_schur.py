@@ -7,8 +7,9 @@ import pytest
 from conftest import rank_exact, specialize_vector
 from qschur.linalg import RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
-from qschur.schur import (FALLBACK_FLAGS, EFIndex, ModuleElement,
-                          SchurContext, verify_basis_with_fallback)
+from qschur.schur import (FALLBACK_FLAGS, ConventionError, EFIndex,
+                          ModuleElement, SchurContext,
+                          validated_ef_conventions, verify_basis_with_fallback)
 from qschur.symgrp import (CompositionBlocks, compose, invert, length,
                            young_subgroup)
 from qschur.tableaux import enumerate_ssyt, one_A, superstandard, w_lambda
@@ -146,16 +147,6 @@ def test_basis_vector_tables_under_concurrent_readers():
         assert p.ctx is algebra and p == s
 
 
-@pytest.mark.parametrize("star", ["inverted", "right"])
-def test_ef_conventions_reject_unknown_values(schur21, star):
-    x = x_module(schur21, schur21.weight([(2,)]))
-    with pytest.raises(ValueError):
-        schur21.ef_apply(EFIndex(1, 1), "F", x, star=star)
-    with pytest.raises(ValueError):
-        schur21.ef_convention_report([Specialization.random(1, Random(3))],
-                                     star=star)
-
-
 def test_final_slot_is_not_a_ladder_index(schur22):
     # (m_r, r) = (2, 2) has no alpha: refused like every other bad index
     x = x_module(schur22, schur22.weight([(1,), (1,)]))
@@ -200,20 +191,35 @@ def _reference_coset_factor(algebra, target, source, star, reps_side):
                                     (3, 2, (2, 2)), (2, 3, (2, 2, 2)),
                                     (3, 1, (4,))])
 def test_coset_factor_is_the_two_reference_operators(config):
-    # the four (star, side) pairs of the reference are two operators:
-    # left-coset representatives are the inverses of right-coset ones
+    # the ladder's factor is sum q^{l(x)} T_{x^-1} over right-coset
+    # representatives, which is sum q^{l(x)} T_x over left-coset ones: the
+    # left-coset representatives are the inverses of the right-coset ones
     sc = SchurContext(*config)
     alg = sc.algebra
     for target in sc.weights():
         for source in sc.weights():
-            ref = {(star, side): _reference_coset_factor(
-                       alg, target, source, star, side)
-                   for star in ("inverse", "plain")
-                   for side in ("right", "left")}
-            inverse = sc._coset_factor(alg, target, source, "inverse")
-            plain = sc._coset_factor(alg, target, source, "plain")
-            assert inverse == ref["inverse", "right"] == ref["plain", "left"]
-            assert plain == ref["plain", "right"] == ref["inverse", "left"]
+            factor = sc._coset_factor(alg, target, source)
+            assert factor == _reference_coset_factor(
+                alg, target, source, "inverse", "right")
+            assert factor == _reference_coset_factor(
+                alg, target, source, "plain", "left")
+
+
+@pytest.mark.parametrize("config", [(3, 1, (3,)), (3, 2, (1, 2))])
+def test_ef_operator_validates_under_fallback_flags_only(config):
+    # at n = 3 the ladder operator's images are module homomorphisms under
+    # m_convention "qlen" and not under the literal flags, whose failure
+    # carries the one operator's report
+    n, r, m = config
+    rng = Random(1)
+    specs = [Specialization.random(r, rng), Specialization.random(r, rng)]
+    fallback = SchurContext(n, r, m, *FALLBACK_FLAGS)
+    assert validated_ef_conventions(fallback, specs)["validated"]
+    with pytest.raises(ConventionError) as err:
+        validated_ef_conventions(SchurContext(n, r, m), specs)
+    [report] = err.value.reports
+    assert report["star"] == "inverse" and not report["validated"]
+    assert report["failures"]
 
 
 def test_weyl_dim_counts(schur21, schur22):
@@ -236,7 +242,7 @@ def test_independence_under_fallback_flags():
     sc = SchurContext(2, 2, (2, 2), **QLEN)
     for lam in sc.partitions():
         rep = sc.verify_basis_independence(lam, seed=0)
-        assert rep["certified"]
+        assert rep["certified"] and rep["literal_flags"] is False
 
 
 def test_fallback_driver_reports_flags():
@@ -365,9 +371,10 @@ def test_ef_images_in_solved_space(schur22):
 def test_basis_report_schema(schur21):
     rep = schur21.verify_basis_independence(schur21.weight([(2,)]), seed=4)
     for key in ("lambda", "count", "rank", "certified", "flags",
-                "specialization"):
+                "literal_flags", "specialization"):
         assert key in rep
     assert rep["flags"] == {"m_convention": "plain", "y_convention": "plain"}
+    assert rep["literal_flags"] is True
 
 
 @pytest.mark.parametrize("config", [(2, 2, (2, 2)), (3, 2, (2, 2))])
