@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from itertools import combinations_with_replacement
 from math import factorial
 from random import Random
 
@@ -271,15 +272,8 @@ def _lemma24_report(n, r, seed, budget, max_dim, **flags):
     ctx = AlgebraContext(n, r, **flags)
     if ctx.dimension() > max_dim:
         raise ResourceLimit("algebra dimension exceeds --max-dim")
-
-    def rec(prefix, remaining_slots):
-        if remaining_slots == 0:
-            yield prefix + (n,)
-            return
-        for v in range(prefix[-1], n + 1):
-            yield from rec(prefix + (v,), remaining_slots - 1)
-
-    brackets = list(rec((0,), r - 1))
+    brackets = [(0, *c, n)
+                for c in combinations_with_replacement(range(n + 1), r - 1)]
 
     vanish_ok = True
     pairs = 0

@@ -63,6 +63,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from itertools import product
 from math import factorial
 from random import Random
 
@@ -147,15 +148,9 @@ class AlgebraContext:
     def basis_monomials(self):
         """All (c, w) keys in a fixed deterministic order."""
         if self._basis is None:
-            def exps(k):
-                if k == 0:
-                    yield ()
-                    return
-                for rest in exps(k - 1):
-                    for e in range(self.r):
-                        yield rest + (e,)
             with self._lock:
-                self._basis = [(c, w) for c in exps(self.n)
+                self._basis = [(c, w)
+                               for c in product(range(self.r), repeat=self.n)
                                for w in all_permutations(self.n)]
                 self._basis_index = {key: i for i, key in enumerate(self._basis)}
         return self._basis

@@ -32,8 +32,7 @@ from random import Random
 from .hecke import AKElement, AlgebraContext, Multiples
 from .linalg import ResourceLimit, RowSpace, nullspace
 from .ring import PointContext, Specialization
-from .symgrp import (CompositionBlocks, common_refinement, invert,
-                     is_min_coset_rep, young_subgroup)
+from .symgrp import CompositionBlocks, coset_reps, identity, invert
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
                        enumerate_multicompositions, enumerate_ssyt, one_A,
                        w_lambda)
@@ -232,7 +231,7 @@ class SchurContext:
                 "lambda": lam.to_json(),
                 "count": count,
                 "rank": rank,
-                "certified": rank == count == self.weyl_dim_count(lam),
+                "certified": rank == count,
                 "flags": self.flags(),
                 "literal_flags": self.flags() == {"m_convention": "plain",
                                                   "y_convention": "plain"},
@@ -314,15 +313,13 @@ class SchurContext:
     def _coset_factor(self, algebra: AlgebraContext, target: Multicomposition,
                       source: Multicomposition) -> AKElement:
         """sum over X of q^{l(x)} T_{x^-1} over `algebra`: X holds the
-        shortest elements of the right cosets, in the target bar group, of
-        its intersection with the source bar group (the Young subgroup of
-        the common refinement).  Their inverses are the shortest elements
-        of the left cosets, so this is also the left-coset sum of
-        q^{l(x)} T_x."""
-        inter = CompositionBlocks(common_refinement(target.bar(), source.bar()))
-        return algebra.perm_sum(
-            [invert(x) for x in young_subgroup(CompositionBlocks(target.bar()))
-             if is_min_coset_rep(inter, x)], "qlen")
+        shortest elements of the left cosets W_source y, y in the target bar
+        group W_target (`coset_reps` of W_source W_target, which all lie in
+        W_target).  Their inverses are the shortest elements of the cosets
+        y W_source, so this is also the sum of q^{l(x)} T_x over those."""
+        reps = coset_reps(CompositionBlocks(source.bar()), identity(self.n),
+                          CompositionBlocks(target.bar()))
+        return algebra.perm_sum([invert(x) for x in reps], "qlen")
 
     def ef_apply(self, idx: EFIndex, kind: str, me: ModuleElement) -> ModuleElement:
         """Apply the ladder operator (see `_coset_factor`) to a tagged

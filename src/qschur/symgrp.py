@@ -11,7 +11,7 @@ Everything here enumerates explicitly and is intended for n <= ~8.
 
 from __future__ import annotations
 
-from itertools import permutations as _it_permutations
+from itertools import permutations as _it_permutations, product
 
 __all__ = [
     "identity",
@@ -22,11 +22,9 @@ __all__ = [
     "reduced_word",
     "all_permutations",
     "CompositionBlocks",
-    "common_refinement",
     "set_stabilizer",
     "young_subgroup",
-    "is_min_coset_rep",
-    "coset_factorize",
+    "coset_reps",
     "double_coset",
     "double_cosets",
 ]
@@ -119,16 +117,6 @@ class CompositionBlocks:
         return hash(self.composition)
 
 
-def common_refinement(a, b):
-    """The composition cut at the block bounds of both a and b; its Young
-    subgroup is the intersection of theirs."""
-    ba, bb = CompositionBlocks(a), CompositionBlocks(b)
-    if ba.n != bb.n:
-        raise ValueError("size mismatch")
-    cuts = sorted(set(ba.bounds) | set(bb.bounds))
-    return tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
-
-
 def set_stabilizer(n: int, point_sets):
     """All permutations of 1..n fixing each given set of points setwise;
     the sets must be disjoint.  The order is fixed: the sets are taken in
@@ -154,36 +142,49 @@ def young_subgroup(blocks: CompositionBlocks):
     return set_stabilizer(blocks.n, blocks.blocks())
 
 
-def is_min_coset_rep(blocks: CompositionBlocks, w: Perm) -> bool:
-    """Whether w is the minimal-length representative of S_blocks * w."""
-    for blk in blocks.blocks():
-        vals = [w[p - 1] for p in blk]
-        if any(a > b for a, b in zip(vals, vals[1:])):
-            return False
-    return True
+def _arrangements(labels):
+    """The distinct orderings of a sorted tuple of labels, in lexicographic
+    order."""
+    if len(set(labels)) < 2:
+        yield labels
+        return
+    for i, first in enumerate(labels):
+        if i == 0 or first != labels[i - 1]:
+            for tail in _arrangements(labels[:i] + labels[i + 1:]):
+                yield (first,) + tail
 
 
-def coset_factorize(blocks: CompositionBlocks, w: Perm):
-    """The unique (u, d) with u in the Young subgroup, d distinguished,
-    w = u * d and lengths adding."""
-    # d sorts the values of w block-wise; u rearranges within blocks
-    img = list(w)
-    for blk in blocks.blocks():
-        vals = sorted(img[p - 1] for p in blk)
-        for p, v in zip(blk, vals):
-            img[p - 1] = v
-    d = tuple(img)
-    u = compose(w, invert(d))
-    return u, d
+def coset_reps(left: CompositionBlocks, d: Perm, right: CompositionBlocks):
+    """The shortest element of each left coset S_left x in S_left d S_right,
+    each formed once; the first is the shortest element of the double coset.
+
+    Such an x is ascending on each left block, so it is fixed by the left
+    block each value lands in, and x lies in the double coset iff each left
+    block takes as many values of each right block as under d (Geck-Pfeiffer
+    2000, 2.1).  So each right block's values are dealt out to the left
+    blocks in every distinct order; the first deal gives each right block's
+    smallest values to the earliest left blocks."""
+    if not left.n == len(d) == right.n:
+        raise ValueError("size mismatch")
+    left_of = [i for i, blk in enumerate(left.blocks()) for _ in blk]
+    right_of = [j for j, blk in enumerate(right.blocks()) for _ in blk]
+    # per right block, the left blocks its values land in under d, sorted
+    labels = [[] for _ in right.composition]
+    for p, v in enumerate(d):
+        labels[right_of[v - 1]].append(left_of[p])
+    reps = []
+    for deal in product(*(_arrangements(tuple(ls)) for ls in labels)):
+        # the left block of each value; right blocks hold ascending runs
+        block_of = [i for ls in deal for i in ls]
+        reps.append(tuple(v + 1 for v in sorted(range(left.n),
+                                                key=block_of.__getitem__)))
+    return reps
 
 
 def double_coset(left: CompositionBlocks, d: Perm, right: CompositionBlocks):
     """The double coset S_left d S_right as a frozenset, each element formed
-    once: the left cosets S_left x of the distinct shortest x in S_left d v,
-    v in S_right."""
-    if not left.n == len(d) == right.n:
-        raise ValueError("size mismatch")
-    reps = {coset_factorize(left, compose(d, v))[1] for v in young_subgroup(right)}
+    once as u x, u in S_left and x in `coset_reps`."""
+    reps = coset_reps(left, d, right)
     return frozenset(compose(u, x) for u in young_subgroup(left) for x in reps)
 
 
@@ -195,15 +196,10 @@ def double_cosets(left: CompositionBlocks, right: CompositionBlocks):
     """
     seen = set()
     out = []
-    for w in all_permutations(left.n):
-        if w in seen:
-            continue
-        coset = double_coset(left, w, right)
-        seen |= coset
-        minlen = min(length(x) for x in coset)
-        reps = [x for x in coset if length(x) == minlen]
-        if len(reps) != 1:
-            raise AssertionError("double coset has no unique minimal element")
-        out.append((reps[0], coset))
+    for x in coset_reps(left, identity(left.n), CompositionBlocks((left.n,))):
+        if x not in seen:
+            coset = double_coset(left, x, right)
+            seen |= coset
+            out.append((coset_reps(left, x, right)[0], coset))
     out.sort(key=lambda item: item[0])
     return out

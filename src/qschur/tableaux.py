@@ -238,8 +238,6 @@ def enumerate_multicompositions(n, shape: MultiShape, partitions_only=False):
         gen = _partitions_of if partitions_only else _compositions_of
         for size in range(remaining + 1):
             for comp in gen(size, shape.m[k]):
-                if sum(comp) != size:
-                    continue
                 for rest in rec(k + 1, remaining - size):
                     yield (comp,) + rest
 

@@ -78,7 +78,11 @@ def test_deleted_api_is_gone():
             (qschur.schur, "WeylBasisVector"),
             (qschur, "WeylBasisVector"),
             (qschur.AlgebraContext, "word"),
-            (qschur.AlgebraContext, "_rmul_term")):
+            (qschur.AlgebraContext, "_rmul_term"),
+            # one routine for shortest coset representatives
+            (qschur.symgrp, "coset_factorize"),
+            (qschur.symgrp, "is_min_coset_rep"),
+            (qschur.symgrp, "common_refinement")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     # options that only ever took one value
     params = inspect.signature(qschur.BranchContext.branch_dim_identity).parameters

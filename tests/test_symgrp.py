@@ -4,11 +4,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.symgrp import (CompositionBlocks, all_permutations,
-                           common_refinement, compose, coset_factorize,
-                           double_coset, double_cosets,
-                           identity, invert, is_min_coset_rep, length,
-                           reduced_word, transposition, young_subgroup)
+from qschur.symgrp import (CompositionBlocks, all_permutations, compose,
+                           coset_reps, double_coset, double_cosets,
+                           identity, invert, length, reduced_word,
+                           transposition, young_subgroup)
 
 
 def test_length_examples():
@@ -68,67 +67,41 @@ def test_young_subgroup_size():
         assert len(young_subgroup(bl)) == expected
 
 
-def _compositions(n):
-    """Compositions of n, zero parts allowed, as cuts of [0, n]."""
-    def parts(cuts):
-        bounds = [0] + sorted(cuts) + [n]
-        return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    return st.lists(st.integers(0, n), max_size=n + 1).map(parts)
-
-
-def test_common_refinement_examples():
-    assert common_refinement((2, 1), (1, 2)) == (1, 1, 1)
-    assert common_refinement((3, 0, 2), (4, 1)) == (3, 1, 1)
-    assert common_refinement((2, 2), (2, 2)) == (2, 2)
-    with pytest.raises(ValueError):
-        common_refinement((2,), (1, 2))
-
-
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.tuples(_compositions(n), _compositions(n))))
-def test_common_refinement_subgroup_is_the_intersection(pair):
-    a, b = pair
-    both = common_refinement(a, b)
-    assert sum(both) == sum(a) and 0 not in both
-    assert set(young_subgroup(CompositionBlocks(both))) == \
-        set(young_subgroup(CompositionBlocks(a))) & \
-        set(young_subgroup(CompositionBlocks(b)))
+def left_coset_reps(bl):
+    """The shortest element of each left coset S_blocks w in S_n."""
+    return coset_reps(bl, identity(bl.n), CompositionBlocks((bl.n,)))
 
 
 def test_coset_reps_examples():
-    def reps_min(comp):
-        bl = CompositionBlocks(comp)
-        return [w for w in all_permutations(bl.n) if is_min_coset_rep(bl, w)]
-
-    assert reps_min((3,)) == [identity(3)]
-    assert set(reps_min((1, 1))) == {(1, 2), (2, 1)}
-    reps = reps_min((2, 1))
-    # {id, s2, s2*s1}
+    assert left_coset_reps(CompositionBlocks((3,))) == [identity(3)]
+    assert left_coset_reps(CompositionBlocks((1, 1))) == [(1, 2), (2, 1)]
+    # {id, s2, s2*s1}, the first the shortest
     s1, s2 = transposition(3, 1), transposition(3, 2)
-    assert set(reps) == {identity(3), s2, compose(s2, s1)}
+    assert left_coset_reps(CompositionBlocks((2, 1))) == \
+        [identity(3), s2, compose(s2, s1)]
+
+
+def check_coset_factorization(comp):
+    """Every w in S_n is u x for exactly one u in S_blocks and one x in
+    `coset_reps`, with lengths adding."""
+    bl = CompositionBlocks(comp)
+    factors = {}
+    for u in young_subgroup(bl):
+        for x in left_coset_reps(bl):
+            w = compose(u, x)
+            assert w not in factors
+            assert length(u) + length(x) == length(w)
+            factors[w] = (u, x)
+    assert set(factors) == set(all_permutations(bl.n))
 
 
 def test_coset_factorization_unique():
     for comp in [(2, 1), (1, 2), (2, 2), (1, 1, 2), (3, 1), (2, 1, 1)]:
-        bl = CompositionBlocks(comp)
-        Y = young_subgroup(bl)
-        D = [w for w in all_permutations(bl.n) if is_min_coset_rep(bl, w)]
-        for w in all_permutations(bl.n):
-            pairs = [(u, d) for u in Y for d in D if compose(u, d) == w]
-            assert len(pairs) == 1
-            u, d = pairs[0]
-            assert length(u) + length(d) == length(w)
-            assert coset_factorize(bl, w) == (u, d)
+        check_coset_factorization(comp)
 
 
 def test_coset_factorization_n5():
-    bl = CompositionBlocks((3, 2))
-    Y = set(young_subgroup(bl))
-    for w in all_permutations(5):
-        u, d = coset_factorize(bl, w)
-        assert u in Y and is_min_coset_rep(bl, d)
-        assert compose(u, d) == w
-        assert length(u) + length(d) == length(w)
+    check_coset_factorization((3, 2))
 
 
 def test_double_cosets_trivial_cases():
@@ -203,3 +176,16 @@ def compositions_of(n):
     lambda n: st.tuples(compositions_of(n), compositions_of(n))))
 def test_double_coset_equals_all_products(pair):
     check_double_coset(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(compositions_of(n), compositions_of(n))))
+def test_coset_reps_deal_each_left_coset_once(pair):
+    lb, rb = (CompositionBlocks(c) for c in pair)
+    for d, coset in all_products_cosets(lb, rb).items():
+        reps = coset_reps(lb, d, rb)
+        assert len(set(reps)) == len(reps)
+        assert double_coset(lb, d, rb) == coset
+        shortest = min(length(x) for x in coset)
+        assert [x for x in coset if length(x) == shortest] == [reps[0]]

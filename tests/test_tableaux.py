@@ -5,8 +5,7 @@ from math import comb
 import pytest
 
 from qschur.symgrp import (CompositionBlocks, all_permutations, compose,
-                           identity, invert, is_min_coset_rep, length,
-                           young_subgroup)
+                           coset_reps, identity, invert, young_subgroup)
 from qschur.tableaux import (MultiShape, Multicomposition, NumericTableau,
                              TypedTableau, addable_nodes, bar_tableau,
                              bracket_leq, bracket_reversed,
@@ -235,9 +234,10 @@ def test_w_S_lands_in_distinguished_set():
         shape = MultiShape(m)
         lam = Multicomposition(lam_parts, m=[max(1, len(c)) for c in lam_parts])
         for A in enumerate_ssyt(lam, shape):
+            # 1_A is the shortest element of S_type 1_A S_lam
             d = one_A(A)
-            blocks = CompositionBlocks(A.type_weight().bar())
-            assert is_min_coset_rep(blocks, d)
+            assert d == coset_reps(CompositionBlocks(A.type_weight().bar()), d,
+                                   CompositionBlocks(lam.bar()))[0]
 
 
 def test_bar_of_semistandard_is_row_standard():
