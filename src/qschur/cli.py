@@ -293,9 +293,9 @@ def _lemma24_report(n, r, seed, budget, max_dim, **flags):
 
     def freeness(a):
         def fill(algebra, add):
-            va = algebra.v_element(a)
+            va, one = algebra.v_element(a), algebra.scalars.one()
             for w in all_permutations(n):
-                add(va * algebra.T(w))
+                add([(one, va * algebra.T(w))])
             budget.check()
         return factorial(n), fill
 

@@ -17,7 +17,10 @@ applied as its generator word q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1},
 once per monomial.  The context memoises T_j per term on the left
 (`_lmul_term`) and the overflowing L_i entries (`_lmul_L_term`), and keeps
 one `Multiples(T_j)` per generator for right multiplication: its entry
-(L^c T_w) T_j is made from a shorter one, so terms share prefixes.
+(L^c T_w) T_j is made from a shorter one, so terms share prefixes.  An
+entry of T_j, j >= 1, is read off one cached row per (c_j, c_{j+1},
+w(j) < w(j+1)) (`_exchange_row`), whose terms are merged and in the
+ring's normal form already.
 
 Sparse sums go through one helper, `_accumulate`, which adds (key,
 scalar) pairs into a term dict and drops keys that cancel.  Multiplying by
@@ -25,7 +28,8 @@ a per-term table (`AKElement._termwise`) keeps its own copy of that loop
 inline: it is the innermost loop of every product, and the extra call per
 term made basis certification measurably slower.  Every path that
 finishes a term dict hands it to the ring's `normal`, so equal elements
-have equal term dicts in every ring.
+have equal term dicts in every ring; an `_exchange_row` is finished so
+once, for all the entries read off it.
 
 General products a * b walk the weak order: `Multiples(b)` makes each
 L^c T_w b from a shorter multiple by one T_j or L_i step.  Correctness is
@@ -46,12 +50,15 @@ elements, so the plain `Fraction`s and ints of the rings at a point serve
 as they are.  Any ring with that protocol works.  The generic ring
 parses, prints and computes; every check at a rational point builds its
 elements over `PointContext`, the image of the generic ring at the point,
-over Q or F_p, and reads them with `vector()`.  `ranks_at` is the one rank certificate at a point, used by
-the closure dimension, the basis certificate in `schur` and the lemma-2.4
-freeness ranks: it builds each block over F_p at the point, where a full
-rank is a full rank at the point because reduction is a ring homomorphism,
-and rebuilds only a block short mod p (or every block, when the point does
-not map to F_p) over Q to rank it exactly.
+over Q or F_p, and reads them with `vector()`.  `ranks_at` is the one
+rank certificate at a point, used by the closure dimension, the basis
+certificate in `schur` and the lemma-2.4 freeness ranks: it builds each
+block over F_p at the point, where a full rank is a full rank at the point
+because reduction is a ring homomorphism, and rebuilds only a block short
+mod p (or every block, when the point does not map to F_p) over Q to rank
+it exactly.  Each build is ranked on random column subsets first, a
+projection that can only lose rank too, and on all columns only when
+those come out short.
 
 Contexts memoise term-level products behind an RLock, so a context and the
 elements created under it are safe for concurrent read use from multiple
@@ -70,9 +77,8 @@ from random import Random
 from .linalg import ResourceLimit, RowSpace
 from .ring import (PRIME, PointContext, Scalar, ScalarContext, ScalarRing,
                    Specialization, UnmappablePoint)
-from .symgrp import (CompositionBlocks, Perm, all_permutations,
-                     double_coset, identity, length, reduced_word,
-                     transposition, young_subgroup)
+from .symgrp import (CompositionBlocks, all_permutations, identity, length,
+                     reduced_word, transposition, young_subgroup)
 from .tableaux import Multicomposition, bracket_reversed, w_lambda
 
 __all__ = ["AlgebraContext", "AKElement", "Multiples"]
@@ -89,6 +95,27 @@ def _accumulate(scalars: ScalarRing, out: dict, pairs) -> dict:
         else:
             out[key] = cur
     return scalars.normal(out)
+
+
+def _coordinates(vec, cols, pos) -> list:
+    """The entries on the keys `cols` (`pos` maps each to its place) of
+    the sum of scalar * element over the (scalar, element) pairs `vec`,
+    unreduced; each pair is read by its terms or by the keys, whichever
+    is fewer."""
+    row = [0] * len(cols)
+    for scal, e in vec:
+        terms = e.terms
+        if len(terms) < len(cols):
+            for key, v in terms.items():
+                i = pos.get(key)
+                if i is not None:
+                    row[i] += scal * v
+        else:
+            for i, key in enumerate(cols):
+                v = terms.get(key)
+                if v is not None:
+                    row[i] += scal * v
+    return row
 
 
 class AlgebraContext:
@@ -121,6 +148,7 @@ class AlgebraContext:
         self.scalars = scalars
         self._lock = threading.RLock()
         self._exchange = {}      # (a, b) -> (A, B) monomial dicts
+        self._exchange_rows = {}  # (a, b, up) -> row of `_exchange_row`
         self._lmul_terms = {}    # (j, c, w) -> tuple of ((c', w'), scalar)
         self._lmul_L_terms = {}  # (i, c, w) -> tuple of ((c', w'), scalar)
         self._rmul_tables = {}   # j -> Multiples(T_j)
@@ -260,42 +288,62 @@ class AlgebraContext:
     # -- term-level multiplication ---------------------------------------------
 
     def _lmul_term(self, j: int, c, w):
-        """T_j * (L^c T_w) as a tuple of ((c', w'), scalar)."""
+        """T_j * (L^c T_w) as a tuple of ((c', w'), scalar).
+
+        For j >= 1 the entry is read off the cached row of
+        (c_j, c_{j+1}, w(j) < w(j+1)) from `_exchange_row`: its terms are
+        merged and in the ring's normal form, and distinct in the entry,
+        so nothing is summed or normalised per entry."""
         key = (j, c, w)
         with self._lock:
             cached = self._lmul_terms.get(key)
         if cached is not None:
             return cached
         S = self.scalars
-
-        def pairs():
-            if j == 0:
-                c1 = c[0] + 1
-                if c1 < self.r:
-                    yield ((c1,) + c[1:], w), S.one()
-                    return
+        if j == 0:
+            c1 = c[0] + 1
+            if c1 < self.r:
+                result = ((((c1,) + c[1:], w), S.one()),)
+            else:
                 # L_1^r = e_1 L_1^{r-1} - e_2 L_1^{r-2} + ... -+ e_r
-                for k in range(1, self.r + 1):
-                    coeff = S.elementary_symmetric(k)
-                    yield ((self.r - k,) + c[1:], w), coeff if k % 2 else -coeff
-                return
-            A, B = self.exchange(c[j - 1], c[j])
-            up = w[j - 1] < w[j]
+                row = _accumulate(S, {}, (
+                    (self.r - k, S.elementary_symmetric(k) if k % 2
+                     else -S.elementary_symmetric(k))
+                    for k in range(1, self.r + 1)))
+                result = tuple((((x,) + c[1:], w), s) for x, s in row.items())
+        else:
+            head, tail = c[:j - 1], c[j + 1:]
             wswap = w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
-            cq = S.q(1) - S.q(-1)
-            for (x, y), coeff in A.items():
-                ck = c[:j - 1] + (x, y) + c[j + 1:]
-                # T_j T_w: either lengths add or the quadratic relation fires
-                yield (ck, wswap), coeff
-                if not up:
-                    yield (ck, w), coeff * cq
-            for (x, y), coeff in B.items():
-                yield (c[:j - 1] + (x, y) + c[j + 1:], w), coeff
-
-        result = tuple(_accumulate(S, {}, pairs()).items())
+            result = tuple(((head + xy + tail, wswap if swap else w), s)
+                           for xy, swap, s in self._exchange_row(
+                               c[j - 1], c[j], w[j - 1] < w[j]))
         with self._lock:
             self._lmul_terms[key] = result
         return result
+
+    def _exchange_row(self, a: int, b: int, up: bool):
+        """T_j L_j^a L_{j+1}^b T_w for any j >= 1 and any w with w(j) <
+        w(j+1) exactly when `up`, as a tuple of ((x, y), swapped, scalar):
+        one term L_j^x L_{j+1}^y T_{w'} each, w' = s_j w when swapped and w
+        otherwise, merged and in the ring's normal form."""
+        key = (a, b, up)
+        with self._lock:
+            row = self._exchange_rows.get(key)
+            if row is None:
+                S = self.scalars
+                A, B = self.exchange(a, b)
+                cq = S.q(1) - S.q(-1)
+                pairs = []
+                for xy, coeff in A.items():
+                    # T_j T_w: either lengths add or the quadratic relation fires
+                    pairs.append(((xy, True), coeff))
+                    if not up:
+                        pairs.append(((xy, False), coeff * cq))
+                pairs += [((xy, False), coeff) for xy, coeff in B.items()]
+                row = self._exchange_rows[key] = tuple(
+                    (xy, swap, s)
+                    for (xy, swap), s in _accumulate(S, {}, pairs).items())
+        return row
 
     def _lmul_L_term(self, i: int, c, w):
         """L_i * (L^c T_w) as a tuple of ((c', w'), scalar).
@@ -349,13 +397,6 @@ class AlgebraContext:
         m-convention weighting unless an explicit weight is requested."""
         return self.perm_sum(young_subgroup(CompositionBlocks(composition)),
                              weight or self.m_convention)
-
-    def coset_sum(self, left_comp, d: Perm, right_comp) -> "AKElement":
-        """Sum of T_w over the double coset S_left d S_right, any d in it,
-        with the context's m-convention weighting."""
-        return self.perm_sum(double_coset(CompositionBlocks(left_comp), d,
-                                          CompositionBlocks(right_comp)),
-                             self.m_convention)
 
     def pi(self, a: int, x: Scalar) -> "AKElement":
         """pi_a(x) = (M_1 - x)(M_2 - x)...(M_a - x); pi_0 = 1."""
@@ -421,19 +462,34 @@ class AlgebraContext:
             raise ResourceLimit(f"closure dimension {D} exceeds limit {max_dim}")
         if spec is None:
             spec = Specialization.random(self.r, Random(seed))
-        return self.ranks_at(spec, [(D, lambda algebra, add: algebra.one()
-                                     .closure(AKElement.lmul_gen, add))])[0]
+
+        def fill(algebra, add):
+            one = algebra.scalars.one()
+            algebra.one().closure(AKElement.lmul_gen, lambda e: add([(one, e)]))
+        return self.ranks_at(spec, [(D, fill)])[0]
 
     def ranks_at(self, spec: Specialization, blocks) -> list[int]:
-        """Rank at the rational point `spec` of each block of elements.
+        """Rank at the rational point `spec` of each block of vectors.
 
         A block is a pair (size, fill): `fill(algebra, add)` builds the
-        block's elements over `algebra` and passes each to `add`, which
-        returns whether the span grew.  Every block is built over F_p at
-        the point first; a rank that reaches `size` there is that rank at
-        the point, since reduction can only lose rank.  A block short mod
-        p, or every block when the point does not map to F_p, is rebuilt
-        over Q at the point and ranked exactly.
+        block's vectors over `algebra` and passes each to `add` as a list
+        of (scalar, element) pairs, the vector being the sum of scalar *
+        element.  The basis vectors of `schur` come as h_A = sum over d of
+        c(d) T_d z_lam: the pairs (c(d), T_d z_lam), read from one table
+        per lam, so no h_A is summed.
+
+        Every block is built once over F_p at the point; a block short
+        there, or every block when the point does not map to F_p, is built
+        once over Q at the point.  A block of b < D vectors (D the
+        dimension) is ranked on min(b + 8, D) columns, then on 16 b + 256,
+        then on all D; the columns are drawn from a `Random` seeded by the
+        point's JSON, and a coordinate is summed from the pairs' terms on
+        its key, so nothing dense is formed before the last stage.
+        Projection onto columns, like evaluation and reduction, is linear
+        and can only lose rank, so a rank of b at any stage is the rank at
+        the point; a block short on all D columns over Q is ranked exactly.
+        A block of D vectors or more (a closure) is ranked on all D columns
+        as it is built, and there `add` returns whether the span grew.
         """
         algebras = []
         try:
@@ -441,16 +497,37 @@ class AlgebraContext:
         except UnmappablePoint:
             pass
         algebras.append(self.over(PointContext(spec)))
-        D = self.dimension()
+        rng = Random(json.dumps(spec.to_json()))
         ranks = []
         for size, fill in blocks:
             for algebra in algebras:
-                space = RowSpace(D, modulus=algebra.scalars.modulus)
-                fill(algebra, lambda e: space.add(e.vector()))
-                if space.rank >= size:
+                rank = self._block_rank(algebra, size, fill, rng)
+                if rank >= size:
                     break
-            ranks.append(space.rank)
+            ranks.append(rank)
         return ranks
+
+    def _block_rank(self, algebra, size, fill, rng) -> int:
+        """The rank over `algebra` of one `ranks_at` block, by its stages."""
+        D, modulus = self.dimension(), algebra.scalars.modulus
+        keys, index = self.basis_monomials(), self.basis_index()
+        if size >= D:
+            space = RowSpace(D, modulus)
+            fill(algebra, lambda vec: space.add(_coordinates(vec, keys, index)))
+            return space.rank
+        vectors = []
+        fill(algebra, vectors.append)
+        for k in (size + 8, 16 * size + 256, D):
+            if k < D:
+                cols = [keys[i] for i in sorted(rng.sample(range(D), k))]
+                pos = {key: i for i, key in enumerate(cols)}
+            else:
+                k, cols, pos = D, keys, index
+            space = RowSpace(k, modulus)
+            for vec in vectors:
+                space.add(_coordinates(vec, cols, pos))
+            if space.rank == size or k == D:
+                return space.rank
 
     def relation_reports(self) -> dict:
         """Each defining relation checked as an identity of left
@@ -558,6 +635,12 @@ class Multiples:
         """a * b, one pass over the terms of `a`."""
         a.ctx.compatible(self.ctx)
         return a._termwise(lambda _, c, w: self._entry(c, w).terms.items(), None)
+
+    def summands(self, a: "AKElement"):
+        """a * b left unsummed: the pairs (coefficient, L^c T_w b), one per
+        term of `a`."""
+        a.ctx.compatible(self.ctx)
+        return [(coeff, self._entry(c, w)) for (c, w), coeff in a.terms.items()]
 
 
 class AKElement:

@@ -5,13 +5,24 @@ cyclic generator x_mu; the module generator z_lam, the semistandard basis
 vectors h_A, exact independence certification, the weight idempotents and
 the E/F ladder operators all live here.
 
+The basis vector h_A is (sum of c(w) T_w over the double coset W_mu 1_A
+W_lam) u+_{[lam]} T_{w_lam} y_{lam'}, c(w) being 1 or q^{l(w)}.  Each w
+there is d v with d the shortest element of d W_lam, v in W_lam, and the
+lengths adding, so c(w) = c(d) c(v); the v-sum m_lam commutes with u+,
+as W_lam lies inside the bracket blocks, and u+ m_lam = x_lam.  Hence
+h_A = sum over d of c(d) T_d z_lam: one `Multiples(z_lam)` table per lam
+serves every h_A of lam, with one entry per distinguished coset
+representative d (the inverses of `coset_reps` of W_lam 1_A^-1 W_mu).
+
 Independence of the basis maps is certified per type block: maps whose
 images lie in different weight summands never mix, so the certified rank
 is the sum over types mu of the rank of {h_A : A of type mu} at a random
 rational point, the point the report prints.  Each block is one
-`AlgebraContext.ranks_at` block: the h_A are built over whatever algebra
-it hands in, and it decides how the rank at the point is certified.  A
-shortfall at the point is inconclusive and is retried at fresh points.
+`AlgebraContext.ranks_at` block: each h_A comes as its summands (c(d),
+T_d z_lam) over whatever algebra it hands in, and it decides how the
+rank at the point is certified, on column subsets first, without summing
+h_A.  A shortfall at the point is inconclusive and is retried at fresh
+points.
 
 Module spans, membership, the E/F convention checks and the hom-space
 oracle build x_mu, the ladder images and every product over
@@ -68,6 +79,12 @@ class EFIndex:
 
     i: int
     k: int
+
+
+def _z_element(algebra: AlgebraContext, lam: Multicomposition) -> AKElement:
+    """z_lam = x_lam T_{w_lam} y_{lam'} over `algebra`."""
+    w, _ = w_lambda(lam)
+    return algebra.x_element(lam) * algebra.T(w) * algebra.y_element(lam.dual())
 
 
 class SchurContext:
@@ -149,21 +166,33 @@ class SchurContext:
         if key not in self._z_cache:
             if not lam.is_partition():
                 raise ValueError("z is defined for multipartitions")
-            w, _ = w_lambda(lam)
-            z = self.x_element(lam) * self.algebra.T(w) \
-                * self.algebra.y_element(lam.dual())
-            self._z_cache[key] = z
+            self._z_cache[key] = _z_element(self.algebra, lam)
         return self._z_cache[key]
 
     def basis_vector(self, lam: Multicomposition, mu: Multicomposition,
                      A: TypedTableau,
                      algebra: AlgebraContext | None = None) -> AKElement:
-        """h_A = (sum over the double coset of 1_A) u+_{[lam]} T_{w_lam}
-        y_{lam'}; for the superstandard tableau this equals z_lam.
+        """h_A = (sum over the double coset W_mu 1_A W_lam of c(w) T_w)
+        u+_{[lam]} T_{w_lam} y_{lam'} = sum over d of c(d) T_d z_lam; for
+        the superstandard tableau this is z_lam (see `basis_summands`).
 
         Built over `algebra` (this context's by default; the at-point
-        checks pass one over F_p or Q) from one `Multiples(u+_{[lam]}
-        T_{w_lam} y_{lam'})` per lam, kept for the last algebra asked for."""
+        checks pass one over F_p or Q)."""
+        cs, table = self._coset_reps_sum(lam, mu, A, algebra)
+        return table.left(cs)
+
+    def basis_summands(self, lam: Multicomposition, mu: Multicomposition,
+                       A: TypedTableau, algebra: AlgebraContext | None = None):
+        """h_A left unsummed: the pairs (c(d), T_d z_lam) of
+        `Multiples.summands`, one per distinguished coset representative d
+        (see the module docstring)."""
+        cs, table = self._coset_reps_sum(lam, mu, A, algebra)
+        return table.summands(cs)
+
+    def _coset_reps_sum(self, lam, mu, A, algebra):
+        """(sum of c(d) T_d over the d of `basis_summands`, Multiples(z_lam)),
+        both over `algebra`; one table per lam, kept for the last algebra
+        asked for."""
         if A.shape != lam or A.type_weight() != mu:
             raise ValueError("tableau does not match (lam, mu)")
         if not A.is_semistandard():
@@ -175,11 +204,13 @@ class SchurContext:
             owner, tables = self._tables = (algebra, {})
         table = tables.get(lam.parts)
         if table is None:
-            w, _ = w_lambda(lam)
-            table = tables[lam.parts] = Multiples(algebra.u_plus(
-                lam.bracket()) * algebra.T(w) * algebra.y_element(lam.dual()))
-        cs = algebra.coset_sum(mu.bar(), one_A(A), lam.bar())
-        return table.left(cs)
+            table = tables[lam.parts] = Multiples(_z_element(algebra, lam))
+        # the inverses of the shortest elements of the cosets W_lam x in
+        # W_lam 1_A^-1 W_mu are the shortest elements of the d W_lam
+        reps = coset_reps(CompositionBlocks(lam.bar()), invert(one_A(A)),
+                          CompositionBlocks(mu.bar()))
+        cs = algebra.perm_sum([invert(x) for x in reps], algebra.m_convention)
+        return cs, table
 
     def tableaux_by_type(self, lam: Multicomposition):
         """All semistandard lam-tableaux grouped by their type weight."""
@@ -213,7 +244,7 @@ class SchurContext:
         def block(mu, As):
             def fill(algebra, add):
                 for A in As:
-                    add(self.basis_vector(lam, mu, A, algebra))
+                    add(self.basis_summands(lam, mu, A, algebra))
             return len(As), fill
 
         fills = [block(mu, As) for mu, As in groups]

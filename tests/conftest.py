@@ -2,6 +2,8 @@
 the package against: a Bareiss rank for `RowSpace`, term-by-term
 evaluation of generic scalars and elements for the at-point rings, the
 word-expansion product for the weak-order product `Multiples`, the
+per-term exchange formula for the cached rows of `_lmul_term`, the
+literal double-coset sum for the h_A of `SchurContext.basis_vector`, the
 closure that steps by every generator for the pruned `AKElement.closure`,
 and random generic scalars and elements."""
 
@@ -9,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from qschur.hecke import AKElement, AlgebraContext
+from qschur.hecke import AKElement, AlgebraContext, _accumulate
 from qschur.linalg import _integer_row
 from qschur.schur import SchurContext
-from qschur.symgrp import reduced_word
+from qschur.symgrp import CompositionBlocks, double_coset, reduced_word
 
 
 def rank_exact(matrix) -> int:
@@ -95,6 +97,48 @@ def word_product(a, b):
                 e = e._lmul_L(i)
         out = out + e.scale(coeff)
     return out
+
+
+def lmul_term(ctx, j, c, w):
+    """T_j * (L^c T_w) as a term dict, by the exchange formula term by
+    term: the reference for `AlgebraContext._lmul_term`, which reads its
+    entries off cached rows."""
+    S = ctx.scalars
+
+    def pairs():
+        if j == 0:
+            c1 = c[0] + 1
+            if c1 < ctx.r:
+                yield ((c1,) + c[1:], w), S.one()
+                return
+            # L_1^r = e_1 L_1^{r-1} - e_2 L_1^{r-2} + ... -+ e_r
+            for k in range(1, ctx.r + 1):
+                coeff = S.elementary_symmetric(k)
+                yield ((ctx.r - k,) + c[1:], w), coeff if k % 2 else -coeff
+            return
+        A, B = ctx.exchange(c[j - 1], c[j])
+        up = w[j - 1] < w[j]
+        wswap = w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
+        cq = S.q(1) - S.q(-1)
+        for (x, y), coeff in A.items():
+            ck = c[:j - 1] + (x, y) + c[j + 1:]
+            # T_j T_w: either lengths add or the quadratic relation fires
+            yield (ck, wswap), coeff
+            if not up:
+                yield (ck, w), coeff * cq
+        for (x, y), coeff in B.items():
+            yield (c[:j - 1] + (x, y) + c[j + 1:], w), coeff
+
+    return _accumulate(S, {}, pairs())
+
+
+def coset_sum(algebra, left_comp, d, right_comp):
+    """Sum of T_w over the double coset S_left d S_right, any d in it, with
+    the algebra's m-convention weighting: the literal definition, the
+    reference for the coset representative sums of `basis_vector`."""
+    return algebra.perm_sum(double_coset(CompositionBlocks(left_comp), d,
+                                         CompositionBlocks(right_comp)),
+                            algebra.m_convention)
 
 
 def unpruned_closure(seed, step, add) -> None:

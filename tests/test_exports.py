@@ -40,8 +40,10 @@ def test_deleted_api_is_gone():
     assert not hasattr(qschur.AKElement, "residue_vector")
     for name in ("_apply_right", "_right_word", "_apply_right_gen"):
         assert not hasattr(qschur.SchurContext, name)
-    # one closure through the engine; coset sums from symgrp.double_coset
-    for name in ("right_gen_matrices", "_close", "double_coset_sum"):
+    # one closure through the engine; h_A from coset representatives, the
+    # double-coset sum kept as the tests' reference
+    for name in ("right_gen_matrices", "_close", "double_coset_sum",
+                 "coset_sum"):
         assert not hasattr(qschur.AlgebraContext, name)
     # one ladder operator: no `star` or `reps_side` choice
     for name in ("ef_apply", "ef_convention_report"):

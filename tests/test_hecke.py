@@ -8,8 +8,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (random_element, random_scalar, rank_exact, specialize,
-                      specialize_vector, unpruned_closure, word_product)
+from conftest import (coset_sum, lmul_term, random_element, random_scalar,
+                      rank_exact, specialize, specialize_vector,
+                      unpruned_closure, word_product)
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import ResourceLimit, RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
@@ -225,6 +226,32 @@ def test_lmul_L_table_matches_word_path(n, r, ring, seed):
             assert e._lmul_L(j)._lmul_L(i) == e._lmul_L(i)._lmul_L(j)
 
 
+#: Q-values at which an elementary symmetric e_k vanishes (e_1 at r = 2,
+#: e_2 at r = 3), so the cyclotomic row of T_0 loses a term
+DEGENERATE_Q = {1: (Fraction(5),), 2: (Fraction(3), Fraction(-3)),
+                3: (Fraction(1), Fraction(2), Fraction(-2, 3))}
+
+
+@pytest.mark.parametrize("ring", ["generic", "Q", "F_p"])
+@pytest.mark.parametrize("n,r", [(3, 2), (2, 3), (4, 1)])
+def test_lmul_term_rows_match_per_term_formula(n, r, ring):
+    # at q = -1, q - q^-1 vanishes too, and the quadratic terms of the
+    # exchange rows cancel
+    if ring == "generic":
+        rings = [None]
+    else:
+        modulus = PRIME if ring == "F_p" else None
+        rings = [PointContext(spec, modulus) for spec in (
+            Specialization.random(r, Random(n * r)),
+            Specialization(Fraction(-1), DEGENERATE_Q[r]))]
+    for scalars in rings:
+        ctx = AlgebraContext(n, r, scalars=scalars)
+        for j in range(n):
+            for c, w in ctx.basis_monomials():
+                expected = lmul_term(ctx, j, c, w)
+                assert ctx._lmul_term(j, c, w) == tuple(expected.items())
+
+
 # -- products along the weak order ---------------------------------------------------
 
 PRODUCT_CONTEXTS = {(n, r): AlgebraContext(n, r)
@@ -317,13 +344,13 @@ def test_x_commutation_all_weights():
 
 
 def test_double_coset_sum_examples(ak22, ak32):
-    assert ak22.coset_sum((2,), identity(2), (2,)) == \
+    assert coset_sum(ak22, (2,), identity(2), (2,)) == \
         ak22.one() + ak22.T(1)
     w = (2, 1)
-    assert ak22.coset_sum((1, 1), w, (1, 1)) == ak22.T(1)
+    assert coset_sum(ak22, (1, 1), w, (1, 1)) == ak22.T(1)
     # any member of the double coset gives the same sum
     from qschur.symgrp import CompositionBlocks, compose, young_subgroup
-    d3 = ak32.coset_sum((2, 1), (2, 1, 3), (1, 2))
+    d3 = coset_sum(ak32, (2, 1), (2, 1, 3), (1, 2))
     Y1 = young_subgroup(CompositionBlocks((2, 1)))
     Y2 = young_subgroup(CompositionBlocks((1, 2)))
     brute = {compose(compose(u, identity(3)), v) for u in Y1 for v in Y2}

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_element, rank_exact, specialize, specialize_vector
-from qschur import cli
+from qschur import cli, hecke
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import RowSpace
 from qschur.ring import PRIME, PointContext, Specialization, UnmappablePoint
@@ -181,21 +181,21 @@ def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
     assert sizes[short_mu] > 1 and len(sizes) > 1
     builds = Counter()
     fp_points, exact_points = set(), []
-    basis_vector = SchurContext.basis_vector
+    basis_summands = SchurContext.basis_summands
 
-    def recording_basis_vector(self, lam, mu, A, algebra=None):
-        h = basis_vector(self, lam, mu, A, algebra)
+    def recording_basis_summands(self, lam, mu, A, algebra=None):
+        summands = basis_summands(self, lam, mu, A, algebra)
         modular = algebra.scalars.modulus is not None
         builds[modular, mu] += 1
         if modular:
             fp_points.add(algebra.scalars.spec)
             if mu == short_mu:
-                return algebra.zero()
+                return []
         else:
             exact_points.append(algebra.scalars.spec)
-        return h
+        return summands
 
-    monkeypatch.setattr(SchurContext, "basis_vector", recording_basis_vector)
+    monkeypatch.setattr(SchurContext, "basis_summands", recording_basis_summands)
     report = sc.verify_basis_independence(lam, seed=4)
     assert report["certified"] and report["attempts"] == 1
     assert builds == Counter({**{(True, mu): k for mu, k in sizes.items()},
@@ -248,25 +248,82 @@ def recipes(draw, n, r):
     return recipe
 
 
-@pytest.mark.parametrize("n,r", sorted(CONTEXTS))
+#: r = 1..3; at (4, 2), D = 384 exceeds 16 b + 256 for every block drawn,
+#: so a short block passes all three column stages
+RANK_CONTEXTS = {**CONTEXTS, **{(n, r): AlgebraContext(n, r)
+                                for n, r in ((4, 1), (4, 2))}}
+
+
+@pytest.mark.parametrize("n,r", sorted(RANK_CONTEXTS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_ranks_at_matches_exact_rank_of_generic_elements(n, r, data):
-    ctx = CONTEXTS[(n, r)]
+    # the staged rank of every block is its rank on all D columns over Q
+    ctx = RANK_CONTEXTS[(n, r)]
     spec = data.draw(points(r) | st.just(
         Specialization(Fraction(PRIME), tuple(range(1, r + 1)))))
     blocks = data.draw(st.lists(recipes(n, r), min_size=1, max_size=3))
 
     def block(recipe):
         def fill(algebra, add):
+            one = algebra.scalars.one()
             for e in build_block(algebra, recipe):
-                add(e)
+                add([(one, e)])
         return len(recipe), fill
 
     expected = [rank_exact([specialize_vector(e, spec)
                             for e in build_block(ctx, recipe)])
                 for recipe in blocks]
     assert ctx.ranks_at(spec, [block(recipe) for recipe in blocks]) == expected
+
+
+def stage_widths(monkeypatch, ctx, spec, elems):
+    """ranks_at of the one block `elems(algebra)`, and the (columns,
+    modulus) of each row space it ranks on, in order."""
+    widths = []
+
+    class Recording(RowSpace):
+        def __init__(self, ncols, modulus=None):
+            widths.append((ncols, modulus))
+            super().__init__(ncols, modulus)
+
+    def fill(algebra, add):
+        one = algebra.scalars.one()
+        for e in elems(algebra):
+            add([(one, e)])
+
+    monkeypatch.setattr(hecke, "RowSpace", Recording)
+    return ctx.ranks_at(spec, [(len(elems(ctx)), fill)]), widths
+
+
+def freeness_products(algebra, repeat):
+    """v_a T_w for three w, the first again when `repeat`."""
+    va = algebra.v_element((0, 2, 4))
+    elems = [va * algebra.T(w) for w in all_permutations(4)[:3]]
+    return elems + elems[:1] if repeat else elems
+
+
+def test_a_full_block_is_certified_on_its_first_draw(monkeypatch):
+    ctx = RANK_CONTEXTS[(4, 2)]
+    spec = Specialization.random(2, Random(8))
+    ranks, widths = stage_widths(monkeypatch, ctx, spec,
+                                 lambda a: freeness_products(a, False))
+    assert ranks == [3] and widths == [(3 + 8, PRIME)]
+
+
+def test_a_repeated_vector_reaches_every_stage_and_its_exact_rank(monkeypatch):
+    # short on b + 8 and 16 b + 256 columns and on all D mod p, so rebuilt
+    # over Q and short there on every stage too: the exact rank is reported
+    ctx = RANK_CONTEXTS[(4, 2)]
+    spec = Specialization.random(2, Random(8))
+    ranks, widths = stage_widths(monkeypatch, ctx, spec,
+                                 lambda a: freeness_products(a, True))
+    D = ctx.dimension()
+    assert widths == [(4 + 8, PRIME), (16 * 4 + 256, PRIME), (D, PRIME),
+                      (4 + 8, None), (16 * 4 + 256, None), (D, None)]
+    exact = rank_exact([specialize_vector(e, spec)
+                        for e in freeness_products(ctx, True)])
+    assert ranks == [exact] == [3]
 
 
 def test_closure_falls_back_at_an_unmappable_point(ak22):

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from conftest import rank_exact, specialize_vector
+from conftest import coset_sum, rank_exact, specialize_vector
 from qschur.linalg import RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
 from qschur.schur import (FALLBACK_FLAGS, ConventionError, EFIndex,
@@ -76,19 +76,17 @@ def test_basis_vector_membership(schur22):
 
 def plain_chain(algebra, lam, mu, A):
     """h_A as the plain chain cs_A * u+_{[lam]} * T_{w_lam} * y_{lam'},
-    with no per-lambda table."""
-    cs = algebra.coset_sum(mu.bar(), one_A(A), lam.bar())
+    cs_A the sum over the whole double coset, with no per-lambda table."""
+    cs = coset_sum(algebra, mu.bar(), one_A(A), lam.bar())
     w, _ = w_lambda(lam)
     return (cs * algebra.u_plus(lam.bracket()) * algebra.T(w)
             * algebra.y_element(lam.dual()))
 
 
-@pytest.mark.parametrize("n,r,m,rings", [
-    (3, 2, (3, 3), ("F_p", "Q")),
-    (2, 3, (2, 2, 2), ("F_p", "Q")),
-    (2, 2, (2, 2), ("generic",))])
-def test_basis_vector_table_matches_plain_chain(n, r, m, rings):
-    sc = SchurContext(n, r, m)
+def check_against_plain_chain(n, r, m, rings, **flags):
+    """h_A = sum over d of c(d) T_d z_lam, summed or left as summands,
+    against the double-coset sum times u+ T_{w_lam} y_{lam'}."""
+    sc = SchurContext(n, r, m, **flags)
     spec = Specialization.random(r, Random(13))
     for ring in rings:
         algebra = sc.algebra if ring == "generic" else sc.algebra.over(
@@ -99,6 +97,28 @@ def test_basis_vector_table_matches_plain_chain(n, r, m, rings):
                 h = sc.basis_vector(lam, mu, A, algebra)
                 assert h.ctx is algebra
                 assert h == plain_chain(algebra, lam, mu, A)
+                summands = sc.basis_summands(lam, mu, A, algebra)
+                assert sum((e.scale(s) for s, e in summands),
+                           algebra.zero()) == h
+
+
+CHAIN_CONFIGS = [(3, 2, (3, 3), ("F_p", "Q")),
+                 (2, 3, (2, 2, 2), ("F_p", "Q")),
+                 (2, 2, (2, 2), ("generic",)),
+                 (5, 1, (3,), ("F_p", "Q", "generic")),
+                 (4, 2, (2, 2), ("F_p", "Q", "generic"))]
+
+
+@pytest.mark.parametrize("n,r,m,rings", CHAIN_CONFIGS)
+def test_basis_vector_table_matches_plain_chain(n, r, m, rings):
+    check_against_plain_chain(n, r, m, rings)
+
+
+@pytest.mark.parametrize("n,r,m,rings", CHAIN_CONFIGS)
+def test_basis_vector_table_matches_plain_chain_under_fallback_flags(
+        n, r, m, rings):
+    check_against_plain_chain(n, r, m, rings, m_convention=FALLBACK_FLAGS[0],
+                              y_convention=FALLBACK_FLAGS[1])
 
 
 def test_basis_vector_tables_follow_the_algebra_asked_for():
