@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 from random import Random
@@ -366,7 +367,10 @@ def cmd_compute(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing does not
+    change it, and building it costs about a millisecond."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int)
     common.add_argument("--r", type=int)
@@ -389,13 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="enumerate weights, tableaux or nodes")
     enum.add_argument("what", choices=("multicomp", "ssyt", "nodes"))
     enum.add_argument("--partitions", action="store_true")
-    enum.set_defaults(func=cmd_enum)
 
     verify = sub.add_parser("verify", parents=[common],
                             help="run a verification suite")
     verify.add_argument("what", choices=("relations", "lemma24", "basis", "branch"))
     verify.add_argument("--samples", type=int, default=500)
-    verify.set_defaults(func=cmd_verify)
 
     compute = sub.add_parser("compute", parents=[common],
                              help="print exact elements")
@@ -403,16 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--i", type=int)
     compute.add_argument("--index", type=int)
     compute.add_argument("--tableau")
-    compute.set_defaults(func=cmd_compute)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so that a replaced command function is the one run
+    command = {"enum": cmd_enum, "verify": cmd_verify,
+               "compute": cmd_compute}[args.command]
     try:
         _check_counts(args)
-        return args.func(args)
+        return command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

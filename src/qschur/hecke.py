@@ -1,35 +1,45 @@
 """Exact arithmetic in the Ariki-Koike algebra on its normal-form basis.
 
 Elements are stored as sparse combinations of basis monomials
-L_1^{c_1} ... L_n^{c_n} T_w with 0 <= c_i < r and w a permutation.  The
-multiplication primitive is left multiplication by a single generator:
+L_1^{c_1} ... L_n^{c_n} T_w with 0 <= c_i < r and w a permutation, each
+keyed by its position k in `basis_monomials`: k = (index of c in
+product(range(r), repeat=n)) * n! + (index of w in `all_permutations`).
+Both enumerations are lexicographic, so int order is (c, w) order, and
+printing sorts the ints and decodes them through `basis_monomials`.  The
+multiplication primitive is left multiplication by a single generator,
+done as arithmetic on the keys:
 
-  * T_0 = L_1 bumps the first exponent; the cyclotomic relation
+  * T_0 = L_1 adds the stride of c_1; the cyclotomic relation
     (L_1 - Q_1)...(L_1 - Q_r) = 0 rewrites an overflowing power.
   * T_j (j >= 1) is pushed right through the L-part with a precomputed
     exchange table for T_j L_j^a L_{j+1}^b (a Bernstein-Lusztig-style
     string formula whose output exponents never exceed max(a, b)), then
     absorbed into the T-part by the standard-basis rule.
 
+Each generator has one table per context, built once from these rules: per
+index of c, and per w(j) < w(j+1), a row of (key offset, swapped, scalar),
+merged and in the ring's normal form.  A swapped term also adds
+swap_j[w] - w, read from permutation tables kept once per n
+(`_perm_tables`), which hold up_j, swap_j and the first letter of a reduced
+word of each permutation.
+
 The Jucys-Murphy elements L_i commute, so L_i * L^c T_w is the single
-monomial L^{c+e_i} T_w unless the exponent c_i overflows; only then is L_i
-applied as its generator word q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1},
-once per monomial.  The context memoises T_j per term on the left
-(`_lmul_term`) and the overflowing L_i entries (`_lmul_L_term`), and keeps
-one `Multiples(T_j)` per generator for right multiplication: its entry
-(L^c T_w) T_j is made from a shorter one, so terms share prefixes.  An
-entry of T_j, j >= 1, is read off one cached row per (c_j, c_{j+1},
-w(j) < w(j+1)) (`_exchange_row`), whose terms are merged and in the
-ring's normal form already.
+monomial L^{c+e_i} T_w, the key plus the stride n! r^(n-i), unless the
+exponent c_i overflows; only then is L_i applied as its generator word
+q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1}, once per key, kept in an
+int-keyed memo.  The context keeps one `Multiples(T_j)` per generator for
+right multiplication: its entry (L^c T_w) T_j is made from a shorter one,
+so terms share prefixes.
 
 Sparse sums go through one helper, `_accumulate`, which adds (key,
-scalar) pairs into a term dict and drops keys that cancel.  Multiplying by
-a per-term table (`AKElement._termwise`) keeps its own copy of that loop
+scalar) pairs into a term dict and drops keys that cancel.  Multiplying
+term by term (`AKElement._termwise`) keeps its own copy of that loop
 inline: it is the innermost loop of every product, and the extra call per
-term made basis certification measurably slower.  Every path that
+term made basis certification measurably slower.  `lmul_gen` keeps one
+more, with its table read inline, for the same reason.  Every path that
 finishes a term dict hands it to the ring's `normal`, so equal elements
-have equal term dicts in every ring; an `_exchange_row` is finished so
-once, for all the entries read off it.
+have equal term dicts in every ring; a generator table row is finished so
+once, for all the terms read off it.
 
 General products a * b walk the weak order: `Multiples(b)` makes each
 L^c T_w b from a shorter multiple by one T_j or L_i step.  Correctness is
@@ -60,9 +70,11 @@ it exactly.  Each build is ranked on random column subsets first, a
 projection that can only lose rank too, and on all columns only when
 those come out short.
 
-Contexts memoise term-level products behind an RLock, so a context and the
-elements created under it are safe for concurrent read use from multiple
-threads.
+A context and the elements created under it are safe for concurrent read
+use from multiple threads: the generator tables and the exchange table
+are filled once under the context's lock and only read after that, and
+the L_i memo and the `Multiples` entries fill without one, concurrent
+fills storing equal values.
 """
 
 from __future__ import annotations
@@ -70,6 +82,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from functools import lru_cache
 from itertools import product
 from math import factorial
 from random import Random
@@ -77,8 +90,8 @@ from random import Random
 from .linalg import ResourceLimit, RowSpace
 from .ring import (PRIME, PointContext, Scalar, ScalarContext, ScalarRing,
                    Specialization, UnmappablePoint)
-from .symgrp import (CompositionBlocks, all_permutations, identity, length,
-                     reduced_word, transposition, young_subgroup)
+from .symgrp import (CompositionBlocks, all_permutations, length, reduced_word,
+                     transposition, young_subgroup)
 from .tableaux import Multicomposition, bracket_reversed, w_lambda
 
 __all__ = ["AlgebraContext", "AKElement", "Multiples"]
@@ -97,17 +110,41 @@ def _accumulate(scalars: ScalarRing, out: dict, pairs) -> dict:
     return scalars.normal(out)
 
 
+class _PermTables:
+    """The permutations of n in `all_permutations` order with their
+    indices, per generator j the pair (w(j) < w(j+1), index of swap_j w
+    minus index of w) of each (j = 0 leaves w alone), and the first letter
+    of a reduced word of each (0 for the identity)."""
+
+    __slots__ = ("perms", "index", "steps", "first")
+
+    def __init__(self, n: int):
+        self.perms = all_permutations(n)
+        self.index = {w: i for i, w in enumerate(self.perms)}
+        self.steps = [((False, 0),) * len(self.perms)] + [
+            tuple((w[j - 1] < w[j], self.index[
+                w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]] - i)
+                for i, w in enumerate(self.perms))
+            for j in range(1, n)]
+        self.first = tuple((reduced_word(w) or (0,))[0] for w in self.perms)
+
+
+@lru_cache(maxsize=None)
+def _perm_tables(n: int) -> _PermTables:
+    return _PermTables(n)
+
+
 def _coordinates(vec, cols, pos) -> list:
-    """The entries on the keys `cols` (`pos` maps each to its place) of
-    the sum of scalar * element over the (scalar, element) pairs `vec`,
-    unreduced; each pair is read by its terms or by the keys, whichever
-    is fewer."""
+    """The entries on the keys `cols` (`pos[key]` is each one's place, or
+    None off them) of the sum of scalar * element over the (scalar,
+    element) pairs `vec`, unreduced; each pair is read by its terms or by
+    the keys, whichever is fewer."""
     row = [0] * len(cols)
     for scal, e in vec:
         terms = e.terms
         if len(terms) < len(cols):
             for key, v in terms.items():
-                i = pos.get(key)
+                i = pos[key]
                 if i is not None:
                     row[i] += scal * v
         else:
@@ -146,14 +183,18 @@ class AlgebraContext:
         elif scalars.r != r:
             raise ValueError(f"scalar ring has r={scalars.r}, need r={r}")
         self.scalars = scalars
+        self._perms = _perm_tables(n)
+        self._nperms = len(self._perms.perms)
+        # the key stride of c_i, i = 1..n
+        self._strides = tuple(self._nperms * r ** (n - i)
+                              for i in range(1, n + 1))
         self._lock = threading.RLock()
         self._exchange = {}      # (a, b) -> (A, B) monomial dicts
-        self._exchange_rows = {}  # (a, b, up) -> row of `_exchange_row`
-        self._lmul_terms = {}    # (j, c, w) -> tuple of ((c', w'), scalar)
-        self._lmul_L_terms = {}  # (i, c, w) -> tuple of ((c', w'), scalar)
+        self._gen_tables = {}    # j -> rows of `_gen_rows`
+        # per i, overflowing key -> tuple of (key, scalar) of L_i * key
+        self._lmul_L_terms = [{} for _ in range(n)]
         self._rmul_tables = {}   # j -> Multiples(T_j)
         self._basis = None
-        self._basis_index = None
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -174,18 +215,22 @@ class AlgebraContext:
         return self.r ** self.n * factorial(self.n)
 
     def basis_monomials(self):
-        """All (c, w) keys in a fixed deterministic order."""
+        """All (c, w) in (c, w) order; the position of each is its key."""
         if self._basis is None:
-            with self._lock:
-                self._basis = [(c, w)
-                               for c in product(range(self.r), repeat=self.n)
-                               for w in all_permutations(self.n)]
-                self._basis_index = {key: i for i, key in enumerate(self._basis)}
+            self._basis = [(c, w)
+                           for c in product(range(self.r), repeat=self.n)
+                           for w in self._perms.perms]
         return self._basis
 
-    def basis_index(self):
-        self.basis_monomials()
-        return self._basis_index
+    def _key(self, c, w) -> int:
+        """The key of L^c T_w: its position in `basis_monomials`."""
+        c = tuple(int(x) for x in c)
+        if len(c) != self.n or any(not 0 <= e < self.r for e in c):
+            raise ValueError(f"bad exponent vector {c}")
+        k = self._perms.index.get(tuple(w))
+        if k is None:
+            raise ValueError(f"not a permutation of 1..{self.n}")
+        return k + sum(e * s for e, s in zip(c, self._strides))
 
     # -- element constructors ---------------------------------------------
 
@@ -193,15 +238,10 @@ class AlgebraContext:
         return AKElement(self, {})
 
     def basis_element(self, c, w) -> "AKElement":
-        c = tuple(int(x) for x in c)
-        if len(c) != self.n or any(not 0 <= e < self.r for e in c):
-            raise ValueError(f"bad exponent vector {c}")
-        if len(w) != self.n:
-            raise ValueError("permutation size disagrees with n")
-        return AKElement(self, {(c, tuple(w)): self.scalars.one()})
+        return AKElement(self, {self._key(c, w): self.scalars.one()})
 
     def one(self) -> "AKElement":
-        return self.basis_element((0,) * self.n, identity(self.n))
+        return AKElement(self, {0: self.scalars.one()})
 
     def T(self, arg) -> "AKElement":
         """T_w for a permutation, or the generator T_j for an index."""
@@ -233,13 +273,6 @@ class AlgebraContext:
 
     def from_scalar(self, s) -> "AKElement":
         return self.one().scale(s)
-
-    def from_vector(self, vec) -> "AKElement":
-        """The inverse of `AKElement.vector`, over a `PointContext` ring."""
-        basis, lift = self.basis_monomials(), self.scalars.from_rational
-        return AKElement(self, _accumulate(
-            self.scalars, {},
-            ((basis[i], lift(x)) for i, x in enumerate(vec) if x)))
 
     # -- exchange table -----------------------------------------------------
 
@@ -285,90 +318,72 @@ class AlgebraContext:
             self._exchange[(a, b)] = (A, B)
             return A, B
 
-    # -- term-level multiplication ---------------------------------------------
+    # -- generator tables -------------------------------------------------------
 
-    def _lmul_term(self, j: int, c, w):
-        """T_j * (L^c T_w) as a tuple of ((c', w'), scalar).
+    def _gen_table(self, j: int):
+        """The rows of T_j (`_gen_rows`), built once per context."""
+        table = self._gen_tables.get(j)
+        if table is None:
+            with self._lock:
+                table = self._gen_tables.get(j)
+                if table is None:
+                    table = self._gen_tables[j] = self._gen_rows(j)
+        return table
 
-        For j >= 1 the entry is read off the cached row of
-        (c_j, c_{j+1}, w(j) < w(j+1)) from `_exchange_row`: its terms are
-        merged and in the ring's normal form, and distinct in the entry,
-        so nothing is summed or normalised per entry."""
-        key = (j, c, w)
-        with self._lock:
-            cached = self._lmul_terms.get(key)
-        if cached is not None:
-            return cached
-        S = self.scalars
+    def _gen_rows(self, j: int):
+        """T_j * (L^c T_w) for every key: per index of c, the pair of rows
+        for w(j) > w(j+1) and for w(j) < w(j+1), each a tuple of (key
+        offset, swapped, scalar), one term each, its key the key of L^c T_w
+        plus the offset, plus swap_j[w] - w when swapped; merged and in the
+        ring's normal form.  A row depends only on (c_j, c_{j+1}) (on c_1
+        for T_0), so the rows are shared."""
+        S, r, strides = self.scalars, self.r, self._strides
+        rows = {}
         if j == 0:
-            c1 = c[0] + 1
-            if c1 < self.r:
-                result = ((((c1,) + c[1:], w), S.one()),)
-            else:
-                # L_1^r = e_1 L_1^{r-1} - e_2 L_1^{r-2} + ... -+ e_r
-                row = _accumulate(S, {}, (
-                    (self.r - k, S.elementary_symmetric(k) if k % 2
-                     else -S.elementary_symmetric(k))
-                    for k in range(1, self.r + 1)))
-                result = tuple((((x,) + c[1:], w), s) for x, s in row.items())
+            # L_1^r = e_1 L_1^{r-1} - e_2 L_1^{r-2} + ... -+ e_r
+            cyc = _accumulate(S, {}, (
+                (r - k, S.elementary_symmetric(k) if k % 2
+                 else -S.elementary_symmetric(k)) for k in range(1, r + 1)))
+            wrap = tuple(((x - r + 1) * strides[0], False, s)
+                         for x, s in cyc.items())
+            bump = ((strides[0], False, S.one()),)
+            for a in range(r):
+                rows[a,] = (bump, bump) if a + 1 < r else (wrap, wrap)
         else:
-            head, tail = c[:j - 1], c[j + 1:]
-            wswap = w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
-            result = tuple(((head + xy + tail, wswap if swap else w), s)
-                           for xy, swap, s in self._exchange_row(
-                               c[j - 1], c[j], w[j - 1] < w[j]))
-        with self._lock:
-            self._lmul_terms[key] = result
-        return result
-
-    def _exchange_row(self, a: int, b: int, up: bool):
-        """T_j L_j^a L_{j+1}^b T_w for any j >= 1 and any w with w(j) <
-        w(j+1) exactly when `up`, as a tuple of ((x, y), swapped, scalar):
-        one term L_j^x L_{j+1}^y T_{w'} each, w' = s_j w when swapped and w
-        otherwise, merged and in the ring's normal form."""
-        key = (a, b, up)
-        with self._lock:
-            row = self._exchange_rows.get(key)
-            if row is None:
-                S = self.scalars
+            cq = S.q(1) - S.q(-1)
+            for a, b in product(range(r), repeat=2):
                 A, B = self.exchange(a, b)
-                cq = S.q(1) - S.q(-1)
-                pairs = []
-                for xy, coeff in A.items():
-                    # T_j T_w: either lengths add or the quadratic relation fires
-                    pairs.append(((xy, True), coeff))
-                    if not up:
-                        pairs.append(((xy, False), coeff * cq))
-                pairs += [((xy, False), coeff) for xy, coeff in B.items()]
-                row = self._exchange_rows[key] = tuple(
-                    (xy, swap, s)
-                    for (xy, swap), s in _accumulate(S, {}, pairs).items())
-        return row
 
-    def _lmul_L_term(self, i: int, c, w):
-        """L_i * (L^c T_w) as a tuple of ((c', w'), scalar).
+                def offset(x, y):
+                    return (x - a) * strides[j - 1] + (y - b) * strides[j]
+                pair = []
+                for up in (False, True):
+                    pairs = []
+                    for xy, coeff in A.items():
+                        # T_j T_w: either lengths add or the quadratic
+                        # relation fires
+                        pairs.append(((offset(*xy), True), coeff))
+                        if not up:
+                            pairs.append(((offset(*xy), False), coeff * cq))
+                    pairs += [((offset(*xy), False), coeff)
+                              for xy, coeff in B.items()]
+                    pair.append(tuple((off, swap, s) for (off, swap), s
+                                      in _accumulate(S, {}, pairs).items()))
+                rows[a, b] = tuple(pair)
+        lo = j - 1 if j else 0
+        return [rows[c[lo:j + 1]]
+                for c in product(range(r), repeat=self.n)]
 
-        The L's commute, so this is L^{c+e_i} T_w unless c_i + 1 reaches
-        r; an overflowing entry is computed once through the generator
-        word of L_i and stored."""
-        ci = c[i - 1] + 1
-        if ci < self.r:
-            return (((c[:i - 1] + (ci,) + c[i:], w), self.scalars.one()),)
-        key = (i, c, w)
-        with self._lock:
-            cached = self._lmul_L_terms.get(key)
-        if cached is not None:
-            return cached
+    def _lmul_L_word(self, i: int, k: int):
+        """L_i * (L^c T_w), k its key, as a tuple of (key, scalar), through
+        the generator word of L_i."""
         # L_i = q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1}
-        e = AKElement(self, {(c, w): self.scalars.one()})
+        e = AKElement(self, {k: self.scalars.one()})
         for j in list(range(i - 1, 0, -1)) + [0] + list(range(1, i)):
             e = e.lmul_gen(j)
         if i > 1:
             e = e.scale(self.scalars.q(-(i - 1)))
-        result = tuple(e.terms.items())
-        with self._lock:
-            self._lmul_L_terms[key] = result
-        return result
+        return tuple(e.terms.items())
 
     # -- distinguished elements ----------------------------------------------
 
@@ -389,8 +404,8 @@ class AlgebraContext:
                 return S.q(-lw) if lw % 2 == 0 else -S.q(-lw)
         else:
             raise ValueError(f"unknown weight {weight!r}")
-        zero = (0,) * self.n
-        return AKElement(self, S.normal({(zero, w): coeff(w) for w in perms}))
+        index = self._perms.index
+        return AKElement(self, S.normal({index[w]: coeff(w) for w in perms}))
 
     def young_sum(self, composition, weight=None) -> "AKElement":
         """Sum of T_w over the Young subgroup, with the context's
@@ -510,19 +525,20 @@ class AlgebraContext:
     def _block_rank(self, algebra, size, fill, rng) -> int:
         """The rank over `algebra` of one `ranks_at` block, by its stages."""
         D, modulus = self.dimension(), algebra.scalars.modulus
-        keys, index = self.basis_monomials(), self.basis_index()
+        keys = range(D)
         if size >= D:
             space = RowSpace(D, modulus)
-            fill(algebra, lambda vec: space.add(_coordinates(vec, keys, index)))
+            fill(algebra, lambda vec: space.add(_coordinates(vec, keys, keys)))
             return space.rank
         vectors = []
         fill(algebra, vectors.append)
         for k in (size + 8, 16 * size + 256, D):
             if k < D:
-                cols = [keys[i] for i in sorted(rng.sample(range(D), k))]
-                pos = {key: i for i, key in enumerate(cols)}
+                cols, pos = sorted(rng.sample(keys, k)), [None] * D
+                for i, key in enumerate(cols):
+                    pos[key] = i
             else:
-                k, cols, pos = D, keys, index
+                k, cols, pos = D, keys, keys
             space = RowSpace(k, modulus)
             for vec in vectors:
                 space.add(_coordinates(vec, cols, pos))
@@ -543,8 +559,8 @@ class AlgebraContext:
                 e = e.lmul_gen(j)
             return e
 
-        for (c, w) in self.basis_monomials():
-            b = self.basis_element(c, w)
+        for key in range(self.dimension()):
+            b = AKElement(self, {key: S.one()})
             e = b
             for k in range(self.r, 0, -1):
                 e = e.lmul_gen(0) - e * S.Q(k)
@@ -593,13 +609,13 @@ class AlgebraContext:
                     raise ValueError(f"bad L factor {piece!r}")
                 c[int(lm.group(1)) - 1] = int(lm.group(2))
             w = tuple(int(x) for x in mt.group("w").split(","))
-            terms.append(((tuple(c), w), coeff))
+            terms.append((self._key(c, w), coeff))
         return AKElement(self, _accumulate(self.scalars, {}, terms))
 
     def from_json(self, data) -> "AKElement":
         if isinstance(data, str):
             data = json.loads(data)
-        pairs = [((tuple(int(x) for x in t["c"]), tuple(int(x) for x in t["w"])),
+        pairs = [(self._key(t["c"], (int(x) for x in t["w"])),
                   self.scalars.from_json(t["coeff"])) for t in data["terms"]]
         return AKElement(self, _accumulate(self.scalars, {}, pairs))
 
@@ -616,31 +632,33 @@ class Multiples:
 
     def __init__(self, b: "AKElement"):
         self.ctx = b.ctx
-        self._entries = {((0,) * b.ctx.n, identity(b.ctx.n)): b}
+        self._entries = {0: b}
 
-    def _entry(self, c, w) -> "AKElement":
-        e = self._entries.get((c, w))
+    def _entry(self, k: int) -> "AKElement":
+        """L^c T_w b, k the key of L^c T_w."""
+        e = self._entries.get(k)
         if e is None:
-            i = next((i for i, ci in enumerate(c) if ci), None)
-            if i is None:
-                j = reduced_word(w)[0]
-                e = self._entry(c, w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]) \
-                    .lmul_gen(j)
+            ctx = self.ctx
+            if k < ctx._nperms:
+                j = ctx._perms.first[k]
+                e = self._entry(k + ctx._perms.steps[j][k][1]).lmul_gen(j)
             else:
-                e = self._entry(c[:i] + (c[i] - 1,) + c[i + 1:], w)._lmul_L(i + 1)
-            self._entries[c, w] = e
+                # the first c_i > 0 has the largest stride not above k
+                i = next(i for i, s in enumerate(ctx._strides) if s <= k)
+                e = self._entry(k - ctx._strides[i])._lmul_L(i + 1)
+            self._entries[k] = e
         return e
 
     def left(self, a: "AKElement") -> "AKElement":
         """a * b, one pass over the terms of `a`."""
         a.ctx.compatible(self.ctx)
-        return a._termwise(lambda _, c, w: self._entry(c, w).terms.items(), None)
+        return a._termwise(lambda k: self._entry(k).terms.items())
 
     def summands(self, a: "AKElement"):
         """a * b left unsummed: the pairs (coefficient, L^c T_w b), one per
         term of `a`."""
         a.ctx.compatible(self.ctx)
-        return [(coeff, self._entry(c, w)) for (c, w), coeff in a.terms.items()]
+        return [(coeff, self._entry(k)) for k, coeff in a.terms.items()]
 
 
 class AKElement:
@@ -704,9 +722,30 @@ class AKElement:
 
     def lmul_gen(self, j: int) -> "AKElement":
         """Left multiplication by the generator T_j (T_0 = L_1)."""
-        if not 0 <= j <= self.ctx.n - 1:
+        ctx = self.ctx
+        if not 0 <= j <= ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
-        return self._termwise(self.ctx._lmul_term, j)
+        rows, steps, nperms = ctx._gen_table(j), ctx._perms.steps[j], ctx._nperms
+        # the loop of `_termwise`, with the table read inline: a call per
+        # term to build its pairs made the n = 6 basis certificate of
+        # [[2,1],[2,1]] take 4.3 s instead of 2.7 s
+        one = ctx.scalars.one()
+        out = {}
+        for k, coeff in self.terms.items():
+            c, w = divmod(k, nperms)
+            up, swap = steps[w]
+            for off, swapped, scal in rows[c][up]:
+                key = k + off + swap if swapped else k + off
+                cur = (coeff if scal is one else scal if coeff is one
+                       else coeff * scal)
+                prev = out.get(key)
+                if prev is not None:
+                    cur = prev + cur
+                if not cur:
+                    out.pop(key, None)
+                else:
+                    out[key] = cur
+        return AKElement(ctx, ctx.scalars.normal(out))
 
     def rmul_gen(self, j: int) -> "AKElement":
         """Right multiplication by the generator T_j (T_0 = L_1), read from
@@ -721,13 +760,25 @@ class AKElement:
         return table.left(self)
 
     def _lmul_L(self, i: int) -> "AKElement":
-        """Left multiplication by the Jucys-Murphy element L_i, term by term
-        through the context's memo `_lmul_L_term`."""
-        return self._termwise(self.ctx._lmul_L_term, i)
+        """Left multiplication by the Jucys-Murphy element L_i: the key
+        plus the stride of c_i, or where c_i overflows the context's memo
+        of the generator word (`_lmul_L_word`)."""
+        ctx = self.ctx
+        stride, r, one = ctx._strides[i - 1], ctx.r, ctx.scalars.one()
+        memo = ctx._lmul_L_terms[i - 1]
 
-    def _termwise(self, table, index: int) -> "AKElement":
-        """The product, on the side the table multiplies, with the element
-        whose per-term products `table(index, c, w)` returns."""
+        def terms(k):
+            if k // stride % r < r - 1:
+                return ((k + stride, one),)
+            row = memo.get(k)
+            if row is None:
+                row = memo[k] = ctx._lmul_L_word(i, k)
+            return row
+        return self._termwise(terms)
+
+    def _termwise(self, terms) -> "AKElement":
+        """The sum over the terms (k, coeff) of this element of coeff times
+        the (key, scalar) pairs `terms(k)`."""
         # the loop of `_accumulate`, inlined: this is the innermost loop of
         # every product, and going through the helper made basis
         # certification 10-13% slower
@@ -735,8 +786,8 @@ class AKElement:
         # not overflow, a plain T-sum's coefficient) needs no multiplication
         one = self.ctx.scalars.one()
         out = {}
-        for (c, w), coeff in self.terms.items():
-            for key, scal in table(index, c, w):
+        for k, coeff in self.terms.items():
+            for key, scal in terms(k):
                 cur = (coeff if scal is one else scal if coeff is one
                        else coeff * scal)
                 prev = out.get(key)
@@ -774,16 +825,17 @@ class AKElement:
         """Coordinates on basis_monomials over a `PointContext` ring: its
         values (Fractions over Q, ints in [0, p) over F_p) on the support,
         and 0 off it."""
-        index = self.ctx.basis_index()
-        vec = [0] * len(index)
-        for key, coeff in self.terms.items():
-            vec[index[key]] = coeff
+        vec = [0] * self.ctx.dimension()
+        for k, coeff in self.terms.items():
+            vec[k] = coeff
         return vec
 
     # -- serialization ----------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """The terms as ((c, w), coeff) pairs in (c, w) order."""
+        basis = self.ctx.basis_monomials()
+        return [(basis[k], coeff) for k, coeff in sorted(self.terms.items())]
 
     def text(self) -> str:
         if not self.terms:

@@ -2,8 +2,8 @@
 
 Permutation-module homomorphisms are represented by the image of the
 cyclic generator x_mu; the module generator z_lam, the semistandard basis
-vectors h_A, exact independence certification, the weight idempotents and
-the E/F ladder operators all live here.
+vectors h_A, exact independence certification and the E/F ladder
+operators all live here.
 
 The basis vector h_A is (sum of c(w) T_w over the double coset W_mu 1_A
 W_lam) u+_{[lam]} T_{w_lam} y_{lam'}, c(w) being 1 or q^{l(w)}.  Each w
@@ -24,8 +24,8 @@ rank at the point is certified, on column subsets first, without summing
 h_A.  A shortfall at the point is inconclusive and is retried at fresh
 points.
 
-Module spans, membership, the E/F convention checks and the hom-space
-oracle build x_mu, the ladder images and every product over
+Module spans, membership and the E/F convention checks build x_mu, the
+ladder images and every product over
 `point_algebra(spec)`, the algebra over Q at their point; a module span
 is the closure of x_mu there under `AKElement.rmul_gen`.
 
@@ -37,11 +37,10 @@ certified module homomorphism, and raises `ConventionError` otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from .hecke import AKElement, AlgebraContext, Multiples
-from .linalg import ResourceLimit, RowSpace, nullspace
+from .linalg import ResourceLimit, RowSpace
 from .ring import PointContext, Specialization
 from .symgrp import CompositionBlocks, coset_reps, identity, invert
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
@@ -298,17 +297,6 @@ class SchurContext:
         self.point_algebra(spec).compatible(me.elem.ctx)
         return self.module_span(me.weight, spec).contains(me.elem.vector())
 
-    # -- idempotents ------------------------------------------------------------
-
-    def idempotent_apply(self, lam: Multicomposition,
-                         me: ModuleElement) -> ModuleElement:
-        """The weight projector: identity on the lam summand, zero elsewhere."""
-        if lam.m != self.m:
-            raise ValueError("weight bookkeeping disagrees with the context")
-        if me.weight == lam:
-            return me
-        return ModuleElement(lam, self.algebra.zero())
-
     # -- E/F ladder operators -----------------------------------------------------
 
     def ef_indices(self, bounds: MultiShape | None = None):
@@ -397,52 +385,6 @@ class SchurContext:
                                            "specialization": spec.to_json()})
         return {"star": "inverse", "reps_side": "right",
                 "validated": not checks, "failures": checks}
-
-    # -- independent hom-space oracle ------------------------------------------------
-
-    def hom_space_images(self, mu: Multicomposition, nu: Multicomposition,
-                         spec: Specialization):
-        """Basis of images-of-x_mu for Hom(M^mu, M^nu) at the point.
-
-        An image v must lie in the nu ideal and satisfy v * Ann(x_mu) = 0;
-        the second condition makes h -> v h well defined on x_mu H."""
-        algebra = self.point_algebra(spec)
-        D = algebra.dimension()
-        x = self.x_element(mu, algebra)
-        # annihilator of x_mu: kernel of h -> x_mu h (columns = x_mu * b_j)
-        cols = [(x * algebra.basis_element(c, w)).vector()
-                for (c, w) in algebra.basis_monomials()]
-        ann = nullspace([[cols[j][i] for j in range(D)] for i in range(D)], D)
-        span_nu = self.module_span(nu, spec).basis()
-        if not span_nu:
-            return []
-        # constrain coefficients t with sum_i t_i (u_i * a) = 0 for all a,
-        # where a = sum_j a_j b_j runs over the annihilator
-        us = [algebra.from_vector(u) for u in span_nu]
-        rows = []
-        for a in ann:
-            a_elem = algebra.from_vector(a)
-            prods = [(u * a_elem).vector() for u in us]
-            for coord in range(D):
-                rows.append([prods[i][coord] for i in range(len(span_nu))])
-        ts = nullspace(rows, len(span_nu))
-        images = []
-        for t in ts:
-            v = [Fraction(0)] * D
-            for ti, u in zip(t, span_nu):
-                if ti:
-                    v = [x + ti * y for x, y in zip(v, u)]
-            images.append(v)
-        return images
-
-    def cellular_hom_dimension(self, mu: Multicomposition,
-                               nu: Multicomposition) -> int:
-        """Tableau-counting prediction for dim Hom(M^mu, M^nu)."""
-        total = 0
-        for lam in self.partitions():
-            total += (len(enumerate_ssyt(lam, self.shape, nu))
-                      * len(enumerate_ssyt(lam, self.shape, mu)))
-        return total
 
 
 class ConventionError(RuntimeError):

@@ -2,19 +2,21 @@
 the package against: a Bareiss rank for `RowSpace`, term-by-term
 evaluation of generic scalars and elements for the at-point rings, the
 word-expansion product for the weak-order product `Multiples`, the
-per-term exchange formula for the cached rows of `_lmul_term`, the
+per-term exchange formula for the generator tables of `lmul_gen`, the
 literal double-coset sum for the h_A of `SchurContext.basis_vector`, the
 closure that steps by every generator for the pruned `AKElement.closure`,
-and random generic scalars and elements."""
+a dense hom-space solver and its tableau count for the E/F images, and
+random generic scalars and elements, and elements from coordinates."""
 
 from fractions import Fraction
 
 import pytest
 
 from qschur.hecke import AKElement, AlgebraContext, _accumulate
-from qschur.linalg import _integer_row
+from qschur.linalg import _integer_row, nullspace
 from qschur.schur import SchurContext
 from qschur.symgrp import CompositionBlocks, double_coset, reduced_word
+from qschur.tableaux import enumerate_ssyt
 
 
 def rank_exact(matrix) -> int:
@@ -73,11 +75,18 @@ def specialize_vector(e, spec):
     """The coordinates of a generic element at a rational point, through
     `specialize`: the reference that elements built over a point ring
     (`AKElement.vector`) are compared against."""
-    index = e.ctx.basis_index()
-    vec = [Fraction(0)] * len(index)
-    for key, coeff in e.terms.items():
-        vec[index[key]] = specialize(coeff, spec)
+    vec = [Fraction(0)] * e.ctx.dimension()
+    for k, coeff in e.terms.items():
+        vec[k] = specialize(coeff, spec)
     return vec
+
+
+def from_vector(algebra, vec):
+    """The element of `algebra`, over a `PointContext` ring, with the
+    coordinates `vec`: the inverse of `AKElement.vector`."""
+    lift = algebra.scalars.from_rational
+    return AKElement(algebra, _accumulate(
+        algebra.scalars, {}, ((k, lift(x)) for k, x in enumerate(vec) if x)))
 
 
 def word_product(a, b):
@@ -88,7 +97,7 @@ def word_product(a, b):
     a.ctx.compatible(b.ctx)
     out = a.ctx.zero()
     n = a.ctx.n
-    for (c, w), coeff in sorted(a.terms.items()):
+    for (c, w), coeff in a.sorted_terms():
         e = b
         for j in reversed(reduced_word(w)):
             e = e.lmul_gen(j)
@@ -100,9 +109,9 @@ def word_product(a, b):
 
 
 def lmul_term(ctx, j, c, w):
-    """T_j * (L^c T_w) as a term dict, by the exchange formula term by
-    term: the reference for `AlgebraContext._lmul_term`, which reads its
-    entries off cached rows."""
+    """T_j * (L^c T_w) as a term dict keyed by (c', w'), by the exchange
+    formula term by term: the reference for `AKElement.lmul_gen`, which
+    reads its terms off one table per generator."""
     S = ctx.scalars
 
     def pairs():
@@ -141,6 +150,52 @@ def coset_sum(algebra, left_comp, d, right_comp):
                             algebra.m_convention)
 
 
+def hom_space_images(sc, mu, nu, spec):
+    """Basis of images-of-x_mu for Hom(M^mu, M^nu) at the point, for the
+    `SchurContext` sc: a dense D x D solver, the reference the E/F images
+    and `cellular_hom_dimension` are checked against.
+
+    An image v must lie in the nu ideal and satisfy v * Ann(x_mu) = 0;
+    the second condition makes h -> v h well defined on x_mu H."""
+    algebra = sc.point_algebra(spec)
+    D = algebra.dimension()
+    x = sc.x_element(mu, algebra)
+    # annihilator of x_mu: kernel of h -> x_mu h (columns = x_mu * b_j)
+    cols = [(x * algebra.basis_element(c, w)).vector()
+            for (c, w) in algebra.basis_monomials()]
+    ann = nullspace([[cols[j][i] for j in range(D)] for i in range(D)], D)
+    span_nu = sc.module_span(nu, spec).basis()
+    if not span_nu:
+        return []
+    # constrain coefficients t with sum_i t_i (u_i * a) = 0 for all a,
+    # where a = sum_j a_j b_j runs over the annihilator
+    us = [from_vector(algebra, u) for u in span_nu]
+    rows = []
+    for a in ann:
+        a_elem = from_vector(algebra, a)
+        prods = [(u * a_elem).vector() for u in us]
+        for coord in range(D):
+            rows.append([prods[i][coord] for i in range(len(span_nu))])
+    ts = nullspace(rows, len(span_nu))
+    images = []
+    for t in ts:
+        v = [Fraction(0)] * D
+        for ti, u in zip(t, span_nu):
+            if ti:
+                v = [x + ti * y for x, y in zip(v, u)]
+        images.append(v)
+    return images
+
+
+def cellular_hom_dimension(sc, mu, nu) -> int:
+    """Tableau-counting prediction for dim Hom(M^mu, M^nu)."""
+    total = 0
+    for lam in sc.partitions():
+        total += (len(enumerate_ssyt(lam, sc.shape, nu))
+                  * len(enumerate_ssyt(lam, sc.shape, mu)))
+    return total
+
+
 def unpruned_closure(seed, step, add) -> None:
     """The closure of `seed` under `step(e, j)` for every generator j and
     every accepted element, with no step skipped: the reference for
@@ -168,11 +223,10 @@ def random_scalar(ctx, rng, max_terms: int = 4,
 
 def random_element(ctx, rng, max_terms: int = 3):
     """A random element of the generic `AlgebraContext` ctx."""
-    basis = ctx.basis_monomials()
     out = ctx.zero()
     for _ in range(rng.randint(0, max_terms)):
-        c, w = basis[rng.randrange(len(basis))]
-        out = out + AKElement(ctx, {(c, w): random_scalar(ctx.scalars, rng)})
+        k = rng.randrange(ctx.dimension())
+        out = out + AKElement(ctx, {k: random_scalar(ctx.scalars, rng)})
     return out
 
 

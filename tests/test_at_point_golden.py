@@ -4,8 +4,8 @@
 of the checks that run over Q at a point and that no CLI command reaches:
 the `validated_ef_conventions` report of (3,2,(2,2)) (it does not
 validate, so it comes from the `ConventionError`), one validating
-`ef_convention_report` at (2,2,(2,2)), `hom_space_images` for
-(2,1,(2,)) under the literal and the fallback flags and for one weight
+`ef_convention_report` at (2,2,(2,2)), the dense solver
+`conftest.hom_space_images` for (2,1,(2,)) under the literal and the fallback flags and for one weight
 pair of (2,2,(2,2)), `module_span(mu, spec).basis()` for three weights
 at r = 2 and for one weight each of (3,1,(3,)) and (2,3,(2,2,2)), every
 `triangularity_check` and `highest_weight_check` report of
@@ -23,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+from conftest import hom_space_images
 from qschur.branching import BranchContext
 from qschur.ring import Specialization
 from qschur.schur import (FALLBACK_FLAGS, ConventionError, SchurContext,
@@ -69,11 +70,11 @@ def build() -> dict:
             for tgt in ([(2,)], [(1, 1)]):
                 mu, nu = sc.weight(src), sc.weight(tgt)
                 homs[f"2_1_2 {name} {mu.to_json()} -> {nu.to_json()}"] = \
-                    sc.hom_space_images(mu, nu, spec1)
+                    hom_space_images(sc, mu, nu, spec1)
     spec2 = _points(2)[0]
     mu, nu = sc22.weight([(1,), (1,)]), sc22.weight([(2,), ()])
     homs[f"2_2_22 plain {mu.to_json()} -> {nu.to_json()}"] = \
-        sc22.hom_space_images(mu, nu, spec2)
+        hom_space_images(sc22, mu, nu, spec2)
     out["hom_space_images"] = homs
 
     spans = {}

@@ -2,14 +2,15 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (coset_sum, lmul_term, random_element, random_scalar,
-                      rank_exact, specialize, specialize_vector,
+from conftest import (coset_sum, from_vector, lmul_term, random_element,
+                      random_scalar, rank_exact, specialize, specialize_vector,
                       unpruned_closure, word_product)
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import ResourceLimit, RowSpace
@@ -28,7 +29,7 @@ def test_quadratic_relation_product(ak22):
 def test_T0_is_L1(ak22):
     assert ak22.one() * ak22.T(0) == ak22.jucys_murphy(1)
     L1 = ak22.jucys_murphy(1)
-    assert list(L1.terms) == [((1, 0), (1, 2))]
+    assert [key for key, _ in L1.sorted_terms()] == [((1, 0), (1, 2))]
 
 
 def test_cyclotomic_forces_L1_reduction(ak22):
@@ -48,7 +49,8 @@ def test_L2_normal_form(ak22):
     S = ak22.scalars
     prod = (ak22.T(1) * ak22.T(0) * ak22.T(1)).scale(S.q(-1))
     assert prod == ak22.jucys_murphy(2)
-    assert list(ak22.jucys_murphy(2).terms) == [((0, 1), (1, 2))]
+    assert [key for key, _ in ak22.jucys_murphy(2).sorted_terms()] == \
+        [((0, 1), (1, 2))]
 
 
 def test_jm_family_commutes(ak32):
@@ -249,7 +251,91 @@ def test_lmul_term_rows_match_per_term_formula(n, r, ring):
         for j in range(n):
             for c, w in ctx.basis_monomials():
                 expected = lmul_term(ctx, j, c, w)
-                assert ctx._lmul_term(j, c, w) == tuple(expected.items())
+                assert ctx.basis_element(c, w).lmul_gen(j).sorted_terms() == \
+                    sorted(expected.items())
+
+
+# -- terms keyed by basis index -----------------------------------------------------
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_index_order_is_cw_order(n, r):
+    ctx = AlgebraContext(n, r)
+    basis = ctx.basis_monomials()
+    assert basis == [(c, w) for c in product(range(r), repeat=n)
+                     for w in all_permutations(n)]
+    assert basis == sorted(basis) and len(set(basis)) == ctx.dimension()
+    for k, (c, w) in enumerate(basis):
+        assert list(ctx.basis_element(c, w).terms) == [k]
+
+
+#: (n, r, ring) -> context, kept so that examples share the generator tables
+FAST_CONTEXTS = {}
+
+
+def fast_context(n, r, ring):
+    """The algebra (n, r) over the generic ring, or over Q or F_p at a
+    random point or at q = -1 with a vanishing e_k (`DEGENERATE_Q`)."""
+    ctx = FAST_CONTEXTS.get((n, r, ring))
+    if ctx is None:
+        scalars = None
+        if ring != "generic":
+            field, point = ring.split()
+            spec = (Specialization(Fraction(-1), DEGENERATE_Q[r])
+                    if point == "q=-1" else Specialization.random(r, Random(n * r)))
+            scalars = PointContext(spec, PRIME if field == "F_p" else None)
+        ctx = FAST_CONTEXTS[(n, r, ring)] = AlgebraContext(n, r, scalars=scalars)
+    return ctx
+
+
+def random_element_over(ctx, rng, max_terms=4):
+    """A random element of `ctx` over any scalar ring: scaled basis
+    monomials, generic ones from `random_element`."""
+    if not isinstance(ctx.scalars, PointContext):
+        return random_element(ctx, rng, max_terms)
+    S, basis = ctx.scalars, ctx.basis_monomials()
+    out = ctx.zero()
+    for _ in range(rng.randint(0, max_terms)):
+        coeff = (S.from_int(rng.randint(-9, 9)) * S.q(rng.randint(-2, 2))
+                 * S.Q(rng.randint(1, ctx.r)))
+        out = out + ctx.basis_element(*basis[rng.randrange(len(basis))]).scale(coeff)
+    return out
+
+
+def lmul_gen_by_terms(e, j):
+    """T_j * e from the per-term formula `lmul_term`, summed with `+`."""
+    ctx = e.ctx
+    out = ctx.zero()
+    for (c, w), coeff in e.sorted_terms():
+        for (c2, w2), s in lmul_term(ctx, j, c, w).items():
+            out = out + ctx.basis_element(c2, w2).scale(coeff * s)
+    return out
+
+
+@pytest.mark.parametrize("ring", ["generic", "Q random", "F_p random",
+                                  "Q q=-1", "F_p q=-1"])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 5), r=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_index_steps_match_references(ring, n, r, seed):
+    # the generator tables and the L_i strides against the per-term
+    # exchange formula and the generator word of L_i
+    ctx = fast_context(n, r, ring)
+    e = random_element_over(ctx, Random(seed))
+    for j in range(n):
+        assert e.lmul_gen(j) == lmul_gen_by_terms(e, j)
+    for i in range(1, n + 1):
+        assert e._lmul_L(i) == lmul_L_by_word(e, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), r=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_index_keys_round_trip(n, r, seed):
+    ctx = fast_context(n, r, "generic")
+    e = random_element(ctx, Random(seed), max_terms=5)
+    keys = [key for key, _ in e.sorted_terms()]
+    assert keys == sorted(keys) and len(keys) == len(e.terms)
+    assert ctx.parse(e.text()) == e
+    assert ctx.from_json(e.to_json()) == e
 
 
 # -- products along the weak order ---------------------------------------------------
@@ -271,8 +357,8 @@ def test_cancelling_pair_cancels(ak32):
     for j in (1, 2):
         a, b = cancelling_pair(ak32, j, Random(j))
         key = ((0, 0, 0), transposition(3, j))
-        assert key in a.terms and key in b.terms
-        assert key not in (a * b).terms
+        assert key in dict(a.sorted_terms()) and key in dict(b.sorted_terms())
+        assert key not in dict((a * b).sorted_terms())
 
 
 @pytest.mark.parametrize("ring", ["generic", "Q", "F_p"])
@@ -292,7 +378,7 @@ def test_weak_order_product_matches_word_expansion(ring, n, r, cancel, seed):
     if ring != "generic":
         spec = Specialization.random(r, rng)
         point = ctx.over(PointContext(spec, PRIME if ring == "F_p" else None))
-        a, b = (point.from_vector(specialize_vector(e, spec)) for e in (a, b))
+        a, b = (from_vector(point, specialize_vector(e, spec)) for e in (a, b))
     assert a * b == word_product(a, b)
 
 
@@ -354,7 +440,7 @@ def test_double_coset_sum_examples(ak22, ak32):
     Y1 = young_subgroup(CompositionBlocks((2, 1)))
     Y2 = young_subgroup(CompositionBlocks((1, 2)))
     brute = {compose(compose(u, identity(3)), v) for u in Y1 for v in Y2}
-    assert {w for (_, w) in d3.terms} == brute
+    assert {w for (_, w), _ in d3.sorted_terms()} == brute
     assert all(coeff == ak32.scalars.one() for coeff in d3.terms.values())
 
 
@@ -444,7 +530,7 @@ def test_exponents_stay_in_range():
     for _ in range(150):
         a = random_element(ctx, rng)
         b = random_element(ctx, rng)
-        for (c, w), coeff in (a * b).terms.items():
+        for (c, w), coeff in (a * b).sorted_terms():
             assert all(0 <= e < ctx.r for e in c)
             assert coeff
 
@@ -502,6 +588,6 @@ def test_concurrent_reads_share_context():
         for s, p in zip(serial, parallel, strict=True):
             assert s.terms.keys() == p.terms.keys()
             assert all(s.terms[k] == p.terms[k] for k in s.terms)
-    assert any(i == 3 for i, _, _ in fresh._lmul_L_terms)
+    assert fresh._lmul_L_terms[2]   # overflowing entries of L_3
     assert fresh._rmul_tables
     assert all(len(table._entries) > 1 for table in fresh._rmul_tables.values())
