@@ -4,7 +4,7 @@ from .ring import (ContextMismatch, ExactScalar, ExponentOverflow, ScalarContext
                    Specialization)
 from .linalg import ResourceLimit, RowSpace, nullspace, solve_in_span
 from .symgrp import (CompositionBlocks, compose, double_cosets, identity,
-                     invert, length, reduced_word, young_subgroup)
+                     invert, length, young_subgroup)
 from .tableaux import (MultiShape, Multicomposition, NumericTableau,
                        TypedTableau, addable_nodes, bar_tableau,
                        canonical_tableaux, chi, dominance_composition,

@@ -5,7 +5,8 @@ L_1^{c_1} ... L_n^{c_n} T_w with 0 <= c_i < r and w a permutation, each
 keyed by its position k in `basis_monomials`: k = (index of c in
 product(range(r), repeat=n)) * n! + (index of w in `all_permutations`).
 Both enumerations are lexicographic, so int order is (c, w) order, and
-printing sorts the ints and decodes them through `basis_monomials`.  The
+printing sorts the ints and decodes each by arithmetic: c is the base-r
+digits of k // n!, w the permutation whose Lehmer code is k mod n!.  The
 multiplication primitive is left multiplication by a single generator,
 done as arithmetic on the keys:
 
@@ -18,10 +19,12 @@ done as arithmetic on the keys:
 
 Each generator has one table per context, built once from these rules: per
 index of c, and per w(j) < w(j+1), a row of (key offset, swapped, scalar),
-merged and in the ring's normal form.  A swapped term also adds
-swap_j[w] - w, read from permutation tables kept once per n
-(`_perm_tables`), which hold up_j, swap_j and the first letter of a reduced
-word of each permutation.
+merged and in the ring's normal form.  Whether w(j) < w(j+1), and the
+change swap_j[w] - w of the index that a swapped term adds, depend only on
+the Lehmer digits of w at places j and j + 1, so they are read from a
+table of (n - j + 1)(n - j) entries per generator, kept once per n
+(`_perm_steps`).  No table of the n! permutations is kept, and only
+`basis_monomials` lists them.
 
 The Jucys-Murphy elements L_i commute, so L_i * L^c T_w is the single
 monomial L^{c+e_i} T_w, the key plus the stride n! r^(n-i), unless the
@@ -90,7 +93,7 @@ from random import Random
 from .linalg import ResourceLimit, RowSpace
 from .ring import (PRIME, PointContext, Scalar, ScalarContext, ScalarRing,
                    Specialization, UnmappablePoint)
-from .symgrp import (CompositionBlocks, all_permutations, length, reduced_word,
+from .symgrp import (CompositionBlocks, all_permutations, length,
                      transposition, young_subgroup)
 from .tableaux import Multicomposition, bracket_reversed, w_lambda
 
@@ -110,28 +113,40 @@ def _accumulate(scalars: ScalarRing, out: dict, pairs) -> dict:
     return scalars.normal(out)
 
 
-class _PermTables:
-    """The permutations of n in `all_permutations` order with their
-    indices, per generator j the pair (w(j) < w(j+1), index of swap_j w
-    minus index of w) of each (j = 0 leaves w alone), and the first letter
-    of a reduced word of each (0 for the identity)."""
+def _perm_rank(w) -> int:
+    """The index of w in `all_permutations`, read from its Lehmer code."""
+    k, n = 0, len(w)
+    for i, x in enumerate(w):
+        k = k * (n - i) + sum(1 for y in w[i + 1:] if y < x)
+    return k
 
-    __slots__ = ("perms", "index", "steps", "first")
 
-    def __init__(self, n: int):
-        self.perms = all_permutations(n)
-        self.index = {w: i for i, w in enumerate(self.perms)}
-        self.steps = [((False, 0),) * len(self.perms)] + [
-            tuple((w[j - 1] < w[j], self.index[
-                w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]] - i)
-                for i, w in enumerate(self.perms))
-            for j in range(1, n)]
-        self.first = tuple((reduced_word(w) or (0,))[0] for w in self.perms)
+def _perm_unrank(n: int, k: int) -> tuple:
+    """The permutation at index k of `all_permutations(n)`."""
+    pool, w = list(range(1, n + 1)), []
+    for i in range(n - 1, -1, -1):
+        d, k = divmod(k, factorial(i))
+        w.append(pool.pop(d))
+    return tuple(w)
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int) -> _PermTables:
-    return _PermTables(n)
+def _perm_steps(n: int):
+    """Per generator j, how T_j moves the index of a permutation w: (div,
+    mod, pairs), where index // div % mod = a (n - j) + b, a and b the
+    Lehmer digits of w at places j and j + 1, and pairs[a (n - j) + b] is
+    (w(j) < w(j+1), index of swap_j w minus index of w).  T_0 leaves w
+    alone."""
+    out = [(1, 1, ((False, 0),))]
+    for j in range(1, n):
+        hi, lo = factorial(n - j), factorial(n - j - 1)
+        # w(j) < w(j+1) iff a <= b; the swap makes the digits (b + 1, a),
+        # or (b, a - 1) when w(j) > w(j+1)
+        out.append((lo, (n - j + 1) * (n - j), tuple(
+            (True, (b + 1 - a) * hi + (a - b) * lo) if a <= b
+            else (False, (b - a) * hi + (a - 1 - b) * lo)
+            for a in range(n - j + 1) for b in range(n - j))))
+    return out
 
 
 def _coordinates(vec, cols, pos) -> list:
@@ -183,8 +198,8 @@ class AlgebraContext:
         elif scalars.r != r:
             raise ValueError(f"scalar ring has r={scalars.r}, need r={r}")
         self.scalars = scalars
-        self._perms = _perm_tables(n)
-        self._nperms = len(self._perms.perms)
+        self._nperms = factorial(n)
+        self._steps = _perm_steps(n)
         # the key stride of c_i, i = 1..n
         self._strides = tuple(self._nperms * r ** (n - i)
                               for i in range(1, n + 1))
@@ -194,7 +209,6 @@ class AlgebraContext:
         # per i, overflowing key -> tuple of (key, scalar) of L_i * key
         self._lmul_L_terms = [{} for _ in range(n)]
         self._rmul_tables = {}   # j -> Multiples(T_j)
-        self._basis = None
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -216,21 +230,23 @@ class AlgebraContext:
 
     def basis_monomials(self):
         """All (c, w) in (c, w) order; the position of each is its key."""
-        if self._basis is None:
-            self._basis = [(c, w)
-                           for c in product(range(self.r), repeat=self.n)
-                           for w in self._perms.perms]
-        return self._basis
+        perms = all_permutations(self.n)
+        return [(c, w) for c in product(range(self.r), repeat=self.n)
+                for w in perms]
 
     def _key(self, c, w) -> int:
         """The key of L^c T_w: its position in `basis_monomials`."""
-        c = tuple(int(x) for x in c)
+        c, w = tuple(int(x) for x in c), tuple(w)
         if len(c) != self.n or any(not 0 <= e < self.r for e in c):
             raise ValueError(f"bad exponent vector {c}")
-        k = self._perms.index.get(tuple(w))
-        if k is None:
+        if sorted(w) != list(range(1, self.n + 1)):
             raise ValueError(f"not a permutation of 1..{self.n}")
-        return k + sum(e * s for e, s in zip(c, self._strides))
+        return _perm_rank(w) + sum(e * s for e, s in zip(c, self._strides))
+
+    def _monomial(self, k: int):
+        """The (c, w) of the key k, by arithmetic on it."""
+        return (tuple(k // s % self.r for s in self._strides),
+                _perm_unrank(self.n, k % self._nperms))
 
     # -- element constructors ---------------------------------------------
 
@@ -381,9 +397,7 @@ class AlgebraContext:
         e = AKElement(self, {k: self.scalars.one()})
         for j in list(range(i - 1, 0, -1)) + [0] + list(range(1, i)):
             e = e.lmul_gen(j)
-        if i > 1:
-            e = e.scale(self.scalars.q(-(i - 1)))
-        return tuple(e.terms.items())
+        return tuple(e.scale(self.scalars.q(1 - i)).terms.items())
 
     # -- distinguished elements ----------------------------------------------
 
@@ -404,8 +418,8 @@ class AlgebraContext:
                 return S.q(-lw) if lw % 2 == 0 else -S.q(-lw)
         else:
             raise ValueError(f"unknown weight {weight!r}")
-        index = self._perms.index
-        return AKElement(self, S.normal({index[w]: coeff(w) for w in perms}))
+        return AKElement(self, S.normal({_perm_rank(w): coeff(w)
+                                         for w in perms}))
 
     def young_sum(self, composition, weight=None) -> "AKElement":
         """Sum of T_w over the Young subgroup, with the context's
@@ -553,6 +567,14 @@ class AlgebraContext:
         names = ["cyclotomic", "quadratic", "braid_zero", "braid_adjacent",
                  "commute_far_T0", "commute_far"]
         results = {name: True for name in names}
+        n = self.n
+        # (relation, word, word) with equal products; braid_zero needs n >= 2
+        words = [("braid_zero", [0, 1, 0, 1], [1, 0, 1, 0])][:n - 1]
+        words += [("braid_adjacent", [i, i + 1, i], [i + 1, i, i + 1])
+                  for i in range(1, n - 1)]
+        words += [("commute_far_T0", [0, j], [j, 0]) for j in range(2, n)]
+        words += [("commute_far", [i, j], [j, i])
+                  for i in range(1, n) for j in range(i + 2, n)]
 
         def word_apply(idxs, e):
             for j in reversed(idxs):
@@ -570,19 +592,9 @@ class AlgebraContext:
                 ti = b.lmul_gen(i)
                 if ti.lmul_gen(i) - ti * (q1 - qm1) - b:
                     results["quadratic"] = False
-            if self.n >= 2:
-                if word_apply([0, 1, 0, 1], b) != word_apply([1, 0, 1, 0], b):
-                    results["braid_zero"] = False
-            for i in range(1, self.n - 1):
-                if word_apply([i, i + 1, i], b) != word_apply([i + 1, i, i + 1], b):
-                    results["braid_adjacent"] = False
-            for j in range(2, self.n):
-                if word_apply([0, j], b) != word_apply([j, 0], b):
-                    results["commute_far_T0"] = False
-            for i in range(1, self.n):
-                for j in range(i + 2, self.n):
-                    if word_apply([i, j], b) != word_apply([j, i], b):
-                        results["commute_far"] = False
+            for name, u, v in words:
+                if word_apply(u, b) != word_apply(v, b):
+                    results[name] = False
         return results
 
     # -- parsing ------------------------------------------------------------
@@ -626,9 +638,9 @@ class AlgebraContext:
 
 class Multiples:
     """The left multiples L^c T_w b of one element b, each one step from a
-    shorter one: T_w b = T_j (T_{s_j w} b), j the first letter of w's
-    reduced word, and L^c T_w b = L_i (L^{c-e_i} T_w b), i the first index
-    with c_i > 0.  Filled lazily; concurrent fills store equal values."""
+    shorter one: T_w b = T_j (T_{s_j w} b), j the first descent of w, and
+    L^c T_w b = L_i (L^{c-e_i} T_w b), i the first index with c_i > 0.
+    Filled lazily; concurrent fills store equal values."""
 
     def __init__(self, b: "AKElement"):
         self.ctx = b.ctx
@@ -640,8 +652,12 @@ class Multiples:
         if e is None:
             ctx = self.ctx
             if k < ctx._nperms:
-                j = ctx._perms.first[k]
-                e = self._entry(k + ctx._perms.steps[j][k][1]).lmul_gen(j)
+                # j the first descent of w, where T_j shortens T_w
+                for j, (div, mod, pairs) in enumerate(ctx._steps):
+                    up, swap = pairs[k // div % mod]
+                    if j and not up:
+                        break
+                e = self._entry(k + swap).lmul_gen(j)
             else:
                 # the first c_i > 0 has the largest stride not above k
                 i = next(i for i, s in enumerate(ctx._strides) if s <= k)
@@ -725,16 +741,17 @@ class AKElement:
         ctx = self.ctx
         if not 0 <= j <= ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
-        rows, steps, nperms = ctx._gen_table(j), ctx._perms.steps[j], ctx._nperms
+        rows, nperms = ctx._gen_table(j), ctx._nperms
+        div, mod, steps = ctx._steps[j]
         # the loop of `_termwise`, with the table read inline: a call per
-        # term to build its pairs made the n = 6 basis certificate of
-        # [[2,1],[2,1]] take 4.3 s instead of 2.7 s
+        # term to build its pairs made the `basis` benchmark 6% slower
+        # (10 of 10 alternating pairs; BENCH_index_terms.json)
         one = ctx.scalars.one()
         out = {}
         for k, coeff in self.terms.items():
-            c, w = divmod(k, nperms)
-            up, swap = steps[w]
-            for off, swapped, scal in rows[c][up]:
+            # div * mod divides n!, so k // div % mod reads w's digits
+            up, swap = steps[k // div % mod]
+            for off, swapped, scal in rows[k // nperms][up]:
                 key = k + off + swap if swapped else k + off
                 cur = (coeff if scal is one else scal if coeff is one
                        else coeff * scal)
@@ -834,8 +851,8 @@ class AKElement:
 
     def sorted_terms(self):
         """The terms as ((c, w), coeff) pairs in (c, w) order."""
-        basis = self.ctx.basis_monomials()
-        return [(basis[k], coeff) for k, coeff in sorted(self.terms.items())]
+        monomial = self.ctx._monomial
+        return [(monomial(k), coeff) for k, coeff in sorted(self.terms.items())]
 
     def text(self) -> str:
         if not self.terms:

@@ -19,7 +19,6 @@ __all__ = [
     "compose",
     "invert",
     "length",
-    "reduced_word",
     "all_permutations",
     "CompositionBlocks",
     "set_stabilizer",
@@ -63,22 +62,6 @@ def length(w: Perm) -> int:
     """Number of inversions; equals the Coxeter length."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def reduced_word(w: Perm):
-    """A reduced word [i_1, ..., i_l] with w = s_{i_1} * ... * s_{i_l}."""
-    w = list(w)
-    word = []
-    n = len(w)
-    while True:
-        for i in range(n - 1):
-            if w[i] > w[i + 1]:
-                # stripping s_{i+1} off the left shortens w
-                word.append(i + 1)
-                w[i], w[i + 1] = w[i + 1], w[i]
-                break
-        else:
-            return tuple(word)
 
 
 def all_permutations(n: int):

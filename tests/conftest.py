@@ -1,6 +1,7 @@
 """Shared fixtures, and the references and random inputs the tests check
-the package against: a Bareiss rank for `RowSpace`, term-by-term
-evaluation of generic scalars and elements for the at-point rings, the
+the package against: a Bareiss rank for `RowSpace`, a reduced word of a
+permutation, term-by-term evaluation of generic scalars and elements for
+the at-point rings, the
 word-expansion product for the weak-order product `Multiples`, the
 per-term exchange formula for the generator tables of `lmul_gen`, the
 literal double-coset sum for the h_A of `SchurContext.basis_vector`, the
@@ -15,7 +16,7 @@ import pytest
 from qschur.hecke import AKElement, AlgebraContext, _accumulate
 from qschur.linalg import _integer_row, nullspace
 from qschur.schur import SchurContext
-from qschur.symgrp import CompositionBlocks, double_coset, reduced_word
+from qschur.symgrp import CompositionBlocks, double_coset
 from qschur.tableaux import enumerate_ssyt
 
 
@@ -54,6 +55,22 @@ def rank_exact(matrix) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def reduced_word(w):
+    """A reduced word [i_1, ..., i_l] with w = s_{i_1} * ... * s_{i_l}."""
+    w = list(w)
+    word = []
+    n = len(w)
+    while True:
+        for i in range(n - 1):
+            if w[i] > w[i + 1]:
+                # stripping s_{i+1} off the left shortens w
+                word.append(i + 1)
+                w[i], w[i + 1] = w[i + 1], w[i]
+                break
+        else:
+            return tuple(word)
 
 
 def specialize(scalar, spec) -> Fraction:

@@ -8,10 +8,11 @@ from random import Random
 import pytest
 
 from conftest import random_element
-from qschur import cli
+from qschur import cli, hecke
 from qschur.cli import main
 from qschur.hecke import AlgebraContext
 from qschur.ring import ScalarContext
+from qschur.symgrp import all_permutations
 
 
 def run_cli(argv):
@@ -123,6 +124,35 @@ def test_compute_L_basis_term():
     assert code == 0
     data = json.loads(out)
     assert data["terms"][0]["c"] == [0, 1]
+
+
+def _no_large_enumeration(monkeypatch):
+    # every list of permutations or basis monomials goes through
+    # all_permutations; one of 9! or 12! would take seconds and gigabytes
+    def guarded(n):
+        assert n <= 8, f"enumerated the permutations of {n}"
+        return all_permutations(n)
+    monkeypatch.setattr(hecke, "all_permutations", guarded)
+
+
+def test_compute_L_large_n_prints_without_enumerating(monkeypatch):
+    _no_large_enumeration(monkeypatch)
+    code, out = run_cli(["compute", "L", "--i", "2", "--n", "9", "--r", "2"])
+    assert code == 0
+    assert out.strip() == ("(1) * " + "*".join(
+        f"L{i}^{int(i == 2)}" for i in range(1, 10)) + " * T[1,2,3,4,5,6,7,8,9]")
+    code, out = run_cli(["compute", "L", "--i", "9", "--n", "9", "--r", "2",
+                         "--format", "json"])
+    assert code == 0
+    assert [(t["c"], t["w"]) for t in json.loads(out)["terms"]] == [
+        ([0] * 8 + [1], list(range(1, 10)))]
+
+
+def test_max_dim_exits_three_before_enumerating(monkeypatch):
+    _no_large_enumeration(monkeypatch)
+    for what in ("relations", "lemma24"):
+        code, out = run_cli(["verify", what, "--n", "12", "--r", "2"])
+        assert (code, out) == (3, ""), what
 
 
 def test_compute_h_selector():

@@ -59,6 +59,8 @@ def test_deleted_api_is_gone():
             (qschur.NumericTableau, "position_of"),
             (qschur.NumericTableau, "is_row_standard"),
             (qschur.symgrp, "coset_reps_min"),
+            (qschur.symgrp, "reduced_word"),
+            (qschur, "reduced_word"),
             (qschur, "coset_reps_min"),
             (qschur.ExactScalar, "is_one"),
             (qschur.SchurContext, "x_module"),

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (coset_sum, from_vector, lmul_term, random_element,
                       random_scalar, rank_exact, specialize, specialize_vector,
                       unpruned_closure, word_product)
-from qschur.hecke import AKElement, AlgebraContext
+from qschur.hecke import AKElement, AlgebraContext, _perm_steps
 from qschur.linalg import ResourceLimit, RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
 from qschur.schur import SchurContext
@@ -267,6 +267,22 @@ def test_index_order_is_cw_order(n, r):
     assert basis == sorted(basis) and len(set(basis)) == ctx.dimension()
     for k, (c, w) in enumerate(basis):
         assert list(ctx.basis_element(c, w).terms) == [k]
+        assert ctx._monomial(k) == (c, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_perm_steps_match_swaps(n):
+    # the step of T_j read off a key's Lehmer digits, for any c-part
+    perms = all_permutations(n)
+    index = {w: i for i, w in enumerate(perms)}
+    steps = _perm_steps(n)
+    assert steps[0] == (1, 1, ((False, 0),))
+    for j, (div, mod, pairs) in enumerate(steps[1:], start=1):
+        for i, w in enumerate(perms):
+            swapped = w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
+            for k in (i, i + 7 * factorial(n)):
+                assert pairs[k // div % mod] == (w[j - 1] < w[j],
+                                                 index[swapped] - i)
 
 
 #: (n, r, ring) -> context, kept so that examples share the generator tables

@@ -4,10 +4,11 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reduced_word
 from qschur.symgrp import (CompositionBlocks, all_permutations, compose,
                            coset_reps, double_coset, double_cosets,
-                           identity, invert, length, reduced_word,
-                           transposition, young_subgroup)
+                           identity, invert, length, transposition,
+                           young_subgroup)
 
 
 def test_length_examples():
