@@ -6,18 +6,20 @@ word-expansion product for the weak-order product `Multiples`, the
 per-term exchange formula for the generator tables of `lmul_gen`, the
 literal double-coset sum for the h_A of `SchurContext.basis_vector`, the
 closure that steps by every generator for the pruned `AKElement.closure`,
-a dense hom-space solver and its tableau count for the E/F images, and
-random generic scalars and elements, and elements from coordinates."""
+a dense hom-space solver and its tableau count for the E/F images, the
+span-membership highest-weight check for the one-expansion
+`BranchContext.highest_weight_check`, and random generic scalars and
+elements, and elements from coordinates."""
 
 from fractions import Fraction
 
 import pytest
 
 from qschur.hecke import AKElement, AlgebraContext, _accumulate
-from qschur.linalg import _integer_row, nullspace
-from qschur.schur import SchurContext
+from qschur.linalg import RowSpace, _integer_row, nullspace
+from qschur.schur import ModuleElement, SchurContext
 from qschur.symgrp import CompositionBlocks, double_coset
-from qschur.tableaux import enumerate_ssyt
+from qschur.tableaux import enumerate_ssyt, t_lambda_x
 
 
 def rank_exact(matrix) -> int:
@@ -211,6 +213,36 @@ def cellular_hom_dimension(sc, mu, nu) -> int:
         total += (len(enumerate_ssyt(lam, sc.shape, nu))
                   * len(enumerate_ssyt(lam, sc.shape, mu)))
     return total
+
+
+def span_highest_weight_check(bc, i, spec) -> dict:
+    """`bc.highest_weight_check(i, spec)` by span membership: each raising
+    image of the layer's marked vector is tested against a fresh row space
+    of the deeper labels of its weight."""
+    node = bc.nodes[i - 1]
+    X = t_lambda_x(bc.lam, node, bc.big.shape)
+    tau = X.type_weight()
+    hX = ModuleElement(tau, bc.basis_element(tau, X, spec))
+    deeper = [lab for lab in bc.restriction_labels()
+              if bc.layer_index(lab[1]) >= i + 1]
+    checks = []
+    certified = True
+    for idx in bc.small_ef_indices():
+        image = bc.big.ef_apply(idx, "E", hX)
+        entry = {"idx": [idx.i, idx.k]}
+        if not image.elem:
+            entry["status"] = "zero_exact"
+        else:
+            span = RowSpace(bc.big.algebra.dimension())
+            for mu, A in deeper:
+                if mu == image.weight:
+                    span.add(bc.basis_element(mu, A, spec).vector())
+            inside = span.contains(image.elem.vector())
+            entry["status"] = "in_deeper_span" if inside else "FAILED"
+            certified = certified and inside
+        checks.append(entry)
+    return {"layer": i, "node": list(node), "tau": tau.to_json(),
+            "checks": checks, "certified": certified}
 
 
 def unpruned_closure(seed, step, add) -> None:

@@ -9,10 +9,12 @@ validate, so it comes from the `ConventionError`), one validating
 pair of (2,2,(2,2)), `module_span(mu, spec).basis()` for three weights
 at r = 2 and for one weight each of (3,1,(3,)) and (2,3,(2,2,2)), every
 `triangularity_check` and `highest_weight_check` report of
-lambda = ([1],[2]) at (3,2,(3,3)), and every `triangularity_check` report
-of lambda = ([1],[1],[]) at (2,3,(2,2,2)).  The r = 1 and r = 3 cases pin
-the paths whose work depends on r (the closure stops stepping by T_0 after
-r - 1 steps in a row).  Fractions are written as strings.
+lambda = ([1],[2]) at (3,2,(3,3)), its `highest_weight_check` reports
+again under the fallback flags, and every `triangularity_check` and
+`highest_weight_check` report of lambda = ([1],[1],[]) at (2,3,(2,2,2)).
+The r = 1 and r = 3 cases pin the paths whose work depends on r (the
+closure stops stepping by T_0 after r - 1 steps in a row).  Fractions are
+written as strings.
 
 Regenerate with `PYTHONPATH=src python tests/test_at_point_golden.py`;
 a change to how these checks compute must leave every byte the same.
@@ -100,6 +102,9 @@ def build() -> dict:
         for kind in ("E", "F")]
     out["highest_weight_3_2_33"] = [
         bc.highest_weight_check(i, spec2) for i in range(1, len(bc.nodes) + 1)]
+    bc = BranchContext(2, 2, (3, 3), [[1], [2]], **FALLBACK)
+    out["highest_weight_3_2_33_fallback"] = [
+        bc.highest_weight_check(i, spec2) for i in range(1, len(bc.nodes) + 1)]
 
     bc = BranchContext(1, 3, (2, 2, 2), [[1], [1], []])
     out["triangularity_2_3_222"] = [
@@ -107,6 +112,8 @@ def build() -> dict:
         for mu, A in bc.restriction_labels()
         for idx in bc.small_ef_indices()
         for kind in ("E", "F")]
+    out["highest_weight_2_3_222"] = [
+        bc.highest_weight_check(i, spec3) for i in range(1, len(bc.nodes) + 1)]
     return out
 
 

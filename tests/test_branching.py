@@ -2,9 +2,12 @@ from random import Random
 
 import pytest
 
+from conftest import span_highest_weight_check
 from qschur.branching import BranchContext
 from qschur.ring import Specialization
-from qschur.tableaux import MultiShape, enumerate_multicompositions
+from qschur.schur import FALLBACK_FLAGS, ModuleElement
+from qschur.tableaux import (MultiShape, enumerate_multicompositions,
+                             enumerate_ssyt)
 
 QLEN = dict(m_convention="qlen", y_convention="signed")
 
@@ -163,3 +166,49 @@ def test_branch_report_schema():
     assert set(rep) == {"lambda", "layers", "identity_holds"}
     for layer in rep["layers"]:
         assert set(layer) == {"node", "quotient_dim", "weyl_dim", "match"}
+
+
+def test_highest_weight_matches_span_membership():
+    # every layer of every lambda of eight configurations (n + 1, r, m),
+    # under both flag pairs at two points: the one expansion against the
+    # labels of the image's weight gives the span-membership verdicts
+    fallback = dict(zip(("m_convention", "y_convention"), FALLBACK_FLAGS))
+    reports = uncertified = 0
+    for n1, r, m in ((2, 1, (2,)), (3, 1, (3,)), (3, 1, (4,)), (4, 1, (4,)),
+                     (2, 2, (2, 2)), (3, 2, (3, 3)), (2, 3, (2, 2, 2)),
+                     (3, 3, (3, 3, 3))):
+        specs = [Specialization.random(r, Random(s)) for s in (1, 2)]
+        for flags in ({}, fallback):
+            for bc in branch_contexts(n1 - 1, r, m, **flags):
+                for spec in specs:
+                    for i in range(1, len(bc.nodes) + 1):
+                        rep = bc.highest_weight_check(i, spec)
+                        assert rep == span_highest_weight_check(bc, i, spec), \
+                            (bc.lam.trimmed(), flags, i)
+                        reports += 1
+                        uncertified += not rep["certified"]
+    assert (reports, uncertified) == (360, 62)
+
+
+def test_non_labels_raise_value_error():
+    # a semistandard tableau of lambda outside the image of the embedding
+    # carries no marked entry, so it has no layer and no stripped tableau
+    bc = BranchContext(1, 2, (2, 2), [(1,), (1,)])
+    spec = Specialization.random(2, Random(31))
+    A = next(A for A in enumerate_ssyt(bc.lam, bc.big.shape)
+             if not bc.in_gamma_image(A.type_weight()))
+    mu = A.type_weight()
+    with pytest.raises(ValueError):
+        bc.layer_index(A)
+    with pytest.raises(ValueError):
+        bc.strip_marked(A)
+    zero = nonzero = 0
+    for idx in bc.small_ef_indices():
+        for kind in ("E", "F"):
+            image = bc.big.ef_apply(
+                idx, kind, ModuleElement(mu, bc.basis_element(mu, A, spec)))
+            zero += not image.elem
+            nonzero += bool(image.elem)
+            with pytest.raises(ValueError):
+                bc.triangularity_check(idx, kind, mu, A, spec)
+    assert zero and nonzero

@@ -28,7 +28,9 @@ r = 4, `compute h --format text` for lambda = ([2],[]) at m = (2,2), and
 bench's 16-vector cap at n = 4: `verify basis --format json --seed 9` for
 the seven multipartitions of (4,2,(2,2)) with more than 16 basis vectors
 (18 to 45), and `compute h --format json` for lambda = ([2,1],[1,0]),
-mu = ([1,0],[2,1]), tableau index 1, over the generic ring.  A change to
+mu = ([1,0],[2,1]), tableau index 1, over the generic ring.  Last,
+`verify branch --format json` for lambda = ([2,1],[1]) at m = (4,4) and
+([1],[1],[1]) at m = (3,3,3), whose layers have up to 112 labels.  A change to
 how the verdicts or elements are computed must leave every byte the same.
 """
 
