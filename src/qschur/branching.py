@@ -4,11 +4,14 @@ A branch context restricts modules of rank n+1 down to rank n: the
 bookkeeping m (every m_k >= n+1) loses one row in its last component,
 weights in the image of the row-appending embedding select the restricted
 basis, and the removable nodes of lam cut that basis into the layers of
-the filtration.  The layer checks certify, at generic specialisations,
-that each layer quotient matches the smaller module's tableau count, that
-the ladder operators respect the layer order (shape dominance), and that
-the marked tableau of each layer is annihilated into the next layer by
-every raising operator.
+the filtration.  One pass over the labels records each label's layer
+(which fixes its stripped shape) and weight.  The layer checks certify,
+at generic specialisations, that each layer quotient matches the smaller
+module's tableau count, that the ladder operators respect the layer order
+(shape dominance), and that the marked tableau of each layer is
+annihilated into the next layer by every raising operator; both ladder
+checks read their verdicts off one expansion of the image in the labels
+of its weight.
 The algebraic checks build h_A and its ladder images over the point
 algebra of their `spec`, so their "zero" and "zero_exact" statuses mean
 zero at that point (a generic zero is still a zero there).
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import RowSpace, solve_in_span
+from .linalg import solve_in_span
 from .ring import Specialization
 from .schur import EFIndex, ModuleElement, SchurContext
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
@@ -40,8 +43,8 @@ class FiltrationLayer:
 
 
 class BranchContext:
-    """Restriction data for one multipartition of n+1 boxes.  The labels,
-    their stripped shapes and the h_A of the last point are kept."""
+    """Restriction data for one multipartition of n+1 boxes.  The labels
+    with their layers, and the h_A of the last point, are kept."""
 
     def __init__(self, n: int, r: int, m, lam_parts,
                  m_convention: str = "plain", y_convention: str = "plain"):
@@ -65,8 +68,14 @@ class BranchContext:
         # fail to be submodules: ladder images flow toward larger stripped
         # shapes, which live at later positions of this list.
         self.nodes = list(reversed(removable_nodes(self.lam)))
+        # lam less each node, over the reduced bookkeeping m': the stripped
+        # shape of every label of that node's layer
+        self._smaller = [remove_node(self.lam, node, m=self.mprime)
+                         for node in self.nodes]
+        # filled by `restriction_labels`
         self._labels = None
-        self._stripped = {}        # {A.entries: strip_marked(A).shape}
+        self._layers = None        # {A.entries: layer of A}
+        self._by_weight = None     # {mu: the labels (mu, A) of weight mu}
         self._point = (None, {})   # (spec, {(mu.parts, A.entries): h_A})
 
     @property
@@ -79,27 +88,32 @@ class BranchContext:
         return mu.parts[-1][-1] == 1
 
     def restriction_labels(self):
-        """All (mu, A) of the restricted module, deterministic order."""
+        """All (mu, A) of the restricted module, deterministic order,
+        each annotated in the same pass."""
         if self._labels is None:
-            out = []
+            top = (self.m[-1], self.r)
+            labels, layers, by_weight = [], {}, {}
             for A in enumerate_ssyt(self.lam, self.big.shape):
                 mu = A.type_weight()
-                if self.in_gamma_image(mu):
-                    out.append((mu, A))
-            self._labels = out
+                if not self.in_gamma_image(mu):
+                    continue
+                # one marked entry, the symbol (m_r, r), at a removable node
+                (node,) = A.positions_of(top)
+                layers[A.entries] = self.nodes.index(node) + 1
+                by_weight.setdefault(mu, []).append((mu, A))
+                labels.append((mu, A))
+            # published last, so a reader never sees a partial record
+            self._layers, self._by_weight = layers, by_weight
+            self._labels = labels
         return self._labels
 
-    def marked_node(self, A: TypedTableau):
-        """The node carrying the maximal symbol (m_r, r); unique for
-        restriction labels."""
-        top = (self.m[-1], self.r)
-        spots = A.positions_of(top)
-        if len(spots) != 1:
-            raise ValueError("label does not carry exactly one marked entry")
-        return spots[0]
-
     def layer_index(self, A: TypedTableau) -> int:
-        return self.nodes.index(self.marked_node(A)) + 1
+        """The position of A's marked node in the filtration order."""
+        self.restriction_labels()
+        layer = self._layers.get(A.entries)
+        if layer is None:
+            raise ValueError("not a restriction label")
+        return layer
 
     def filtration_layers(self):
         labels = self.restriction_labels()
@@ -115,48 +129,28 @@ class BranchContext:
     # -- combinatorial half -----------------------------------------------------
 
     def strip_marked(self, A: TypedTableau) -> TypedTableau:
-        """Remove the marked box: a semistandard tableau of the smaller
-        shape over the reduced bookkeeping."""
-        node = self.marked_node(A)
-        small = remove_node(self.lam, node, m=self.lam.m)
-        small = Multicomposition([list(c) for c in small.parts], m=self.mprime)
-        entries = []
-        for c, comp in enumerate(small.parts, start=1):
-            rows = []
-            for a, w in enumerate(comp, start=1):
-                rows.append([A.entry(a, b, c) for b in range(1, w + 1)])
-            entries.append(rows)
-        return TypedTableau(small, self.small_shape, entries)
-
-    def _stripped_shape(self, A: TypedTableau) -> Multicomposition:
-        """`strip_marked(A).shape`, computed once per label."""
-        if A.entries not in self._stripped:
-            self._stripped[A.entries] = self.strip_marked(A).shape
-        return self._stripped[A.entries]
+        """A with its marked box removed: a semistandard tableau of the
+        smaller shape over the reduced bookkeeping."""
+        small = self._smaller[self.layer_index(A) - 1]
+        return TypedTableau(small, self.small_shape, [
+            [A.entries[c][a][:w] for a, w in enumerate(comp)]
+            for c, comp in enumerate(small.parts)])
 
     def branch_dim_identity(self) -> dict:
         """Layer quotient sizes against the smaller module's tableau
         counts, through the explicit strip-the-marked-box bijection."""
-        layers = self.filtration_layers()
-        small = SchurContext(self.n, self.r, self.mprime,
-                             m_convention=self.big.algebra.m_convention,
-                             y_convention=self.big.algebra.y_convention)
         out_layers = []
         holds = True
-        for layer in layers:
-            lam_small = remove_node(self.lam, layer.node, m=self.lam.m)
-            lam_small = Multicomposition(
-                [list(c) for c in lam_small.parts], m=self.mprime)
-            wd = small.weyl_dim_count(lam_small)
+        for layer, lam_small in zip(self.filtration_layers(), self._smaller):
+            target = enumerate_ssyt(lam_small, self.small_shape)
             qd = len(layer.quotient)
             stripped = {self.strip_marked(A) for _, A in layer.quotient}
-            target = set(enumerate_ssyt(lam_small, self.small_shape))
-            match = wd == qd and stripped == target \
-                and len(stripped) == len(layer.quotient)
+            match = len(target) == qd == len(stripped) \
+                and stripped == set(target)
             holds = holds and match
             out_layers.append({"node": list(layer.node),
                                "quotient_dim": qd,
-                               "weyl_dim": wd,
+                               "weyl_dim": len(target),
                                "match": match})
         total = len(self.restriction_labels())
         holds = holds and total == sum(l["quotient_dim"] for l in out_layers)
@@ -183,17 +177,24 @@ class BranchContext:
         """Gamma'(m'): the ladder indices of the restricted algebra."""
         return self.big.ef_indices(self.small_shape)
 
-    def _span_of_labels(self, labels, weight, spec):
-        space = RowSpace(self.big.algebra.dimension())
-        for mu, A in labels:
-            if mu == weight:
-                space.add(self.basis_element(mu, A, spec).vector())
-        return space
+    def _expand(self, image: ModuleElement, spec: Specialization):
+        """`solve_in_span` of a nonzero ladder image against the restricted
+        basis of its weight: (status, the labels with a nonzero
+        coefficient, or None unless the status is "ok")."""
+        self.restriction_labels()
+        labels = self._by_weight.get(image.weight, [])
+        rows = [self.basis_element(nu, B, spec).vector() for nu, B in labels]
+        status, coeffs = solve_in_span(rows, image.elem.vector())
+        if status != "ok":
+            return status, None
+        return status, [lab for lab, c in zip(labels, coeffs) if c]
 
     def highest_weight_check(self, i: int, spec: Specialization,
                              conventions_validated: bool = True) -> dict:
         """Every raising operator of the restricted algebra sends the
-        layer's marked vector into the span of the deeper layers."""
+        layer's marked vector into the span of the deeper layers: its
+        expansion in the restricted basis is unique and uses only labels
+        of layers after i."""
         if not 1 <= i <= len(self.nodes):
             raise ValueError(f"layer {i} is not one of 1..{len(self.nodes)}")
         if not conventions_validated:
@@ -203,21 +204,18 @@ class BranchContext:
         X = t_lambda_x(self.lam, node, self.big.shape)
         tau = X.type_weight()
         hX = ModuleElement(tau, self.basis_element(tau, X, spec))
-        deeper = [lab for lab in self.restriction_labels()
-                  if self.layer_index(lab[1]) >= i + 1]
         checks = []
-        certified = True
         for idx in self.small_ef_indices():
             image = self.big.ef_apply(idx, "E", hX)
-            entry = {"idx": [idx.i, idx.k]}
             if not image.elem:
-                entry["status"] = "zero_exact"
+                status = "zero_exact"
             else:
-                span = self._span_of_labels(deeper, image.weight, spec)
-                inside = span.contains(image.elem.vector())
-                entry["status"] = "in_deeper_span" if inside else "FAILED"
-                certified = certified and inside
-            checks.append(entry)
+                status, support = self._expand(image, spec)
+                inside = status == "ok" and all(
+                    self.layer_index(B) > i for _, B in support)
+                status = "in_deeper_span" if inside else "FAILED"
+            checks.append({"idx": [idx.i, idx.k], "status": status})
+        certified = all(c["status"] != "FAILED" for c in checks)
         return {"layer": i, "node": list(node), "tau": tau.to_json(),
                 "checks": checks, "certified": certified}
 
@@ -225,19 +223,15 @@ class BranchContext:
                             A: TypedTableau, spec: Specialization) -> dict:
         """Expand the ladder image of h_A in the restricted basis and
         assert every contributing tableau dominates A after stripping."""
+        base_shape = self._smaller[self.layer_index(A) - 1]
         me = ModuleElement(mu, self.basis_element(mu, A, spec))
         image = self.big.ef_apply(idx, kind, me)
-        base_shape = self._stripped_shape(A)
         report = {"idx": [idx.i, idx.k], "kind": kind, "mu": mu.to_json()}
         if not image.elem:
             report["status"] = "zero"
             report["dominance_holds"] = True
             return report
-        basis_labels = [(nu, B) for nu, B in self.restriction_labels()
-                        if nu == image.weight]
-        rows = [self.basis_element(nu, B, spec).vector()
-                for nu, B in basis_labels]
-        status, coeffs = solve_in_span(rows, image.elem.vector())
+        status, support = self._expand(image, spec)
         if status != "ok":
             # rank defects and escapes are reported, never ignored
             report["status"] = status
@@ -246,9 +240,9 @@ class BranchContext:
         report["status"] = "expanded"
         report["support"] = [
             {"B_type": nu.to_json(),
-             "dominates": dominance_multiweight(self._stripped_shape(B),
-                                                base_shape)}
-            for (nu, B), c in zip(basis_labels, coeffs) if c]
+             "dominates": dominance_multiweight(
+                 self._smaller[self.layer_index(B) - 1], base_shape)}
+            for nu, B in support]
         report["dominance_holds"] = all(
             s["dominates"] for s in report["support"])
         return report

@@ -108,7 +108,6 @@ class SchurContext:
         self.algebra = AlgebraContext(n, r, m_convention=m_convention,
                                       y_convention=y_convention)
         self._weights = None
-        self._partitions = None
         self._x_cache = {}
         self._z_cache = {}
         self._span_cache = {}
@@ -129,12 +128,6 @@ class SchurContext:
         if self._weights is None:
             self._weights = enumerate_multicompositions(self.n, self.shape)
         return self._weights
-
-    def partitions(self):
-        if self._partitions is None:
-            self._partitions = enumerate_multicompositions(
-                self.n, self.shape, partitions_only=True)
-        return self._partitions
 
     def weight(self, parts) -> Multicomposition:
         return Multicomposition(parts, m=self.m)

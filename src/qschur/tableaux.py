@@ -494,20 +494,12 @@ class TypedTableau:
         return Multicomposition(counts, m=self.bounds.m)
 
     def is_semistandard(self) -> bool:
-        for cidx, comp in enumerate(self.entries, start=1):
-            for a, row in enumerate(comp, start=1):
-                for b, (i, s) in enumerate(row, start=1):
-                    if s < cidx:
-                        return False
-                    if b > 1 and _symkey(row[b - 2]) > _symkey((i, s)):
-                        return False
-                    if a > 1:
-                        widths = self.shape.parts[cidx - 1]
-                        if widths[a - 2] >= b:
-                            above = comp[a - 2][b - 1]
-                            if not _symkey(above) < _symkey((i, s)):
-                                return False
-        return True
+        return all(
+            _fits(sym, c, row[b - 1] if b else None,
+                  comp[a - 1][b] if a and b < len(comp[a - 1]) else None)
+            for c, comp in enumerate(self.entries, start=1)
+            for a, row in enumerate(comp)
+            for b, sym in enumerate(row))
 
     def positions_of(self, sym):
         out = []
@@ -551,6 +543,15 @@ def _symkey(sym):
     return (s, i)
 
 
+def _fits(sym, c, left, above) -> bool:
+    """The semistandard rule for symbol (i, s) in component c, next to the
+    entries `left` of it and `above` it (None where there is no box):
+    s >= c, rows weakly increase, columns strictly increase."""
+    return (sym[1] >= c
+            and (left is None or _symkey(left) <= _symkey(sym))
+            and (above is None or _symkey(above) < _symkey(sym)))
+
+
 def enumerate_ssyt(lam: Multicomposition, bounds: MultiShape, type_weight=None):
     """All semistandard lam-tableaux over the symbol bounds.
 
@@ -573,18 +574,6 @@ def enumerate_ssyt(lam: Multicomposition, bounds: MultiShape, type_weight=None):
     grid = {}
     results = []
 
-    def feasible(sym, box):
-        a, b, c = box
-        i, s = sym
-        if s < c:
-            return False
-        if b > 1 and _symkey(grid[(a, b - 1, c)]) > _symkey(sym):
-            return False
-        if a > 1 and (a - 1, b, c) in grid:
-            if not _symkey(grid[(a - 1, b, c)]) < _symkey(sym):
-                return False
-        return True
-
     def fill(idx):
         if idx == len(boxes):
             entries = [[[grid[(a, b, c)] for b in range(1, w + 1)]
@@ -593,10 +582,12 @@ def enumerate_ssyt(lam: Multicomposition, bounds: MultiShape, type_weight=None):
             results.append(TypedTableau(lam, bounds, entries))
             return
         box = boxes[idx]
+        a, b, c = box
+        left, above = grid.get((a, b - 1, c)), grid.get((a - 1, b, c))
         for sym in symbols:
             if budget is not None and budget[sym] == 0:
                 continue
-            if not feasible(sym, box):
+            if not _fits(sym, c, left, above):
                 continue
             grid[box] = sym
             if budget is not None:

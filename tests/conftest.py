@@ -19,7 +19,8 @@ from qschur.hecke import AKElement, AlgebraContext, _accumulate
 from qschur.linalg import RowSpace, _integer_row, nullspace
 from qschur.schur import ModuleElement, SchurContext
 from qschur.symgrp import CompositionBlocks, double_coset
-from qschur.tableaux import enumerate_ssyt, t_lambda_x
+from qschur.tableaux import (enumerate_multicompositions, enumerate_ssyt,
+                             t_lambda_x)
 
 
 def rank_exact(matrix) -> int:
@@ -209,7 +210,8 @@ def hom_space_images(sc, mu, nu, spec):
 def cellular_hom_dimension(sc, mu, nu) -> int:
     """Tableau-counting prediction for dim Hom(M^mu, M^nu)."""
     total = 0
-    for lam in sc.partitions():
+    for lam in enumerate_multicompositions(sc.n, sc.shape,
+                                           partitions_only=True):
         total += (len(enumerate_ssyt(lam, sc.shape, nu))
                   * len(enumerate_ssyt(lam, sc.shape, mu)))
     return total

@@ -5,7 +5,7 @@ import pytest
 from conftest import span_highest_weight_check
 from qschur.branching import BranchContext
 from qschur.ring import Specialization
-from qschur.schur import FALLBACK_FLAGS, ModuleElement
+from qschur.schur import ModuleElement
 from qschur.tableaux import (MultiShape, enumerate_multicompositions,
                              enumerate_ssyt)
 
@@ -172,13 +172,12 @@ def test_highest_weight_matches_span_membership():
     # every layer of every lambda of eight configurations (n + 1, r, m),
     # under both flag pairs at two points: the one expansion against the
     # labels of the image's weight gives the span-membership verdicts
-    fallback = dict(zip(("m_convention", "y_convention"), FALLBACK_FLAGS))
     reports = uncertified = 0
     for n1, r, m in ((2, 1, (2,)), (3, 1, (3,)), (3, 1, (4,)), (4, 1, (4,)),
                      (2, 2, (2, 2)), (3, 2, (3, 3)), (2, 3, (2, 2, 2)),
                      (3, 3, (3, 3, 3))):
         specs = [Specialization.random(r, Random(s)) for s in (1, 2)]
-        for flags in ({}, fallback):
+        for flags in ({}, QLEN):
             for bc in branch_contexts(n1 - 1, r, m, **flags):
                 for spec in specs:
                     for i in range(1, len(bc.nodes) + 1):
@@ -188,6 +187,22 @@ def test_highest_weight_matches_span_membership():
                         reports += 1
                         uncertified += not rep["certified"]
     assert (reports, uncertified) == (360, 62)
+
+
+def test_highest_weight_reads_the_layers_of_the_expansion(monkeypatch):
+    # with every label moved into layer 1 nothing lies deeper than layer 1,
+    # so an image that was in the deeper span now fails, as it does by
+    # span membership
+    bc = BranchContext(1, 3, (2, 2, 2), [[1], [1], []])
+    spec = Specialization.random(3, Random(1))
+    statuses = [c["status"] for c in bc.highest_weight_check(1, spec)["checks"]]
+    assert "in_deeper_span" in statuses
+    monkeypatch.setattr(bc, "layer_index", lambda A: 1)
+    rep = bc.highest_weight_check(1, spec)
+    assert rep == span_highest_weight_check(bc, 1, spec)
+    assert [c["status"] for c in rep["checks"]] == [
+        "FAILED" if s == "in_deeper_span" else s for s in statuses]
+    assert not rep["certified"]
 
 
 def test_non_labels_raise_value_error():

@@ -97,7 +97,13 @@ def test_deleted_api_is_gone():
             (qschur.AlgebraContext, "_lmul_L_term"),
             (qschur.SchurContext, "idempotent_apply"),
             (qschur.SchurContext, "hom_space_images"),
-            (qschur.SchurContext, "cellular_hom_dimension")):
+            (qschur.SchurContext, "cellular_hom_dimension"),
+            # branching labels annotated in one pass, ladder images
+            # expanded once; partitions are enumerated where needed
+            (qschur.BranchContext, "marked_node"),
+            (qschur.BranchContext, "_stripped_shape"),
+            (qschur.BranchContext, "_span_of_labels"),
+            (qschur.SchurContext, "partitions")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     # options that only ever took one value
     params = inspect.signature(qschur.BranchContext.branch_dim_identity).parameters
@@ -117,7 +123,7 @@ LIBRARY_API = {
     "superstandard", "nullspace", "double_cosets", "gamma",
     "gamma_inverse", "dominance_composition", "w_lambda", "act", "parse",
     "from_json", "validated_ef_conventions", "highest_weight_check",
-    "triangularity_check", "main",
+    "triangularity_check", "weyl_dim_count", "main",
 }
 
 

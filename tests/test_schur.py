@@ -13,7 +13,8 @@ from qschur.schur import (FALLBACK_FLAGS, ConventionError, EFIndex,
                           validated_ef_conventions, verify_basis_with_fallback)
 from qschur.symgrp import (CompositionBlocks, compose, invert, length,
                            young_subgroup)
-from qschur.tableaux import enumerate_ssyt, one_A, superstandard, w_lambda
+from qschur.tableaux import (enumerate_multicompositions, enumerate_ssyt, one_A,
+                             superstandard, w_lambda)
 
 QLEN = dict(m_convention="qlen", y_convention="signed")
 
@@ -45,14 +46,16 @@ def test_z_rejects_non_partition(schur21):
 
 
 def test_superstandard_vector_is_z(schur22):
-    for lam in schur22.partitions():
+    for lam in enumerate_multicompositions(schur22.n, schur22.shape,
+                                           partitions_only=True):
         A = superstandard(lam, schur22.shape)
         h = schur22.basis_vector(lam, lam, A)
         assert h == schur22.z_element(lam)
 
 
 def test_basis_vector_nonzero_and_counts(schur22):
-    for lam in schur22.partitions():
+    for lam in enumerate_multicompositions(schur22.n, schur22.shape,
+                                           partitions_only=True):
         total = 0
         for A in enumerate_ssyt(lam, schur22.shape):
             vec = schur22.basis_vector(lam, A.type_weight(), A)
@@ -92,7 +95,8 @@ def check_against_plain_chain(n, r, m, rings, **flags):
     for ring in rings:
         algebra = sc.algebra if ring == "generic" else sc.algebra.over(
             PointContext(spec, PRIME if ring == "F_p" else None))
-        for lam in sc.partitions():
+        for lam in enumerate_multicompositions(sc.n, sc.shape,
+                                               partitions_only=True):
             for A in enumerate_ssyt(lam, sc.shape):
                 mu = A.type_weight()
                 h = sc.basis_vector(lam, mu, A, algebra)
@@ -147,7 +151,9 @@ def test_basis_vector_tables_under_concurrent_readers():
     spec = Specialization.random(2, Random(29))
     algebras = [sc.algebra.over(PointContext(spec, modulus))
                 for modulus in (PRIME, None)]
-    jobs = [(lam, A, algebras[k % 2]) for lam in sc.partitions()
+    jobs = [(lam, A, algebras[k % 2])
+            for lam in enumerate_multicompositions(sc.n, sc.shape,
+                                                   partitions_only=True)
             for k, A in enumerate(enumerate_ssyt(lam, sc.shape))]
     Random(3).shuffle(jobs)
     serial = [plain_chain(algebra, lam, A.type_weight(), A)
@@ -253,7 +259,8 @@ def test_weyl_dim_counts(schur21, schur22):
                                    (2, 2, (2, 2)), (1, 2, (1, 1))])
 def test_independence_certified_all_weights(n, r, m):
     sc = SchurContext(n, r, m)
-    for lam in sc.partitions():
+    for lam in enumerate_multicompositions(sc.n, sc.shape,
+                                           partitions_only=True):
         rep = sc.verify_basis_independence(lam, seed=0)
         assert rep["certified"], (lam.trimmed(), rep)
         assert rep["rank"] == rep["count"] == sc.weyl_dim_count(lam)
@@ -261,7 +268,8 @@ def test_independence_certified_all_weights(n, r, m):
 
 def test_independence_under_fallback_flags():
     sc = SchurContext(2, 2, (2, 2), **QLEN)
-    for lam in sc.partitions():
+    for lam in enumerate_multicompositions(sc.n, sc.shape,
+                                           partitions_only=True):
         rep = sc.verify_basis_independence(lam, seed=0)
         assert rep["certified"] and rep["literal_flags"] is False
 

@@ -1,5 +1,5 @@
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -276,6 +276,34 @@ def test_ssyt_all_semistandard():
         for A in enumerate_ssyt(lam, shape):
             assert A.is_semistandard()
             assert A.type_weight().n == lam.n
+
+
+def test_semistandard_rule_against_every_filling():
+    # every filling of each multipartition of 3 over (2,2): is_semistandard
+    # holds, and enumerate_ssyt lists the filling, exactly when each entry
+    # (i, s) has s >= its component and, in the order (s, i), rows weakly
+    # and columns strictly increase
+    shape = MultiShape((2, 2))
+    for lam in enumerate_multicompositions(3, shape, partitions_only=True):
+        boxes = lam.boxes()
+        listed = set(enumerate_ssyt(lam, shape))
+        kept = set()
+        for syms in product(shape.symbols(), repeat=len(boxes)):
+            at = dict(zip(boxes, syms))
+            A = TypedTableau(lam, shape, [
+                [[at[(a, b, c)] for b in range(1, w + 1)]
+                 for a, w in enumerate(comp, start=1)]
+                for c, comp in enumerate(lam.parts, start=1)])
+            key = {box: (s, i) for box, (i, s) in at.items()}
+            rule = all(
+                s >= c
+                and key.get((a, b - 1, c), (0, 0)) <= key[(a, b, c)]
+                and key.get((a - 1, b, c), (0, 0)) < key[(a, b, c)]
+                for (a, b, c), (i, s) in at.items())
+            assert A.is_semistandard() == rule == (A in listed), A
+            if rule:
+                kept.add(A)
+        assert kept == listed and kept
 
 
 def test_superstandard_is_unique_of_its_type():
