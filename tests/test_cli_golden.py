@@ -30,8 +30,15 @@ the seven multipartitions of (4,2,(2,2)) with more than 16 basis vectors
 (18 to 45), and `compute h --format json` for lambda = ([2,1],[1,0]),
 mu = ([1,0],[2,1]), tableau index 1, over the generic ring.  Last,
 `verify branch --format json` for lambda = ([2,1],[1]) at m = (4,4) and
-([1],[1],[1]) at m = (3,3,3), whose layers have up to 112 labels.  A change to
-how the verdicts or elements are computed must leave every byte the same.
+([1],[1],[1]) at m = (3,3,3), whose layers have up to 112 labels.  Then
+`verify basis --format json --seed 9 --flags
+m_convention=qlen,y_convention=signed` for every multipartition of
+(3,2,(3,3)) (10) and of (4,2,(2,2)) (14), lambda given trimmed and without
+spaces, which pins the q^{l(d)} coefficients where one tableau deals many
+coset representatives d; and `compute z --format json` for
+lambda = ([2,1],[1]) at m = (2,2), r = 2, over the generic ring.  A change
+to how the verdicts or elements are computed must leave every byte the
+same.
 """
 
 import io
