@@ -344,6 +344,12 @@ def cmd_compute(args) -> int:
         index = args.index or 0
         if args.tableau:
             entries = _parse_json_arg(args.tableau, "--tableau", 4)
+            if len(entries) != r:
+                raise UsageError(f"--tableau needs {r} components")
+            # padded with empty rows as lambda is: `enum ssyt` prints a
+            # component's rows up to its last nonempty one
+            entries = [comp + [[]] * (mk - len(comp))
+                       for comp, mk in zip(entries, sc.m)]
             try:
                 A = TypedTableau(lam, sc.shape, entries)
             except ValueError as exc:

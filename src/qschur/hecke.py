@@ -670,11 +670,10 @@ class Multiples:
         a.ctx.compatible(self.ctx)
         return a._termwise(lambda k: self._entry(k).terms.items())
 
-    def summands(self, a: "AKElement"):
-        """a * b left unsummed: the pairs (coefficient, L^c T_w b), one per
-        term of `a`."""
-        a.ctx.compatible(self.ctx)
-        return [(coeff, self._entry(k)) for k, coeff in a.terms.items()]
+    def summands(self, terms):
+        """a * b left unsummed, a the sum of coeff L^c T_w over the pairs
+        (coeff, key of L^c T_w) `terms`: the pairs (coeff, L^c T_w b)."""
+        return [(coeff, self._entry(k)) for coeff, k in terms]
 
 
 class AKElement:

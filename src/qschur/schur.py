@@ -14,6 +14,20 @@ h_A = sum over d of c(d) T_d z_lam: one `Multiples(z_lam)` table per lam
 serves every h_A of lam, with one entry per distinguished coset
 representative d (the inverses of `coset_reps` of W_lam 1_A^-1 W_mu).
 
+1_A^-1 is read off the rows of A, numbered row by row and component by
+component as in `bar_tableau`: box p holds a symbol, block f of mu bar
+once flattened, and 1_A^-1 sends p to the next unused place of that
+block, so the boxes of one symbol fill its block in reading order.  The
+same pass counts the symbols, which checks A's type against mu.  The
+key of T_d and l(d) come from the Lehmer digits of d, read off its
+inverse x: the digit at v counts the values above v before v in x.
+
+z_lam is associated as x_lam (T_{w_lam} y_{lam'}): T_{w_lam} y_{lam'} is
+one chain of T-steps on y_{lam'}, and x_lam then multiplies it term by
+term through one `Multiples` table.  As (x_lam T_{w_lam}) y_{lam'} it
+took two tables, one of T_{w_lam} over the terms of x_lam and one of
+y_{lam'} over the terms of their product.  Both give the same element.
+
 Independence of the basis maps is certified per type block: maps whose
 images lie in different weight summands never mix, so the certified rank
 is the sum over types mu of the rank of {h_A : A of type mu} at a random
@@ -36,6 +50,7 @@ certified module homomorphism, and raises `ConventionError` otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from random import Random
 
@@ -44,8 +59,7 @@ from .linalg import ResourceLimit, RowSpace
 from .ring import PointContext, Specialization
 from .symgrp import CompositionBlocks, coset_reps, identity, invert
 from .tableaux import (MultiShape, Multicomposition, TypedTableau,
-                       enumerate_multicompositions, enumerate_ssyt, one_A,
-                       w_lambda)
+                       enumerate_multicompositions, enumerate_ssyt, w_lambda)
 
 __all__ = [
     "SchurContext",
@@ -81,9 +95,27 @@ class EFIndex:
 
 
 def _z_element(algebra: AlgebraContext, lam: Multicomposition) -> AKElement:
-    """z_lam = x_lam T_{w_lam} y_{lam'} over `algebra`."""
+    """z_lam = x_lam (T_{w_lam} y_{lam'}) over `algebra` (see the module
+    docstring for why it is associated so)."""
     w, _ = w_lambda(lam)
-    return algebra.x_element(lam) * algebra.T(w) * algebra.y_element(lam.dual())
+    return algebra.x_element(lam) * (algebra.T(w) * algebra.y_element(lam.dual()))
+
+
+def _inverse_key(x) -> tuple:
+    """(the key of T_{x^-1}, l(x)).  The Lehmer digit of x^-1 at v counts
+    the values above v that come before v in x, and l(x) = l(x^-1) is
+    the sum of the digits."""
+    n = len(x)
+    digits = [0] * n
+    seen = []
+    for p, v in enumerate(x):
+        i = bisect(seen, v)
+        digits[v - 1] = p - i
+        seen.insert(i, v)
+    key = 0
+    for i, digit in enumerate(digits):
+        key = key * (n - i) + digit
+    return key, sum(digits)
 
 
 class SchurContext:
@@ -113,6 +145,7 @@ class SchurContext:
         self._span_cache = {}
         self._points = {}
         self._tables = (None, {})   # (algebra, {lam.parts: Multiples(R)})
+        self._block_cache = {}      # weight.parts -> CompositionBlocks
 
     @property
     def m(self):
@@ -170,22 +203,40 @@ class SchurContext:
 
         Built over `algebra` (this context's by default; the at-point
         checks pass one over F_p or Q)."""
-        cs, table = self._coset_reps_sum(lam, mu, A, algebra)
-        return table.left(cs)
+        table, terms = self._coset_terms(lam, mu, A, algebra)
+        cs = {k: c for c, k in terms}
+        return table.left(AKElement(table.ctx, table.ctx.scalars.normal(cs)))
 
     def basis_summands(self, lam: Multicomposition, mu: Multicomposition,
                        A: TypedTableau, algebra: AlgebraContext | None = None):
-        """h_A left unsummed: the pairs (c(d), T_d z_lam) of
-        `Multiples.summands`, one per distinguished coset representative d
-        (see the module docstring)."""
-        cs, table = self._coset_reps_sum(lam, mu, A, algebra)
-        return table.summands(cs)
+        """h_A left unsummed: the pairs (c(d), T_d z_lam), one per
+        distinguished coset representative d (see the module docstring)."""
+        table, terms = self._coset_terms(lam, mu, A, algebra)
+        return table.summands(terms)
 
-    def _coset_reps_sum(self, lam, mu, A, algebra):
-        """(sum of c(d) T_d over the d of `basis_summands`, Multiples(z_lam)),
-        both over `algebra`; one table per lam, kept for the last algebra
-        asked for."""
-        if A.shape != lam or A.type_weight() != mu:
+    def _coset_terms(self, lam, mu, A, algebra):
+        """(Multiples(z_lam) over `algebra`, the pairs (c(d), key of T_d))
+        for the d of `basis_summands`, in the order `coset_reps` deals
+        them; one table per lam, kept for the last algebra asked for."""
+        m = A.bounds.m
+        if A.shape != lam or m != mu.m:
+            raise ValueError("tableau does not match (lam, mu)")
+        right = self._blocks(mu)
+        # 1_A^-1 row by row: box p goes to the next unused place of its
+        # symbol's block of mu bar, symbol (i, s) being block
+        # i + m_1 + ... + m_{s-1}
+        base = [0]
+        for mk in m:
+            base.append(base[-1] + mk)
+        used = list(right.bounds)
+        inv_one = []
+        for comp in A.entries:
+            for row in comp:
+                for i, s in row:
+                    f = base[s - 1] + i - 1
+                    used[f] += 1
+                    inv_one.append(used[f])
+        if tuple(used[:-1]) != right.bounds[1:]:
             raise ValueError("tableau does not match (lam, mu)")
         if not A.is_semistandard():
             raise ValueError("tableau is not semistandard")
@@ -199,17 +250,30 @@ class SchurContext:
             table = tables[lam.parts] = Multiples(_z_element(algebra, lam))
         # the inverses of the shortest elements of the cosets W_lam x in
         # W_lam 1_A^-1 W_mu are the shortest elements of the d W_lam
-        reps = coset_reps(CompositionBlocks(lam.bar()), invert(one_A(A)),
-                          CompositionBlocks(mu.bar()))
-        cs = algebra.perm_sum([invert(x) for x in reps], algebra.m_convention)
-        return cs, table
+        S = algebra.scalars
+        qlen = algebra.m_convention == "qlen"
+        terms = []
+        for x in coset_reps(self._blocks(lam), tuple(inv_one), right):
+            key, lx = _inverse_key(x)
+            terms.append((S.q(lx) if qlen else S.one(), key))
+        return table, terms
+
+    def _blocks(self, weight: Multicomposition) -> CompositionBlocks:
+        """The blocks of weight bar, made once per weight."""
+        blocks = self._block_cache.get(weight.parts)
+        if blocks is None:
+            blocks = self._block_cache[weight.parts] = CompositionBlocks(
+                weight.bar())
+        return blocks
 
     def tableaux_by_type(self, lam: Multicomposition):
         """All semistandard lam-tableaux grouped by their type weight."""
         groups = {}
         for A in enumerate_ssyt(lam, self.shape):
-            groups.setdefault(A.type_weight(), []).append(A)
-        return groups
+            key = tuple(sorted(sym for comp in A.entries for row in comp
+                               for sym in row))
+            groups.setdefault(key, []).append(A)
+        return {As[0].type_weight(): As for As in groups.values()}
 
     def weyl_dim_count(self, lam: Multicomposition) -> int:
         """Tableau-counting oracle for the module dimension."""
@@ -329,8 +393,8 @@ class SchurContext:
         group W_target (`coset_reps` of W_source W_target, which all lie in
         W_target).  Their inverses are the shortest elements of the cosets
         y W_source, so this is also the sum of q^{l(x)} T_x over those."""
-        reps = coset_reps(CompositionBlocks(source.bar()), identity(self.n),
-                          CompositionBlocks(target.bar()))
+        reps = coset_reps(self._blocks(source), identity(self.n),
+                          self._blocks(target))
         return algebra.perm_sum([invert(x) for x in reps], "qlen")
 
     def ef_apply(self, idx: EFIndex, kind: str, me: ModuleElement) -> ModuleElement:

@@ -18,8 +18,8 @@ import pytest
 from qschur.hecke import AKElement, AlgebraContext, _accumulate
 from qschur.linalg import RowSpace, _integer_row, nullspace
 from qschur.schur import ModuleElement, SchurContext
-from qschur.symgrp import CompositionBlocks, double_coset
-from qschur.tableaux import (enumerate_multicompositions, enumerate_ssyt,
+from qschur.symgrp import CompositionBlocks, coset_reps, double_coset, invert
+from qschur.tableaux import (enumerate_multicompositions, enumerate_ssyt, one_A,
                              t_lambda_x)
 
 
@@ -168,6 +168,20 @@ def coset_sum(algebra, left_comp, d, right_comp):
     return algebra.perm_sum(double_coset(CompositionBlocks(left_comp), d,
                                          CompositionBlocks(right_comp)),
                             algebra.m_convention)
+
+
+def one_A_summands(algebra, lam, mu, A, table):
+    """The pairs (c(d), T_d z_lam) of `SchurContext.basis_summands` by the
+    route through the permutation 1_A: `coset_reps` of W_lam 1_A^-1 W_mu
+    on fresh blocks, each inverted, and their `perm_sum` c_A; each term
+    c(d) T_d of c_A gives (c(d), T_d z_lam), the product read from
+    `table`, a `Multiples` of z_lam over `algebra`."""
+    reps = coset_reps(CompositionBlocks(lam.bar()), invert(one_A(A)),
+                      CompositionBlocks(mu.bar()))
+    cs = algebra.perm_sum([invert(x) for x in reps], algebra.m_convention)
+    one = algebra.scalars.one()
+    return [(coeff, table.left(AKElement(algebra, {k: one})))
+            for k, coeff in cs.terms.items()]
 
 
 def hom_space_images(sc, mu, nu, spec):

@@ -165,6 +165,38 @@ def test_compute_h_selector():
     assert code == 2
 
 
+def test_compute_h_takes_the_tableaux_enum_ssyt_prints():
+    # `enum ssyt` prints each component's rows up to its last nonempty one;
+    # given back with its type, each tableau is the h of its index
+    shape = ["--lambda", "[[1],[1]]", "--m", "[2,2]", "--r", "2"]
+    code, out = run_cli(["enum", "ssyt", *shape, "--format", "json"])
+    assert code == 0
+    items = json.loads(out)["items"]
+    assert len(items) == 8
+    assert any(len(comp) < 2 for item in items for comp in item["entries"])
+    for item in items:
+        mu = [[0, 0], [0, 0]]
+        for comp in item["entries"]:
+            for row in comp:
+                for i, s in row:
+                    mu[s - 1][i - 1] += 1
+        mu = json.dumps(mu)
+        code, out = run_cli(["enum", "ssyt", *shape, "--mu", mu,
+                             "--format", "json"])
+        index = [t["entries"] for t in json.loads(out)["items"]].index(
+            item["entries"])
+        by_index = run_cli(["compute", "h", *shape, "--mu", mu,
+                            "--index", str(index), "--format", "json"])
+        by_tableau = run_cli(["compute", "h", *shape, "--mu", mu, "--tableau",
+                              json.dumps(item["entries"]), "--format", "json"])
+        assert by_index[0] == 0 and by_tableau == by_index
+    # one component per entry of --m, no more and no fewer
+    for entries in ("[[[[2, 1]]]]", "[[[[2, 1]]], [[[2, 2]]], []]"):
+        code, _ = run_cli(["compute", "h", *shape, "--mu", "[[0,1],[0,1]]",
+                           "--tableau", entries])
+        assert code == 2
+
+
 def test_usage_errors_exit_two():
     code, _ = run_cli(["enum", "ssyt", "--lambda", "not json"])
     assert code == 2

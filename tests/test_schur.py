@@ -5,7 +5,8 @@ from random import Random
 import pytest
 
 from conftest import (cellular_hom_dimension, coset_sum, hom_space_images,
-                      rank_exact, specialize_vector)
+                      one_A_summands, rank_exact, specialize_vector)
+from qschur.hecke import Multiples
 from qschur.linalg import RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
 from qschur.schur import (FALLBACK_FLAGS, ConventionError, EFIndex,
@@ -13,8 +14,8 @@ from qschur.schur import (FALLBACK_FLAGS, ConventionError, EFIndex,
                           validated_ef_conventions, verify_basis_with_fallback)
 from qschur.symgrp import (CompositionBlocks, compose, invert, length,
                            young_subgroup)
-from qschur.tableaux import (enumerate_multicompositions, enumerate_ssyt, one_A,
-                             superstandard, w_lambda)
+from qschur.tableaux import (TypedTableau, enumerate_multicompositions,
+                             enumerate_ssyt, one_A, superstandard, w_lambda)
 
 QLEN = dict(m_convention="qlen", y_convention="signed")
 
@@ -124,6 +125,49 @@ def test_basis_vector_table_matches_plain_chain_under_fallback_flags(
         n, r, m, rings):
     check_against_plain_chain(n, r, m, rings, m_convention=FALLBACK_FLAGS[0],
                               y_convention=FALLBACK_FLAGS[1])
+
+
+SUMMAND_CONFIGS = [(3, 2, (3, 3)), (2, 3, (2, 2, 2)), (5, 1, (3,)),
+                   (4, 2, (2, 2))]
+
+
+@pytest.mark.parametrize("flags", [{}, QLEN], ids=["plain", "qlen"])
+@pytest.mark.parametrize("n,r,m", SUMMAND_CONFIGS)
+def test_basis_summands_match_the_route_through_one_A(n, r, m, flags):
+    # the (c(d), T_d z_lam) pairs, in order, against the coset
+    # representatives of W_lam 1_A^-1 W_mu and a table of z_lam associated
+    # as (x_lam T_{w_lam}) y_{lam'}
+    sc = SchurContext(n, r, m, **flags)
+    spec = Specialization.random(r, Random(17))
+    for algebra in (sc.algebra, sc.algebra.over(PointContext(spec, PRIME))):
+        for lam in enumerate_multicompositions(sc.n, sc.shape,
+                                               partitions_only=True):
+            w, _ = w_lambda(lam)
+            table = Multiples(algebra.x_element(lam) * algebra.T(w)
+                              * algebra.y_element(lam.dual()))
+            for A in enumerate_ssyt(lam, sc.shape):
+                mu = A.type_weight()
+                assert sc.basis_summands(lam, mu, A, algebra) == \
+                    one_A_summands(algebra, lam, mu, A, table)
+
+
+def test_basis_summands_refuse_a_tableau_of_another_lambda_or_mu(schur22):
+    lam = schur22.weight([(2,), (0,)])
+    A = TypedTableau(lam, schur22.shape, [[[(1, 1), (2, 1)], []], [[], []]])
+    mu = A.type_weight()
+    bad = TypedTableau(lam, schur22.shape, [[[(2, 1), (1, 1)], []], [[], []]])
+    assert bad.type_weight() == mu and not bad.is_semistandard()
+    for build in (schur22.basis_summands, schur22.basis_vector):
+        build(lam, mu, A)
+        with pytest.raises(ValueError, match="does not match"):
+            build(lam, schur22.weight([(2,), (0,)]), A)
+        with pytest.raises(ValueError, match="does not match"):
+            build(lam, SchurContext(2, 2, (3, 1)).weight([(1, 1, 0), (0,)]),
+                  A)
+        with pytest.raises(ValueError, match="does not match"):
+            build(schur22.weight([(1,), (1,)]), mu, A)
+        with pytest.raises(ValueError, match="not semistandard"):
+            build(lam, mu, bad)
 
 
 def test_basis_vector_tables_follow_the_algebra_asked_for():
