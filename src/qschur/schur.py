@@ -122,12 +122,12 @@ class SchurContext:
     """Weights Lambda_{n,r}(m) over one Ariki-Koike algebra instance.
 
     All cached values (x and z elements, module spans, the per-lambda
-    tables of `basis_vector`) are keyed deterministically; the tables fill
-    lazily, and concurrent fills store equal values.  The underlying
-    algebra context carries the only synchronised caches.  The factor of
-    a ladder step is rebuilt on each `ef_apply` call: kept per context,
-    the factors of one pass of the branching checks held about 0.5 MiB
-    for a few percent of its time.
+    tables of `basis_vector`, the blocks of each weight bar) are keyed
+    deterministically; they fill lazily, and concurrent fills store equal
+    values.  The underlying algebra context carries the only synchronised
+    caches.  The factor of a ladder step is rebuilt on each `ef_apply`
+    call: kept per context, the factors of one pass of the branching
+    checks held about 0.5 MiB for a few percent of its time.
     """
 
     def __init__(self, n: int, r: int, m,
@@ -222,9 +222,8 @@ class SchurContext:
         if A.shape != lam or m != mu.m:
             raise ValueError("tableau does not match (lam, mu)")
         right = self._blocks(mu)
-        # 1_A^-1 row by row: box p goes to the next unused place of its
-        # symbol's block of mu bar, symbol (i, s) being block
-        # i + m_1 + ... + m_{s-1}
+        # 1_A^-1, box by box (see the module docstring); symbol (i, s) is
+        # block i + m_1 + ... + m_{s-1} of mu bar
         base = [0]
         for mk in m:
             base.append(base[-1] + mk)
@@ -267,7 +266,9 @@ class SchurContext:
         return blocks
 
     def tableaux_by_type(self, lam: Multicomposition):
-        """All semistandard lam-tableaux grouped by their type weight."""
+        """All semistandard lam-tableaux grouped by their type weight: by
+        their sorted entries, which fix the type, with one type weight
+        built per group."""
         groups = {}
         for A in enumerate_ssyt(lam, self.shape):
             key = tuple(sorted(sym for comp in A.entries for row in comp
