@@ -44,8 +44,17 @@ finishes a term dict hands it to the ring's `normal`, so equal elements
 have equal term dicts in every ring; a generator table row is finished so
 once, for all the terms read off it.
 
-General products a * b walk the weak order: `Multiples(b)` makes each
-L^c T_w b from a shorter multiple by one T_j or L_i step.  Correctness is
+General products a * b, a the sum of alpha_{c,w} L^c T_w, put the
+commuting L_i on the left: a * b is the sum over c of L^c Y_c, where Y_c
+is the sum of alpha_{c,w} T_w b over the T-parts w under the L-part c,
+read from the T-entries of one `Multiples(b)` table (each T_w b one T_j
+step from a shorter one).  The sum over c is evaluated by Horner in L_n,
+..., L_1 (`AlgebraContext._jm_horner`), so an L_i step acts once on a
+partial sum rather than once on each term's own chain; the L_i commute,
+so every nesting gives the same element.  This path is taken only when
+two terms of a share an L-part; every other product, and right
+multiplication by a generator, reads each L^c T_w b off a `Multiples`
+table (see there).  Nothing is kept between products.  Correctness is
 established by the relation / associativity / closure-dimension test
 suite rather than by a confluence proof.  One closure routine,
 `AKElement.closure`, serves the closure dimension (left steps from 1) and
@@ -62,16 +71,17 @@ the ring, and + - * neg and the truth value (false at zero) on its
 elements, so the plain `Fraction`s and ints of the rings at a point serve
 as they are.  Any ring with that protocol works.  The generic ring
 parses, prints and computes; every check at a rational point builds its
-elements over `PointContext`, the image of the generic ring at the point,
-over Q or F_p, and reads them with `vector()`.  `ranks_at` is the one
-rank certificate at a point, used by the closure dimension, the basis
+elements over `PointContext`, the image of the generic ring at the point.
+The module spans and branching checks build over Q
+(`SchurContext.point_algebra`) and read `vector()`.  `ranks_at` is the
+one rank certificate at a point, used by the closure dimension, the basis
 certificate in `schur` and the lemma-2.4 freeness ranks: it builds each
 block over F_p at the point, where a full rank is a full rank at the point
 because reduction is a ring homomorphism, and rebuilds only a block short
 mod p (or every block, when the point does not map to F_p) over Q to rank
-it exactly.  Each build is ranked on random column subsets first, a
-projection that can only lose rank too, and on all columns only when
-those come out short.
+it exactly.  Each build is read through `_coordinates`, on random column
+subsets first, a projection that can only lose rank too, and on all
+columns only when those come out short.
 
 A context and the elements created under it are safe for concurrent read
 use from multiple threads: the generator tables and the exchange table
@@ -399,6 +409,30 @@ class AlgebraContext:
             e = e.lmul_gen(j)
         return tuple(e.scale(self.scalars.q(1 - i)).terms.items())
 
+    def _jm_horner(self, parts: dict) -> "AKElement":
+        """The sum of L^c Y_c over the pairs (index of c, Y_c) of `parts`,
+        by Horner in L_n, then L_{n-1}, ..., then L_1; the L_i commute, so
+        every nesting gives the same element."""
+        r = self.r
+        for i in range(self.n, 0, -1):
+            # per index of (c_1, ..., c_{i-1}): the sum so far and its c_i
+            acc = {}
+            for c in sorted(parts, reverse=True):
+                prefix, e = divmod(c, r)
+                y = parts[c]
+                if prefix in acc:
+                    x, d = acc[prefix]
+                    for _ in range(d - e):
+                        x = x._lmul_L(i)
+                    y = x + y
+                acc[prefix] = (y, e)
+            parts = {}
+            for prefix, (x, e) in acc.items():
+                for _ in range(e):
+                    x = x._lmul_L(i)
+                parts[prefix] = x
+        return parts[0]
+
     # -- distinguished elements ----------------------------------------------
 
     def perm_sum(self, perms, weight) -> "AKElement":
@@ -640,7 +674,17 @@ class Multiples:
     """The left multiples L^c T_w b of one element b, each one step from a
     shorter one: T_w b = T_j (T_{s_j w} b), j the first descent of w, and
     L^c T_w b = L_i (L^{c-e_i} T_w b), i the first index with c_i > 0.
-    Filled lazily; concurrent fills store equal values."""
+    Filled lazily; concurrent fills store equal values.
+
+    When two terms of a share an L-part, `AKElement.__mul__` reads only
+    the T-entries T_w b and applies the L_i by Horner.  The L-entries are
+    still read, through `left` and `summands`, in two cases.  A product
+    whose terms each have their own L-part (a JM polynomial such as pi, a
+    single monomial) merges no L_i step under Horner, and measured slower
+    there.  A table that lives across calls, the context's
+    `Multiples(T_j)` of `rmul_gen` and the per-lambda `Multiples(z_lambda)`
+    of `schur`, makes each L-entry once and then only reads it, where
+    Horner would redo its L_i steps on every call."""
 
     def __init__(self, b: "AKElement"):
         self.ctx = b.ctx
@@ -717,7 +761,15 @@ class AKElement:
             if self.ctx.scalars.is_scalar(other):
                 return self.scale(other)
             return NotImplemented
-        return Multiples(other).left(self)
+        table, ctx = Multiples(other), self.ctx
+        # the T-parts of self under each L-part c, keyed by the index of c
+        parts = {}
+        for k, coeff in self.terms.items():
+            parts.setdefault(k // ctx._nperms, {})[k % ctx._nperms] = coeff
+        if len(parts) == len(self.terms):
+            return table.left(self)
+        return ctx._jm_horner({c: table.left(AKElement(ctx, part))
+                               for c, part in parts.items()})
 
     def __rmul__(self, other):
         if self.ctx.scalars.is_scalar(other):

@@ -2,7 +2,7 @@
 the package against: a Bareiss rank for `RowSpace`, a reduced word of a
 permutation, term-by-term evaluation of generic scalars and elements for
 the at-point rings, the
-word-expansion product for the weak-order product `Multiples`, the
+word-expansion product for both paths of `AKElement.__mul__`, the
 per-term exchange formula for the generator tables of `lmul_gen`, the
 literal double-coset sum for the h_A of `SchurContext.basis_vector`, the
 closure that steps by every generator for the pruned `AKElement.closure`,
@@ -112,8 +112,9 @@ def from_vector(algebra, vec):
 def word_product(a, b):
     """a * b by word expansion: each term L^c T_w of `a` applies T_w to `b`
     as its reduced word, one generator at a time, then the L_i one at a
-    time, and the scaled results are added up.  The reference for the
-    weak-order product (`hecke.Multiples`)."""
+    time, and the scaled results are added up.  The reference for both
+    paths of `AKElement.__mul__`: Horner in the L_i over the T_w b of one
+    `hecke.Multiples` table, and that table's L^c T_w b."""
     a.ctx.compatible(b.ctx)
     out = a.ctx.zero()
     n = a.ctx.n

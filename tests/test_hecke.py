@@ -7,12 +7,12 @@ from math import factorial
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (coset_sum, from_vector, lmul_term, random_element,
                       random_scalar, rank_exact, specialize, specialize_vector,
                       unpruned_closure, word_product)
-from qschur.hecke import AKElement, AlgebraContext, _perm_steps
+from qschur.hecke import AKElement, AlgebraContext, Multiples, _perm_steps
 from qschur.linalg import ResourceLimit, RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
 from qschur.schur import SchurContext
@@ -377,13 +377,33 @@ def test_cancelling_pair_cancels(ak32):
         assert key not in dict((a * b).sorted_terms())
 
 
+def shared_l_part(ctx, rng):
+    """s L^c T_u + t L^c T_v for a random L-part c, distinct u and v, and
+    nonzero s and t: two T-parts under one L-part (n >= 2)."""
+    S, nperms = ctx.scalars, factorial(ctx.n)
+    c = rng.randrange(ctx.r ** ctx.n)
+    u, v = rng.sample(range(nperms), 2)
+    return AKElement(ctx, {c * nperms + u: random_scalar(S, rng) or S.one(),
+                           c * nperms + v: random_scalar(S, rng) or S.one()})
+
+
+def l_parts_merge(e):
+    """Whether two terms of e share an L-part, so that e * b goes by
+    Horner in the L_i."""
+    nperms = factorial(e.ctx.n)
+    return len({k // nperms for k in e.terms}) < len(e.terms)
+
+
 @pytest.mark.parametrize("ring", ["generic", "Q", "F_p"])
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 4), r=st.integers(1, 3), cancel=st.booleans(),
        seed=st.integers(0, 2 ** 32))
 def test_weak_order_product_matches_word_expansion(ring, n, r, cancel, seed):
     # r = 1 overflows every L_i; `cancel` adds a pair whose product
-    # cancels terms
+    # cancels terms; for n >= 2, `a` has two T-parts under one L-part, so
+    # a * b goes by Horner in the L_i (n = 1 has one T-part per L-part),
+    # and the table path, which every product without a merge takes, is
+    # checked on the same operands
     rng = Random(seed)
     ctx = PRODUCT_CONTEXTS[(n, r)]
     a = random_element(ctx, rng, max_terms=4)
@@ -391,11 +411,49 @@ def test_weak_order_product_matches_word_expansion(ring, n, r, cancel, seed):
     if cancel and n > 1:
         da, db = cancelling_pair(ctx, rng.randrange(1, n), rng)
         a, b = a + da, b + db
+    if n > 1:
+        a = a + shared_l_part(ctx, rng)
     if ring != "generic":
         spec = Specialization.random(r, rng)
         point = ctx.over(PointContext(spec, PRIME if ring == "F_p" else None))
         a, b = (from_vector(point, specialize_vector(e, spec)) for e in (a, b))
-    assert a * b == word_product(a, b)
+    # a term that cancels or vanishes at the point can undo the merge
+    assume(n == 1 or l_parts_merge(a))
+    assert a * b == Multiples(b).left(a) == word_product(a, b)
+
+
+def test_horner_product_feeds_fewer_terms_through_L_steps(ak32, monkeypatch):
+    # a fixed (3,2) triple whose a * b has two T-parts under one L-part:
+    # (a * b) * c by Horner in the L_i, against the weak-order table
+    a = ak32.basis_element((1, 0, 1), (3, 1, 2))
+    b = ak32.basis_element((0, 1, 1), (2, 3, 1))
+    c = ak32.basis_element((1, 1, 0), (3, 2, 1))
+    ab = a * b
+    assert l_parts_merge(ab)
+    fed = [0]
+    lmul_L = AKElement._lmul_L
+
+    def counted(e, i):
+        fed[0] += len(e.terms)
+        return lmul_L(e, i)
+    monkeypatch.setattr(AKElement, "_lmul_L", counted)
+    by_horner = ab * c
+    horner_terms, fed[0] = fed[0], 0
+    by_table = Multiples(c).left(ab)
+    assert by_horner == by_table
+    assert 0 < horner_terms < fed[0]
+
+
+def test_product_across_contexts_raises(ak32):
+    # the same error on the table path and on the Horner path
+    other = AlgebraContext(3, 2, m_convention="qlen")
+    merged = ak32.T((2, 1, 3)) + ak32.one()
+    assert l_parts_merge(merged)
+    for a in (ak32.T(1), merged):
+        with pytest.raises(ValueError, match="algebra contexts differ"):
+            a * other.T(2)
+        with pytest.raises(ValueError, match="algebra contexts differ"):
+            other.T(2) * a
 
 
 # -- pi / u / x / y / v -----------------------------------------------------------
