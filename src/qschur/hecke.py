@@ -101,7 +101,7 @@ from math import factorial
 from random import Random
 
 from .linalg import ResourceLimit, RowSpace
-from .ring import (PRIME, PointContext, Scalar, ScalarContext, ScalarRing,
+from .ring import (PRIME, PointContext, ScalarContext, ScalarRing,
                    Specialization, UnmappablePoint)
 from .symgrp import (CompositionBlocks, all_permutations, length,
                      transposition, young_subgroup)
@@ -178,6 +178,27 @@ def _coordinates(vec, cols, pos) -> list:
                 if v is not None:
                     row[i] += scal * v
     return row
+
+
+def _is_nonzero(vec, modulus) -> bool:
+    """Whether the sum of scalar * element over the (scalar, element)
+    pairs `vec` is nonzero (mod `modulus`, when it is not None): the keys
+    of the elements' terms are the only candidates, and each one's
+    coordinate is summed in turn until one is nonzero."""
+    seen = set()
+    for _, e in vec:
+        for key in e.terms:
+            if key in seen:
+                continue
+            seen.add(key)
+            x = 0
+            for scal, f in vec:
+                v = f.terms.get(key)
+                if v is not None:
+                    x += scal * v
+            if x % modulus if modulus else x:
+                return True
+    return False
 
 
 class AlgebraContext:
@@ -461,13 +482,6 @@ class AlgebraContext:
         return self.perm_sum(young_subgroup(CompositionBlocks(composition)),
                              weight or self.m_convention)
 
-    def pi(self, a: int, x: Scalar) -> "AKElement":
-        """pi_a(x) = (M_1 - x)(M_2 - x)...(M_a - x); pi_0 = 1."""
-        out = self.one()
-        for j in range(1, a + 1):
-            out = out * (self.unscaled_jm(j) - self.from_scalar(x))
-        return out
-
     def _check_bracket(self, bracket):
         bracket = tuple(int(x) for x in bracket)
         if len(bracket) != self.r + 1 or bracket[0] != 0 or bracket[-1] != self.n:
@@ -476,19 +490,30 @@ class AlgebraContext:
             raise ValueError(f"bracket {bracket} is not monotone")
         return bracket
 
-    def u_plus(self, bracket) -> "AKElement":
+    def _jm_product(self, bracket, Q_index) -> "AKElement":
+        """The product over i = 1..r-1 of pi_{a_i}(Q_{Q_index(i)}), a_i =
+        bracket[i] and pi_a(x) = (M_1 - x)(M_2 - x)...(M_a - x), built
+        factor by factor on the left: M_j - x = q^{j-1} (L_j - q^{1-j} x)
+        is one L_j step less a scaled copy, and the powers of q are
+        collected into one scale at the end.  The M_j commute, so this is
+        the product in any order."""
         bracket = self._check_bracket(bracket)
-        out = self.one()
+        S = self.scalars
+        out, shift = self.one(), 0
         for i in range(1, self.r):
-            out = out * self.pi(bracket[i], self.scalars.Q(i + 1))
-        return out
+            x = S.Q(Q_index(i))
+            for j in range(1, bracket[i] + 1):
+                out = out._lmul_L(j) - out.scale(x * S.q(1 - j))
+                shift += j - 1
+        return out.scale(S.q(shift)) if shift else out
+
+    def u_plus(self, bracket) -> "AKElement":
+        """u+_a, the product over i of pi_{a_i}(Q_{i+1})."""
+        return self._jm_product(bracket, lambda i: i + 1)
 
     def u_minus(self, bracket) -> "AKElement":
-        bracket = self._check_bracket(bracket)
-        out = self.one()
-        for i in range(1, self.r):
-            out = out * self.pi(bracket[i], self.scalars.Q(self.r - i))
-        return out
+        """u-_a, the product over i of pi_{a_i}(Q_{r-i})."""
+        return self._jm_product(bracket, lambda i: self.r - i)
 
     def v_element(self, bracket) -> "AKElement":
         """v_a = u+_a T_{w_a} u-_{a'} with w_a the block-reversal element."""
@@ -554,24 +579,27 @@ class AlgebraContext:
         A block of D vectors or more (a closure) is ranked on all D columns
         as it is built, and there `add` returns whether the span grew.
         """
-        algebras = []
         try:
-            algebras.append(self.over(PointContext(spec, PRIME)))
+            modular = self.over(PointContext(spec, PRIME))
         except UnmappablePoint:
-            pass
-        algebras.append(self.over(PointContext(spec)))
+            modular = None
+        exact = None
         rng = Random(json.dumps(spec.to_json()))
         ranks = []
         for size, fill in blocks:
-            for algebra in algebras:
-                rank = self._block_rank(algebra, size, fill, rng)
-                if rank >= size:
-                    break
+            rank = -1
+            if modular is not None:
+                rank = self._block_rank(modular, size, fill, rng)
+            if rank < size:
+                if exact is None:
+                    exact = self.over(PointContext(spec))
+                rank = self._block_rank(exact, size, fill, rng)
             ranks.append(rank)
         return ranks
 
     def _block_rank(self, algebra, size, fill, rng) -> int:
-        """The rank over `algebra` of one `ranks_at` block, by its stages."""
+        """The rank over `algebra` of one `ranks_at` block, by its stages;
+        one vector has rank 1 exactly when it is not zero."""
         D, modulus = self.dimension(), algebra.scalars.modulus
         keys = range(D)
         if size >= D:
@@ -580,6 +608,8 @@ class AlgebraContext:
             return space.rank
         vectors = []
         fill(algebra, vectors.append)
+        if size == 1:
+            return int(_is_nonzero(vectors[0], modulus))
         for k in (size + 8, 16 * size + 256, D):
             if k < D:
                 cols, pos = sorted(rng.sample(keys, k)), [None] * D

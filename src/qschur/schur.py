@@ -95,10 +95,11 @@ class EFIndex:
 
 
 def _z_element(algebra: AlgebraContext, lam: Multicomposition) -> AKElement:
-    """z_lam = x_lam (T_{w_lam} y_{lam'}) over `algebra` (see the module
-    docstring for why it is associated so)."""
+    """z_lam = u+_{[lam]} (m_lam (T_{w_lam} y_{lam'})) over `algebra` (see
+    the module docstring for why it is associated so)."""
     w, _ = w_lambda(lam)
-    return algebra.x_element(lam) * (algebra.T(w) * algebra.y_element(lam.dual()))
+    return algebra.u_plus(lam.bracket()) * (algebra.m_element(lam) * (
+        algebra.T(w) * algebra.y_element(lam.dual())))
 
 
 def _inverse_key(x) -> tuple:
@@ -214,10 +215,18 @@ class SchurContext:
         table, terms = self._coset_terms(lam, mu, A, algebra)
         return table.summands(terms)
 
-    def _coset_terms(self, lam, mu, A, algebra):
+    def _ssyt_summands(self, lam, mu, A, algebra):
+        """`basis_summands` of a tableau from `enumerate_ssyt`, which is
+        semistandard already, so that check is skipped."""
+        table, terms = self._coset_terms(lam, mu, A, algebra, True)
+        return table.summands(terms)
+
+    def _coset_terms(self, lam, mu, A, algebra, semistandard=False):
         """(Multiples(z_lam) over `algebra`, the pairs (c(d), key of T_d))
         for the d of `basis_summands`, in the order `coset_reps` deals
-        them; one table per lam, kept for the last algebra asked for."""
+        them; one table per lam, kept for the last algebra asked for.
+        A must match (lam, mu), and be semistandard unless `semistandard`
+        says it is known to be."""
         m = A.bounds.m
         if A.shape != lam or m != mu.m:
             raise ValueError("tableau does not match (lam, mu)")
@@ -237,7 +246,7 @@ class SchurContext:
                     inv_one.append(used[f])
         if tuple(used[:-1]) != right.bounds[1:]:
             raise ValueError("tableau does not match (lam, mu)")
-        if not A.is_semistandard():
+        if not semistandard and not A.is_semistandard():
             raise ValueError("tableau is not semistandard")
         if algebra is None:
             algebra = self.algebra
@@ -301,7 +310,7 @@ class SchurContext:
         def block(mu, As):
             def fill(algebra, add):
                 for A in As:
-                    add(self.basis_summands(lam, mu, A, algebra))
+                    add(self._ssyt_summands(lam, mu, A, algebra))
             return len(As), fill
 
         fills = [block(mu, As) for mu, As in groups]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .symgrp import Perm, identity, set_stabilizer
 
@@ -481,6 +482,14 @@ class TypedTableau:
                     bounds.flatten_symbol((i, s))
         self.entries = ent
 
+    @classmethod
+    def _unchecked(cls, shape, bounds, entries) -> "TypedTableau":
+        """A tableau whose `entries` are already tuples of int symbols in
+        `bounds`, in rows of `shape`'s widths."""
+        A = object.__new__(cls)
+        A.shape, A.bounds, A.entries = shape, bounds, entries
+        return A
+
     def entry(self, a, b, c):
         return self.entries[c - 1][a - 1][b - 1]
 
@@ -571,31 +580,37 @@ def enumerate_ssyt(lam: Multicomposition, bounds: MultiShape, type_weight=None):
                   for (i, s) in symbols}
 
     boxes = lam.boxes()
-    grid = {}
+    place = {box: p for p, box in enumerate(boxes)}
+    # per box, in reading order: its component and the places of the
+    # boxes left of it and above it (None where there is none)
+    near = [(c, place.get((a, b - 1, c)), place.get((a - 1, b, c)))
+            for a, b, c in boxes]
+    cells = [None] * len(boxes)
     results = []
 
     def fill(idx):
         if idx == len(boxes):
-            entries = [[[grid[(a, b, c)] for b in range(1, w + 1)]
-                        for a, w in enumerate(comp, start=1)]
-                       for c, comp in enumerate(lam.parts, start=1)]
-            results.append(TypedTableau(lam, bounds, entries))
+            # rows of lam's widths holding symbols of `bounds`: the checks
+            # of `TypedTableau.__init__` cannot fail
+            it = iter(cells)
+            results.append(TypedTableau._unchecked(lam, bounds, tuple(
+                tuple(tuple(islice(it, w)) for w in comp)
+                for comp in lam.parts)))
             return
-        box = boxes[idx]
-        a, b, c = box
-        left, above = grid.get((a, b - 1, c)), grid.get((a - 1, b, c))
+        c, left, above = near[idx]
+        left = None if left is None else cells[left]
+        above = None if above is None else cells[above]
         for sym in symbols:
             if budget is not None and budget[sym] == 0:
                 continue
             if not _fits(sym, c, left, above):
                 continue
-            grid[box] = sym
+            cells[idx] = sym
             if budget is not None:
                 budget[sym] -= 1
             fill(idx + 1)
             if budget is not None:
                 budget[sym] += 1
-            del grid[box]
 
     fill(0)
     return results

@@ -36,14 +36,14 @@ m_convention=qlen,y_convention=signed` for every multipartition of
 (3,2,(3,3)) (10) and of (4,2,(2,2)) (14), lambda given trimmed and without
 spaces, which pins the q^{l(d)} coefficients where one tableau deals many
 coset representatives d; and `compute z --format json` for
-lambda = ([2,1],[1]) at m = (2,2), r = 2, over the generic ring.  Last, `verify basis --format json
---seed 9` under the literal flags for the multipartitions of
-(3,2,(3,3)) (all 10), of (5,1,(3,)) (all 5) and of (3,3,(1,1,1)) with
-more than 6 basis vectors (([1],[2],[]), ([2],[1],[]) and ([3],[],[])),
-lambda padded to m rows: every multipartition of three of the four
-configurations that the bench's `basis` pass certifies.  A change
-to how the verdicts or elements are computed must leave every byte the
-same.
+lambda = ([2,1],[1]) at m = (2,2), r = 2, over the generic ring.  Last,
+`verify basis --format json --seed 9` under the literal flags for the
+multipartitions of (3,2,(3,3)) (all 10), of (5,1,(3,)) (all 5) and of
+(3,3,(1,1,1)) with more than 6 basis vectors (([1],[2],[]), ([2],[1],[])
+and ([3],[],[])), lambda padded to m rows: every multipartition of three
+of the four configurations that the bench's `basis` pass certifies.  A
+change to how the verdicts or elements are computed must leave every byte
+the same.
 """
 
 import io

@@ -105,7 +105,9 @@ def test_deleted_api_is_gone():
             (qschur.BranchContext, "_span_of_labels"),
             (qschur.SchurContext, "partitions"),
             # basis summands read off each tableau's rows, no 1_A in between
-            (qschur.SchurContext, "_coset_reps_sum")):
+            (qschur.SchurContext, "_coset_reps_sum"),
+            # u+ and u- built by one L_j step per factor M_j - x
+            (qschur.AlgebraContext, "pi")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     # options that only ever took one value
     params = inspect.signature(qschur.BranchContext.branch_dim_identity).parameters
@@ -119,14 +121,17 @@ def test_deleted_api_is_gone():
 
 #: public names kept without a caller in the package: the paper-level
 #: library API the README and the acceptance suite use (with 1_A, the
-#: tests' reference for the basis summands), the checks the bench and the
+#: tests' reference for the basis summands), the basis summands of any
+#: tableau, checked (the certificate reads those of its enumerated
+#: tableaux without the semistandard check), the checks the bench and the
 #: acceptance suite call, and the console entry point
 LIBRARY_API = {
     "chi", "chi_ge", "chi_gt", "row_stabilizer", "column_stabilizer",
     "superstandard", "nullspace", "double_cosets", "gamma",
     "gamma_inverse", "dominance_composition", "w_lambda", "act", "parse",
-    "from_json", "validated_ef_conventions", "highest_weight_check",
-    "triangularity_check", "weyl_dim_count", "one_A", "main",
+    "from_json", "basis_summands", "validated_ef_conventions",
+    "highest_weight_check", "triangularity_check", "weyl_dim_count",
+    "one_A", "main",
 }
 
 

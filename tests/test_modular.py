@@ -183,10 +183,11 @@ def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
     assert sizes[short_mu] > 1 and len(sizes) > 1
     builds = Counter()
     fp_points, exact_points = set(), []
-    basis_summands = SchurContext.basis_summands
+    # the certificate reads each tableau's summands through this method
+    ssyt_summands = SchurContext._ssyt_summands
 
-    def recording_basis_summands(self, lam, mu, A, algebra=None):
-        summands = basis_summands(self, lam, mu, A, algebra)
+    def recording_ssyt_summands(self, lam, mu, A, algebra):
+        summands = ssyt_summands(self, lam, mu, A, algebra)
         modular = algebra.scalars.modulus is not None
         builds[modular, mu] += 1
         if modular:
@@ -197,7 +198,7 @@ def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
             exact_points.append(algebra.scalars.spec)
         return summands
 
-    monkeypatch.setattr(SchurContext, "basis_summands", recording_basis_summands)
+    monkeypatch.setattr(SchurContext, "_ssyt_summands", recording_ssyt_summands)
     report = sc.verify_basis_independence(lam, seed=4)
     assert report["certified"] and report["attempts"] == 1
     assert builds == Counter({**{(True, mu): k for mu, k in sizes.items()},
