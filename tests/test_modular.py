@@ -11,6 +11,7 @@ the same point when it is short mod p or the point does not map to F_p.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 from random import Random
 
@@ -282,7 +283,8 @@ def test_ranks_at_matches_exact_rank_of_generic_elements(n, r, data):
 
 def stage_widths(monkeypatch, ctx, spec, elems):
     """ranks_at of the one block `elems(algebra)`, and the (columns,
-    modulus) of each row space it ranks on, in order."""
+    modulus) of each row space it ranks on, in order.  The block's vectors
+    are elements, or lists of (scalar, element) pairs left unsummed."""
     widths = []
 
     class Recording(RowSpace):
@@ -293,7 +295,7 @@ def stage_widths(monkeypatch, ctx, spec, elems):
     def fill(algebra, add):
         one = algebra.scalars.one()
         for e in elems(algebra):
-            add([(one, e)])
+            add(e if isinstance(e, list) else [(one, e)])
 
     monkeypatch.setattr(hecke, "RowSpace", Recording)
     return ctx.ranks_at(spec, [(len(elems(ctx)), fill)]), widths
@@ -327,6 +329,112 @@ def test_a_repeated_vector_reaches_every_stage_and_its_exact_rank(monkeypatch):
     exact = rank_exact([specialize_vector(e, spec)
                         for e in freeness_products(ctx, True)])
     assert ranks == [exact] == [3]
+
+
+def point_rings(monkeypatch):
+    """The moduli of the point rings `ranks_at` makes, in order."""
+    made = []
+
+    class Recording(PointContext):
+        def __init__(self, spec, modulus=None):
+            made.append(modulus)
+            super().__init__(spec, modulus)
+
+    monkeypatch.setattr(hecke, "PointContext", Recording)
+    return made
+
+
+def one_vector_block(monkeypatch, vector):
+    """stage_widths of the block holding the one vector `vector(algebra)`,
+    and the moduli of the point algebras it was built over, in order."""
+    ctx = RANK_CONTEXTS[(4, 2)]
+    spec = Specialization.random(2, Random(8))
+    built = []
+
+    def elems(algebra):
+        if isinstance(algebra.scalars, PointContext):
+            built.append(algebra.scalars.modulus)
+        return [vector(algebra)]
+    ranks, widths = stage_widths(monkeypatch, ctx, spec, elems)
+    return ranks, widths, built
+
+
+def test_a_one_vector_block_builds_no_row_space(monkeypatch):
+    ranks, widths, built = one_vector_block(
+        monkeypatch, lambda a: freeness_products(a, False)[0])
+    assert ranks == [1] and widths == [] and built == [PRIME]
+
+
+def p_times(algebra):
+    """p e as the pairs (1, e) and (p - 1, e): each summand is nonzero mod
+    p, and their sum is zero mod p but not over Q."""
+    e = freeness_products(algebra, False)[0]
+    S = algebra.scalars
+    return [(S.one(), e), (S.from_int(PRIME - 1), e)]
+
+
+def test_a_one_vector_block_zero_mod_p_is_rebuilt_over_q(monkeypatch):
+    made = point_rings(monkeypatch)
+    ranks, widths, built = one_vector_block(monkeypatch, p_times)
+    assert ranks == [1] and widths == []
+    assert built == made == [PRIME, None]
+
+
+def test_the_zero_vector_ranks_zero_on_both_rings(monkeypatch):
+    ranks, widths, built = one_vector_block(monkeypatch, lambda a: a.zero())
+    assert ranks == [0] and widths == [] and built == [PRIME, None]
+
+
+def test_no_q_algebra_is_made_when_every_block_is_full_mod_p(monkeypatch):
+    made = point_rings(monkeypatch)
+    ranks, widths, built = one_vector_block(
+        monkeypatch, lambda a: freeness_products(a, False)[1])
+    assert ranks == [1] and made == built == [PRIME]
+    made.clear()
+    ctx = RANK_CONTEXTS[(4, 2)]
+    ranks, widths = stage_widths(monkeypatch, ctx,
+                                 Specialization.random(2, Random(8)),
+                                 lambda a: freeness_products(a, False))
+    assert ranks == [3] and widths == [(3 + 8, PRIME)] and made == [PRIME]
+
+
+def jm_factor_product(algebra, bracket, Q_index):
+    """The product of the factors M_j - Q_{Q_index(i)}, j = 1..bracket[i],
+    i = 1..r-1, that make u+ or u-, formed with `*`."""
+    out = algebra.one()
+    for i in range(1, algebra.r):
+        x = algebra.from_scalar(algebra.scalars.Q(Q_index(i)))
+        for j in range(1, bracket[i] + 1):
+            out = out * (algebra.unscaled_jm(j) - x)
+    return out
+
+
+U_CONTEXTS = {(n, r): AlgebraContext(n, r) for n, r in ((3, 2), (2, 3), (4, 2))}
+
+
+def check_u_by_l_steps(algebra):
+    n, r = algebra.n, algebra.r
+    for mids in combinations_with_replacement(range(n + 1), r - 1):
+        bracket = (0, *mids, n)
+        assert algebra.u_plus(bracket) == \
+            jm_factor_product(algebra, bracket, lambda i: i + 1)
+        assert algebra.u_minus(bracket) == \
+            jm_factor_product(algebra, bracket, lambda i: r - i)
+
+
+@pytest.mark.parametrize("n,r", sorted(U_CONTEXTS))
+def test_u_by_l_steps_equals_the_product_of_its_factors(n, r):
+    check_u_by_l_steps(U_CONTEXTS[(n, r)])
+
+
+@pytest.mark.parametrize("n,r", sorted(U_CONTEXTS))
+@pytest.mark.parametrize("modulus", [PRIME, None])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_u_by_l_steps_equals_the_product_of_its_factors_at_a_point(
+        n, r, modulus, data):
+    ctx = U_CONTEXTS[(n, r)]
+    check_u_by_l_steps(ctx.over(PointContext(data.draw(points(r)), modulus)))
 
 
 def test_closure_falls_back_at_an_unmappable_point(ak22):

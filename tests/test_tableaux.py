@@ -278,6 +278,25 @@ def test_ssyt_all_semistandard():
             assert A.type_weight().n == lam.n
 
 
+@pytest.mark.parametrize("n,m", [(3, (3, 3)), (2, (2, 2, 2)), (5, (3,)),
+                                 (4, (2, 2))])
+def test_enumerated_tableaux_equal_the_checked_constructor(n, m):
+    # enumerate_ssyt skips the checks of TypedTableau.__init__; each tableau
+    # it returns must be the one the checked constructor builds
+    shape = MultiShape(m)
+    for lam in enumerate_multicompositions(n, shape, partitions_only=True):
+        for A in enumerate_ssyt(lam, shape):
+            checked = TypedTableau(lam, shape, A.entries)
+            assert A == checked and hash(A) == hash(checked)
+            assert A.shape is lam and A.bounds is shape
+            assert type(A.entries) is tuple and all(
+                type(comp) is tuple and all(
+                    type(row) is tuple and all(
+                        type(sym) is tuple and all(type(x) is int for x in sym)
+                        for sym in row) for row in comp)
+                for comp in A.entries)
+
+
 def test_semistandard_rule_against_every_filling():
     # every filling of each multipartition of 3 over (2,2): is_semistandard
     # holds, and enumerate_ssyt lists the filling, exactly when each entry
