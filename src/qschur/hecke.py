@@ -79,9 +79,11 @@ certificate in `schur` and the lemma-2.4 freeness ranks: it builds each
 block over F_p at the point, where a full rank is a full rank at the point
 because reduction is a ring homomorphism, and rebuilds only a block short
 mod p (or every block, when the point does not map to F_p) over Q to rank
-it exactly.  Each build is read through `_coordinates`, on random column
-subsets first, a projection that can only lose rank too, and on all
-columns only when those come out short.
+it exactly, making the algebra over Q only then.  A block of one vector
+has rank 1 exactly when some coordinate on the keys of its terms is
+nonzero (`_is_nonzero`).  A larger build is read through `_coordinates`,
+on random column subsets first, a projection that can only lose rank
+too, and on all columns only when those come out short.
 
 A context and the elements created under it are safe for concurrent read
 use from multiple threads: the generator tables and the exchange table
@@ -313,8 +315,9 @@ class AlgebraContext:
         Symmetric polynomials in the M_i commute with the Iwahori-Hecke
         subalgebra under this presentation's quadratic relation; the L_i
         rescaling destroys that, and with it the vanishing lemma for the
-        u-products.  All pi / u / x / y / v elements are therefore built
-        from the M_i.
+        u-products.  The u / x / y / v elements are therefore built from
+        the M_i: each factor M_j - x of u+ and u- as q^{j-1} (L_j -
+        q^{1-j} x) (see `_jm_product`).
         """
         return self.jucys_murphy(i).scale(self.scalars.q(i - 1))
 
@@ -568,9 +571,13 @@ class AlgebraContext:
 
         Every block is built once over F_p at the point; a block short
         there, or every block when the point does not map to F_p, is built
-        once over Q at the point.  A block of b < D vectors (D the
-        dimension) is ranked on min(b + 8, D) columns, then on 16 b + 256,
-        then on all D; the columns are drawn from a `Random` seeded by the
+        once over Q at the point, and the algebra over Q is made only when
+        a block first needs it.  A block of one vector (with D > 1) has
+        rank 1 exactly when the vector is not zero: its coordinates on the
+        keys of its pairs' terms are summed in turn, reduced mod p over
+        F_p, until one is nonzero, with no column draw and no `RowSpace`.
+        A block of 1 < b < D vectors (D the dimension) is ranked on
+        min(b + 8, D) columns, then on 16 b + 256, then on all D; the columns are drawn from a `Random` seeded by the
         point's JSON, and a coordinate is summed from the pairs' terms on
         its key, so nothing dense is formed before the last stage.
         Projection onto columns, like evaluation and reduction, is linear
@@ -709,7 +716,8 @@ class Multiples:
     When two terms of a share an L-part, `AKElement.__mul__` reads only
     the T-entries T_w b and applies the L_i by Horner.  The L-entries are
     still read, through `left` and `summands`, in two cases.  A product
-    whose terms each have their own L-part (a JM polynomial such as pi, a
+    whose terms each have their own L-part (a JM polynomial such as u+,
+    which multiplies m_lambda T_{w_lambda} y_lambda' into z_lambda, or a
     single monomial) merges no L_i step under Horner, and measured slower
     there.  A table that lives across calls, the context's
     `Multiples(T_j)` of `rmul_gen` and the per-lambda `Multiples(z_lambda)`

@@ -22,11 +22,21 @@ same pass counts the symbols, which checks A's type against mu.  The
 key of T_d and l(d) come from the Lehmer digits of d, read off its
 inverse x: the digit at v counts the values above v before v in x.
 
-z_lam is associated as x_lam (T_{w_lam} y_{lam'}): T_{w_lam} y_{lam'} is
-one chain of T-steps on y_{lam'}, and x_lam then multiplies it term by
-term through one `Multiples` table.  As (x_lam T_{w_lam}) y_{lam'} it
-took two tables, one of T_{w_lam} over the terms of x_lam and one of
-y_{lam'} over the terms of their product.  Both give the same element.
+z_lam is associated as u+ (m_lam (T_{w_lam} y_{lam'})), u+ = u+_{[lam]}:
+T_{w_lam} y_{lam'} is one chain of T-steps on y_{lam'}, m_lam then
+multiplies it through the T-entries of one `Multiples` table, and u+
+through the L-entries of another, one per distinct L-part of u+, each
+one L_i step from a shorter one.  As x_lam (T_{w_lam} y_{lam'}), with
+x_lam = u+ m_lam, the terms of x_lam share L-parts, and the product went
+by Horner in the L_i over their T-parts; as (x_lam T_{w_lam}) y_{lam'}
+it took two tables, one of T_{w_lam} over the terms of x_lam and one of
+y_{lam'} over the terms of their product.  All give the same element.
+
+`basis_summands` and `basis_vector` check that A matches (lam, mu), by
+its shape and, in the pass that reads 1_A^-1, by its type, and that A is
+semistandard.  The independence certificate reads the summands of the
+tableaux of `enumerate_ssyt`, which are semistandard already, through
+`_ssyt_summands`, which skips that last check.
 
 Independence of the basis maps is certified per type block: maps whose
 images lie in different weight summands never mix, so the certified rank
