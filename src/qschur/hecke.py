@@ -577,9 +577,10 @@ class AlgebraContext:
         keys of its pairs' terms are summed in turn, reduced mod p over
         F_p, until one is nonzero, with no column draw and no `RowSpace`.
         A block of 1 < b < D vectors (D the dimension) is ranked on
-        min(b + 8, D) columns, then on 16 b + 256, then on all D; the columns are drawn from a `Random` seeded by the
-        point's JSON, and a coordinate is summed from the pairs' terms on
-        its key, so nothing dense is formed before the last stage.
+        min(b + 8, D) columns, then on 16 b + 256, then on all D; the
+        columns are drawn from a `Random` seeded by the point's JSON, and a
+        coordinate is summed from the pairs' terms on its key, so nothing
+        dense is formed before the last stage.
         Projection onto columns, like evaluation and reduction, is linear
         and can only lose rank, so a rank of b at any stage is the rank at
         the point; a block short on all D columns over Q is ranked exactly.
