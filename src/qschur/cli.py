@@ -150,7 +150,7 @@ def cmd_enum(args) -> int:
     if args.what == "ssyt":
         lam_parts, m, r = _shape_args(args, need_lambda=True)
         bounds = MultiShape(tuple(m))
-        lam = Multicomposition(lam_parts, m=[max(1, len(c)) for c in lam_parts])
+        lam = Multicomposition(lam_parts)
         if args.mu and args.type:
             raise UsageError("enum ssyt takes --mu or --type, not both")
         weight = None
@@ -166,7 +166,7 @@ def cmd_enum(args) -> int:
         return 0
     if args.what == "nodes":
         lam_parts, m, r = _shape_args(args, need_lambda=True)
-        lam = Multicomposition(lam_parts, m=[max(1, len(c)) for c in lam_parts])
+        lam = Multicomposition(lam_parts)
         rem = removable_nodes(lam)
         add = addable_nodes(lam)
         note = ("removability follows the formal condition: a row end whose "

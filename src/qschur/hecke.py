@@ -6,9 +6,13 @@ keyed by its position k in `basis_monomials`: k = (index of c in
 product(range(r), repeat=n)) * n! + (index of w in `all_permutations`).
 Both enumerations are lexicographic, so int order is (c, w) order, and
 printing sorts the ints and decodes each by arithmetic: c is the base-r
-digits of k // n!, w the permutation whose Lehmer code is k mod n!.  The
-multiplication primitive is left multiplication by a single generator,
-done as arithmetic on the keys:
+digits of k // n!, w the permutation whose Lehmer code is k mod n!.  One
+pass over the Lehmer code of w gives both its key and its length
+(`_perm_key`), and `AlgebraContext.perm_terms` is the one place that
+pairs the key of T_w with a weight c(w), 1, q^{l(w)} or (-q)^{-l(w)}:
+`perm_sum`, the basis summands of `schur` and its ladder factor all read
+their keys and weights there.  The multiplication primitive is left
+multiplication by a single generator, done as arithmetic on the keys:
 
   * T_0 = L_1 adds the stride of c_1; the cyclotomic relation
     (L_1 - Q_1)...(L_1 - Q_r) = 0 rewrites an overflowing power.
@@ -105,8 +109,8 @@ from random import Random
 from .linalg import ResourceLimit, RowSpace
 from .ring import (PRIME, PointContext, ScalarContext, ScalarRing,
                    Specialization, UnmappablePoint)
-from .symgrp import (CompositionBlocks, all_permutations, length,
-                     transposition, young_subgroup)
+from .symgrp import (CompositionBlocks, all_permutations, transposition,
+                     young_subgroup)
 from .tableaux import Multicomposition, bracket_reversed, w_lambda
 
 __all__ = ["AlgebraContext", "AKElement", "Multiples"]
@@ -125,12 +129,19 @@ def _accumulate(scalars: ScalarRing, out: dict, pairs) -> dict:
     return scalars.normal(out)
 
 
-def _perm_rank(w) -> int:
-    """The index of w in `all_permutations`, read from its Lehmer code."""
-    k, n = 0, len(w)
-    for i, x in enumerate(w):
-        k = k * (n - i) + sum(1 for y in w[i + 1:] if y < x)
-    return k
+def _perm_key(w) -> tuple:
+    """(the index of w in `all_permutations`, l(w)), read from one pass
+    over the Lehmer code of w: its digit at i is the place of w(i) among
+    the values not yet read, and l(w) is the sum of the digits."""
+    n = len(w)
+    pool = list(range(1, n + 1))
+    key = lw = 0
+    for i, v in enumerate(w):
+        digit = pool.index(v)
+        del pool[digit]
+        key = key * (n - i) + digit
+        lw += digit
+    return key, lw
 
 
 def _perm_unrank(n: int, k: int) -> tuple:
@@ -274,7 +285,7 @@ class AlgebraContext:
             raise ValueError(f"bad exponent vector {c}")
         if sorted(w) != list(range(1, self.n + 1)):
             raise ValueError(f"not a permutation of 1..{self.n}")
-        return _perm_rank(w) + sum(e * s for e, s in zip(c, self._strides))
+        return _perm_key(w)[0] + sum(e * s for e, s in zip(c, self._strides))
 
     def _monomial(self, k: int):
         """The (c, w) of the key k, by arithmetic on it."""
@@ -459,25 +470,26 @@ class AlgebraContext:
 
     # -- distinguished elements ----------------------------------------------
 
-    def perm_sum(self, perms, weight) -> "AKElement":
-        """Sum of c(w) T_w over the distinct permutations `perms`, where
-        c(w) is 1 for the weight "plain", q^{l(w)} for "qlen" and
-        (-q)^{-l(w)} for "signed"."""
+    def perm_terms(self, perms, weight) -> list:
+        """The pairs (c(w), key of T_w), one per permutation of `perms` and
+        in its order, where c(w) is 1 for the weight "plain", q^{l(w)} for
+        "qlen" and (-q)^{-l(w)} for "signed"."""
         S = self.scalars
         if weight == "plain":
-            def coeff(w):
-                return S.one()
-        elif weight == "qlen":
-            def coeff(w):
-                return S.q(length(w))
-        elif weight == "signed":
-            def coeff(w):
-                lw = length(w)
-                return S.q(-lw) if lw % 2 == 0 else -S.q(-lw)
-        else:
-            raise ValueError(f"unknown weight {weight!r}")
-        return AKElement(self, S.normal({_perm_rank(w): coeff(w)
-                                         for w in perms}))
+            one = S.one()
+            return [(one, _perm_key(w)[0]) for w in perms]
+        if weight == "qlen":
+            return [(S.q(lw), key) for key, lw in map(_perm_key, perms)]
+        if weight == "signed":
+            return [(-S.q(-lw) if lw % 2 else S.q(-lw), key)
+                    for key, lw in map(_perm_key, perms)]
+        raise ValueError(f"unknown weight {weight!r}")
+
+    def perm_sum(self, perms, weight) -> "AKElement":
+        """Sum of c(w) T_w over the distinct permutations `perms`, c(w) as
+        in `perm_terms`."""
+        return AKElement(self, self.scalars.normal(
+            {key: c for c, key in self.perm_terms(perms, weight)}))
 
     def young_sum(self, composition, weight=None) -> "AKElement":
         """Sum of T_w over the Young subgroup, with the context's

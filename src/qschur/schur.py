@@ -14,13 +14,14 @@ h_A = sum over d of c(d) T_d z_lam: one `Multiples(z_lam)` table per lam
 serves every h_A of lam, with one entry per distinguished coset
 representative d (the inverses of `coset_reps` of W_lam 1_A^-1 W_mu).
 
-1_A^-1 is read off the rows of A, numbered row by row and component by
+A is read once (`_walk`), its boxes numbered row by row and component by
 component as in `bar_tableau`: box p holds a symbol, block f of mu bar
 once flattened, and 1_A^-1 sends p to the next unused place of that
 block, so the boxes of one symbol fill its block in reading order.  The
-same pass counts the symbols, which checks A's type against mu.  The
-key of T_d and l(d) come from the Lehmer digits of d, read off its
-inverse x: the digit at v counts the values above v before v in x.
+same pass counts the symbols, which gives the bar of A's type mu; the
+representatives x of W_lam 1_A^-1 W_mu are then dealt by `coset_reps`.
+An algebra turns each d = x^-1 into its pair (c(d), key of T_d) through
+`AlgebraContext.perm_terms`, which owns the keys and the weights c.
 
 z_lam is associated as u+ (m_lam (T_{w_lam} y_{lam'})), u+ = u+_{[lam]}:
 T_{w_lam} y_{lam'} is one chain of T-steps on y_{lam'}, m_lam then
@@ -33,10 +34,11 @@ it took two tables, one of T_{w_lam} over the terms of x_lam and one of
 y_{lam'} over the terms of their product.  All give the same element.
 
 `basis_summands` and `basis_vector` check that A matches (lam, mu), by
-its shape and, in the pass that reads 1_A^-1, by its type, and that A is
-semistandard.  The independence certificate reads the summands of the
-tableaux of `enumerate_ssyt`, which are semistandard already, through
-`_ssyt_summands`, which skips that last check.
+its shape and by the type `_walk` finds, and that A is semistandard.
+The independence certificate walks each tableau of `enumerate_ssyt`,
+which is semistandard already, once: it groups the tableaux by the bar
+of their type and keeps their representatives, so each algebra it
+builds over only turns them into summands.
 
 Independence of the basis maps is certified per type block: maps whose
 images lie in different weight summands never mix, so the certified rank
@@ -60,7 +62,6 @@ certified module homomorphism, and raises `ConventionError` otherwise.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from random import Random
 
@@ -112,23 +113,6 @@ def _z_element(algebra: AlgebraContext, lam: Multicomposition) -> AKElement:
         algebra.T(w) * algebra.y_element(lam.dual())))
 
 
-def _inverse_key(x) -> tuple:
-    """(the key of T_{x^-1}, l(x)).  The Lehmer digit of x^-1 at v counts
-    the values above v that come before v in x, and l(x) = l(x^-1) is
-    the sum of the digits."""
-    n = len(x)
-    digits = [0] * n
-    seen = []
-    for p, v in enumerate(x):
-        i = bisect(seen, v)
-        digits[v - 1] = p - i
-        seen.insert(i, v)
-    key = 0
-    for i, digit in enumerate(digits):
-        key = key * (n - i) + digit
-    return key, sum(digits)
-
-
 class SchurContext:
     """Weights Lambda_{n,r}(m) over one Ariki-Koike algebra instance.
 
@@ -156,7 +140,7 @@ class SchurContext:
         self._span_cache = {}
         self._points = {}
         self._tables = (None, {})   # (algebra, {lam.parts: Multiples(R)})
-        self._block_cache = {}      # weight.parts -> CompositionBlocks
+        self._block_cache = {}      # weight bar -> CompositionBlocks
 
     @property
     def m(self):
@@ -175,6 +159,15 @@ class SchurContext:
 
     def weight(self, parts) -> Multicomposition:
         return Multicomposition(parts, m=self.m)
+
+    def _weight_of_bar(self, bar) -> Multicomposition:
+        """The weight whose bar is `bar`."""
+        parts = []
+        pos = 0
+        for mk in self.m:
+            parts.append(bar[pos:pos + mk])
+            pos += mk
+        return self.weight(parts)
 
     def point_algebra(self, spec: Specialization) -> AlgebraContext:
         """This context's algebra over Q at `spec`, one per point, so that
@@ -214,86 +207,74 @@ class SchurContext:
 
         Built over `algebra` (this context's by default; the at-point
         checks pass one over F_p or Q)."""
-        table, terms = self._coset_terms(lam, mu, A, algebra)
-        cs = {k: c for c, k in terms}
-        return table.left(AKElement(table.ctx, table.ctx.scalars.normal(cs)))
+        reps = self._checked_reps(lam, mu, A)
+        algebra = algebra or self.algebra
+        return self._table(lam, algebra).left(algebra.perm_sum(
+            [invert(x) for x in reps], algebra.m_convention))
 
     def basis_summands(self, lam: Multicomposition, mu: Multicomposition,
                        A: TypedTableau, algebra: AlgebraContext | None = None):
         """h_A left unsummed: the pairs (c(d), T_d z_lam), one per
         distinguished coset representative d (see the module docstring)."""
-        table, terms = self._coset_terms(lam, mu, A, algebra)
-        return table.summands(terms)
+        return self._summands(lam, self._checked_reps(lam, mu, A),
+                              algebra or self.algebra)
 
-    def _ssyt_summands(self, lam, mu, A, algebra):
-        """`basis_summands` of a tableau from `enumerate_ssyt`, which is
-        semistandard already, so that check is skipped."""
-        table, terms = self._coset_terms(lam, mu, A, algebra, True)
-        return table.summands(terms)
-
-    def _coset_terms(self, lam, mu, A, algebra, semistandard=False):
-        """(Multiples(z_lam) over `algebra`, the pairs (c(d), key of T_d))
-        for the d of `basis_summands`, in the order `coset_reps` deals
-        them; one table per lam, kept for the last algebra asked for.
-        A must match (lam, mu), and be semistandard unless `semistandard`
-        says it is known to be."""
-        m = A.bounds.m
-        if A.shape != lam or m != mu.m:
+    def _checked_reps(self, lam, mu, A):
+        """The representatives of `_walk`, once A is known to match (lam,
+        mu), by its shape and type, and to be semistandard."""
+        if A.shape != lam or A.bounds.m != mu.m:
             raise ValueError("tableau does not match (lam, mu)")
-        right = self._blocks(mu)
-        # 1_A^-1, box by box (see the module docstring); symbol (i, s) is
-        # block i + m_1 + ... + m_{s-1} of mu bar
+        bar, reps = self._walk(lam, A)
+        if bar != mu.bar():
+            raise ValueError("tableau does not match (lam, mu)")
+        if not A.is_semistandard():
+            raise ValueError("tableau is not semistandard")
+        return reps
+
+    def _walk(self, lam, A):
+        """(the bar of A's type, the `coset_reps` of W_lam 1_A^-1 W_mu, mu
+        that type), from one pass over the boxes of A (see the module
+        docstring)."""
+        # symbol (i, s) is part i + m_1 + ... + m_{s-1} of mu bar
         base = [0]
-        for mk in m:
+        for mk in A.bounds.m:
             base.append(base[-1] + mk)
-        used = list(right.bounds)
-        inv_one = []
+        counts = [0] * base[-1]
+        places = []     # per box, (its part of mu bar, its place there)
         for comp in A.entries:
             for row in comp:
                 for i, s in row:
                     f = base[s - 1] + i - 1
-                    used[f] += 1
-                    inv_one.append(used[f])
-        if tuple(used[:-1]) != right.bounds[1:]:
-            raise ValueError("tableau does not match (lam, mu)")
-        if not semistandard and not A.is_semistandard():
-            raise ValueError("tableau is not semistandard")
-        if algebra is None:
-            algebra = self.algebra
+                    counts[f] += 1
+                    places.append((f, counts[f]))
+        bar = tuple(counts)
+        right = self._blocks(bar)
+        inv_one = tuple(right.bounds[f] + k for f, k in places)
+        return bar, coset_reps(self._blocks(lam.bar()), inv_one, right)
+
+    def _summands(self, lam, reps, algebra):
+        """The pairs (c(d), T_d z_lam) over `algebra`, d the inverses of
+        the representatives `reps` of `_walk`."""
+        return self._table(lam, algebra).summands(algebra.perm_terms(
+            [invert(x) for x in reps], algebra.m_convention))
+
+    def _table(self, lam, algebra) -> Multiples:
+        """Multiples(z_lam) over `algebra`: one table per lam, kept for the
+        last algebra asked for."""
         owner, tables = self._tables
         if owner is not algebra:
             owner, tables = self._tables = (algebra, {})
         table = tables.get(lam.parts)
         if table is None:
             table = tables[lam.parts] = Multiples(_z_element(algebra, lam))
-        # the inverses of the shortest elements of the cosets W_lam x in
-        # W_lam 1_A^-1 W_mu are the shortest elements of the d W_lam
-        S = algebra.scalars
-        qlen = algebra.m_convention == "qlen"
-        terms = []
-        for x in coset_reps(self._blocks(lam), tuple(inv_one), right):
-            key, lx = _inverse_key(x)
-            terms.append((S.q(lx) if qlen else S.one(), key))
-        return table, terms
+        return table
 
-    def _blocks(self, weight: Multicomposition) -> CompositionBlocks:
-        """The blocks of weight bar, made once per weight."""
-        blocks = self._block_cache.get(weight.parts)
+    def _blocks(self, bar) -> CompositionBlocks:
+        """The blocks of a weight bar, made once per bar."""
+        blocks = self._block_cache.get(bar)
         if blocks is None:
-            blocks = self._block_cache[weight.parts] = CompositionBlocks(
-                weight.bar())
+            blocks = self._block_cache[bar] = CompositionBlocks(bar)
         return blocks
-
-    def tableaux_by_type(self, lam: Multicomposition):
-        """All semistandard lam-tableaux grouped by their type weight: by
-        their sorted entries, which fix the type, with one type weight
-        built per group."""
-        groups = {}
-        for A in enumerate_ssyt(lam, self.shape):
-            key = tuple(sorted(sym for comp in A.entries for row in comp
-                               for sym in row))
-            groups.setdefault(key, []).append(A)
-        return {As[0].type_weight(): As for As in groups.values()}
 
     def weyl_dim_count(self, lam: Multicomposition) -> int:
         """Tableau-counting oracle for the module dimension."""
@@ -313,17 +294,23 @@ class SchurContext:
         """
         if self.algebra.dimension() > max_dim:
             raise ResourceLimit("algebra dimension exceeds the configured limit")
-        groups = sorted(self.tableaux_by_type(lam).items(),
-                        key=lambda kv: kv[0].parts)
-        count = sum(len(As) for _, As in groups)
+        # the representatives of each tableau, grouped by the bar of its
+        # type; bars sort as the weights' parts do
+        groups = {}
+        for A in enumerate_ssyt(lam, self.shape):
+            bar, reps = self._walk(lam, A)
+            groups.setdefault(bar, []).append(reps)
+        groups = [(self._weight_of_bar(bar), block)
+                  for bar, block in sorted(groups.items())]
+        count = sum(len(block) for _, block in groups)
 
-        def block(mu, As):
+        def fill_block(block):
             def fill(algebra, add):
-                for A in As:
-                    add(self._ssyt_summands(lam, mu, A, algebra))
-            return len(As), fill
+                for reps in block:
+                    add(self._summands(lam, reps, algebra))
+            return len(block), fill
 
-        fills = [block(mu, As) for mu, As in groups]
+        fills = [fill_block(block) for _, block in groups]
         rng = Random(seed)
         attempts = 0
         report = None
@@ -332,8 +319,8 @@ class SchurContext:
             point = spec if spec is not None else Specialization.random(self.r, rng)
             ranks = self.algebra.ranks_at(point, fills)
             rank = sum(ranks)
-            blocks = [{"mu": mu.to_json(), "size": len(As), "rank": blk}
-                      for (mu, As), blk in zip(groups, ranks)]
+            blocks = [{"mu": mu.to_json(), "size": len(block), "rank": blk}
+                      for (mu, block), blk in zip(groups, ranks)]
             report = {
                 "lambda": lam.to_json(),
                 "count": count,
@@ -399,12 +386,7 @@ class SchurContext:
         flat[p + 1] -= sign
         if flat[p] < 0 or flat[p + 1] < 0:
             return None
-        parts = []
-        pos = 0
-        for mk in self.m:
-            parts.append(flat[pos:pos + mk])
-            pos += mk
-        return Multicomposition(parts, m=self.m)
+        return self._weight_of_bar(flat)
 
     def _coset_factor(self, algebra: AlgebraContext, target: Multicomposition,
                       source: Multicomposition) -> AKElement:
@@ -413,8 +395,8 @@ class SchurContext:
         group W_target (`coset_reps` of W_source W_target, which all lie in
         W_target).  Their inverses are the shortest elements of the cosets
         y W_source, so this is also the sum of q^{l(x)} T_x over those."""
-        reps = coset_reps(self._blocks(source), identity(self.n),
-                          self._blocks(target))
+        reps = coset_reps(self._blocks(source.bar()), identity(self.n),
+                          self._blocks(target.bar()))
         return algebra.perm_sum([invert(x) for x in reps], "qlen")
 
     def ef_apply(self, idx: EFIndex, kind: str, me: ModuleElement) -> ModuleElement:

@@ -5,6 +5,8 @@ the at-point rings, the
 word-expansion product for both paths of `AKElement.__mul__`, the
 per-term exchange formula for the generator tables of `lmul_gen`, the
 literal double-coset sum for the h_A of `SchurContext.basis_vector`, the
+route through 1_A for its coset representatives, the tableaux grouped by
+their type weights for the blocks of the basis certificate, the
 closure that steps by every generator for the pruned `AKElement.closure`,
 a dense hom-space solver and its tableau count for the E/F images, the
 span-membership highest-weight check for the one-expansion
@@ -171,18 +173,35 @@ def coset_sum(algebra, left_comp, d, right_comp):
                             algebra.m_convention)
 
 
+def one_A_reps(lam, mu, A):
+    """`coset_reps` of W_lam 1_A^-1 W_mu on fresh blocks, through the
+    permutation 1_A: the reference for the representatives that
+    `SchurContext._walk` deals."""
+    return coset_reps(CompositionBlocks(lam.bar()), invert(one_A(A)),
+                      CompositionBlocks(mu.bar()))
+
+
 def one_A_summands(algebra, lam, mu, A, table):
     """The pairs (c(d), T_d z_lam) of `SchurContext.basis_summands` by the
-    route through the permutation 1_A: `coset_reps` of W_lam 1_A^-1 W_mu
-    on fresh blocks, each inverted, and their `perm_sum` c_A; each term
-    c(d) T_d of c_A gives (c(d), T_d z_lam), the product read from
-    `table`, a `Multiples` of z_lam over `algebra`."""
-    reps = coset_reps(CompositionBlocks(lam.bar()), invert(one_A(A)),
-                      CompositionBlocks(mu.bar()))
-    cs = algebra.perm_sum([invert(x) for x in reps], algebra.m_convention)
+    route through the permutation 1_A: `one_A_reps`, each inverted, and
+    their `perm_sum` c_A; each term c(d) T_d of c_A gives (c(d), T_d
+    z_lam), the product read from `table`, a `Multiples` of z_lam over
+    `algebra`."""
+    cs = algebra.perm_sum([invert(x) for x in one_A_reps(lam, mu, A)],
+                          algebra.m_convention)
     one = algebra.scalars.one()
     return [(coeff, table.left(AKElement(algebra, {k: one})))
             for k, coeff in cs.terms.items()]
+
+
+def tableaux_by_type(lam, shape):
+    """The semistandard lam-tableaux grouped by `type_weight`, the groups
+    in the order of the weights' parts: the blocks of the basis
+    certificate, by the definition of a tableau's type."""
+    groups = {}
+    for A in enumerate_ssyt(lam, shape):
+        groups.setdefault(A.type_weight(), []).append(A)
+    return sorted(groups.items(), key=lambda kv: kv[0].parts)
 
 
 def hom_space_images(sc, mu, nu, spec):

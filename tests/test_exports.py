@@ -107,7 +107,14 @@ def test_deleted_api_is_gone():
             # basis summands read off each tableau's rows, no 1_A in between
             (qschur.SchurContext, "_coset_reps_sum"),
             # u+ and u- built by one L_j step per factor M_j - x
-            (qschur.AlgebraContext, "pi")):
+            (qschur.AlgebraContext, "pi"),
+            # one walk per tableau, whose representatives every algebra
+            # turns into summands; permutation keys and weights in hecke
+            (qschur.SchurContext, "tableaux_by_type"),
+            (qschur.SchurContext, "_ssyt_summands"),
+            (qschur.SchurContext, "_coset_terms"),
+            (qschur.schur, "_inverse_key"),
+            (qschur.hecke, "_perm_rank")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     # options that only ever took one value
     params = inspect.signature(qschur.BranchContext.branch_dim_identity).parameters
@@ -121,9 +128,10 @@ def test_deleted_api_is_gone():
 
 #: public names kept without a caller in the package: the paper-level
 #: library API the README and the acceptance suite use (with 1_A, the
-#: tests' reference for the basis summands), the basis summands of any
-#: tableau, checked (the certificate reads those of its enumerated
-#: tableaux without the semistandard check), the checks the bench and the
+#: tests' reference for the basis summands, and the Coxeter length, which
+#: the keys of `hecke` now read off the Lehmer code), the basis summands
+#: of any tableau, checked (the certificate reads those of its enumerated
+#: tableaux from one walk of each), the checks the bench and the
 #: acceptance suite call, and the console entry point
 LIBRARY_API = {
     "chi", "chi_ge", "chi_gt", "row_stabilizer", "column_stabilizer",
@@ -131,7 +139,7 @@ LIBRARY_API = {
     "gamma_inverse", "dominance_composition", "w_lambda", "act", "parse",
     "from_json", "basis_summands", "validated_ef_conventions",
     "highest_weight_check", "triangularity_check", "weyl_dim_count",
-    "one_A", "main",
+    "one_A", "length", "main",
 }
 
 

@@ -16,7 +16,7 @@ from qschur.hecke import AKElement, AlgebraContext, Multiples, _perm_steps
 from qschur.linalg import ResourceLimit, RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
 from qschur.schur import SchurContext
-from qschur.symgrp import all_permutations, identity, transposition
+from qschur.symgrp import all_permutations, identity, length, transposition
 from qschur.tableaux import Multicomposition, bracket_leq, bracket_reversed
 
 
@@ -518,9 +518,34 @@ def test_double_coset_sum_examples(ak22, ak32):
     assert all(coeff == ak32.scalars.one() for coeff in d3.terms.values())
 
 
-def test_perm_sum_weights(ak32):
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(all_permutations(3)), unique=True))
+def test_perm_sum_weights(ak32, perms):
+    # the pairs (c(w), key of T_w) of `perm_terms`, in the order of perms,
+    # and `perm_sum`, against T(w).scale(c(w)) term by term, c(w) read
+    # from `length` and the weight's definition
+    spec = Specialization.random(2, Random(23))
+    basis = ak32.basis_monomials()
+    for algebra in (ak32, ak32.over(PointContext(spec)),
+                    ak32.over(PointContext(spec, PRIME))):
+        S = algebra.scalars
+        weights = {
+            "plain": lambda w: S.one(),
+            "qlen": lambda w: S.q(length(w)),
+            "signed": lambda w: S.from_int((-1) ** length(w))
+            * S.q(-length(w)),
+        }
+        for weight, c in weights.items():
+            want = sum((algebra.T(w).scale(c(w)) for w in perms),
+                       algebra.zero())
+            pairs = algebra.perm_terms(perms, weight)
+            assert [basis[k] for _, k in pairs] == \
+                [((0, 0, 0), w) for w in perms]
+            assert sum((algebra.basis_element(*basis[k]).scale(coeff)
+                        for coeff, k in pairs), algebra.zero()) == want
+            assert algebra.perm_sum(perms, weight) == want
     S = ak32.scalars
-    perms = [identity(3), (2, 1, 3), (3, 2, 1)]
+    examples = [identity(3), (2, 1, 3), (3, 2, 1)]
     expected = {
         "plain": [S.one()] * 3,
         "qlen": [S.one(), S.q(1), S.q(3)],
@@ -528,13 +553,15 @@ def test_perm_sum_weights(ak32):
     }
     for weight, coeffs in expected.items():
         want = ak32.zero()
-        for w, c in zip(perms, coeffs):
+        for w, c in zip(examples, coeffs):
             want = want + ak32.T(w).scale(c)
-        assert ak32.perm_sum(perms, weight) == want
+        assert ak32.perm_sum(examples, weight) == want
     assert not ak32.perm_sum([], "qlen")
     for weight in ("signd", "unit"):
         with pytest.raises(ValueError):
-            ak32.perm_sum(perms, weight)
+            ak32.perm_sum(examples, weight)
+        with pytest.raises(ValueError):
+            ak32.perm_terms(examples, weight)
 
 
 def test_u_product_vanishing_pattern():

@@ -18,8 +18,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, rank_exact, specialize, specialize_vector
-from qschur import cli, hecke
+from conftest import (random_element, rank_exact, specialize,
+                      specialize_vector, tableaux_by_type)
+from qschur import cli, hecke, schur
 from qschur.hecke import AKElement, AlgebraContext
 from qschur.linalg import RowSpace
 from qschur.ring import PRIME, PointContext, Specialization, UnmappablePoint
@@ -156,9 +157,9 @@ def test_row_space_rank_mod_p_matches_bareiss(rows):
 
 
 def exact_block_ranks(sc, lam, spec):
-    groups = sorted(sc.tableaux_by_type(lam).items(), key=lambda kv: kv[0].parts)
     return [rank_exact([specialize_vector(sc.basis_vector(lam, mu, A), spec)
-                        for A in As]) for mu, As in groups]
+                        for A in As])
+            for mu, As in tableaux_by_type(lam, sc.shape)]
 
 
 @pytest.mark.parametrize("q", [Fraction(PRIME), Fraction(3 * PRIME, 7)])
@@ -174,21 +175,28 @@ def test_basis_falls_back_at_an_unmappable_point(q):
         assert report["certified"] and report["attempts"] == 1
 
 
-def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
-    # a block full mod p is never built over Q; a block short mod p is
-    # rebuilt over Q at the same point and ranked there
-    sc = SchurContext(2, 2, (2, 2))
-    lam = sc.weight([[1, 0], [1, 0]])
-    sizes = {mu: len(As) for mu, As in sc.tableaux_by_type(lam).items()}
+def force_a_short_block(monkeypatch, sc, lam):
+    """Record the certificate's builds of each tableau's summands, per
+    (over F_p, type), and the points they are built at; over F_p, the
+    tableaux of the largest block give no summands, so that block is
+    short mod p and is rebuilt over Q.  A tableau's representatives are
+    kept by the certificate from its walk to every build, so the walk's
+    list tells which tableau, and so which type, a build is for."""
+    sizes = {mu: len(As) for mu, As in tableaux_by_type(lam, sc.shape)}
     short_mu = max(sizes, key=sizes.get)
     assert sizes[short_mu] > 1 and len(sizes) > 1
+    type_of = {}
     builds = Counter()
     fp_points, exact_points = set(), []
-    # the certificate reads each tableau's summands through this method
-    ssyt_summands = SchurContext._ssyt_summands
+    walk, summands = SchurContext._walk, SchurContext._summands
 
-    def recording_ssyt_summands(self, lam, mu, A, algebra):
-        summands = ssyt_summands(self, lam, mu, A, algebra)
+    def recording_walk(self, lam, A):
+        bar, reps = walk(self, lam, A)
+        type_of[id(reps)] = A.type_weight()
+        return bar, reps
+
+    def recording_summands(self, lam, reps, algebra):
+        mu = type_of[id(reps)]
         modular = algebra.scalars.modulus is not None
         builds[modular, mu] += 1
         if modular:
@@ -197,15 +205,46 @@ def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
                 return []
         else:
             exact_points.append(algebra.scalars.spec)
-        return summands
+        return summands(self, lam, reps, algebra)
 
-    monkeypatch.setattr(SchurContext, "_ssyt_summands", recording_ssyt_summands)
+    monkeypatch.setattr(SchurContext, "_walk", recording_walk)
+    monkeypatch.setattr(SchurContext, "_summands", recording_summands)
+    return sizes, short_mu, builds, fp_points, exact_points
+
+
+def test_basis_rebuilds_only_the_short_block_exactly(monkeypatch):
+    # a block full mod p is never built over Q; a block short mod p is
+    # rebuilt over Q at the same point and ranked there
+    sc = SchurContext(2, 2, (2, 2))
+    lam = sc.weight([[1, 0], [1, 0]])
+    sizes, short_mu, builds, fp_points, exact_points = force_a_short_block(
+        monkeypatch, sc, lam)
     report = sc.verify_basis_independence(lam, seed=4)
     assert report["certified"] and report["attempts"] == 1
     assert builds == Counter({**{(True, mu): k for mu, k in sizes.items()},
                               (False, short_mu): sizes[short_mu]})
     assert len(fp_points) == 1 and exact_points == [*fp_points] * sizes[short_mu]
     assert report["specialization"] == exact_points[0].to_json()
+
+
+def test_basis_deals_the_representatives_once_per_tableau(monkeypatch):
+    # the certificate walks each tableau once and keeps its coset
+    # representatives for every algebra it builds over, the Q rebuild of
+    # a short block included
+    sc = SchurContext(2, 2, (2, 2))
+    lam = sc.weight([[1, 0], [1, 0]])
+    sizes, short_mu, builds, _, _ = force_a_short_block(monkeypatch, sc, lam)
+    dealt = Counter()
+    deal = schur.coset_reps
+
+    def counting_coset_reps(left, d, right):
+        dealt[left, d, right] += 1
+        return deal(left, d, right)
+
+    monkeypatch.setattr(schur, "coset_reps", counting_coset_reps)
+    assert sc.verify_basis_independence(lam, seed=4)["certified"]
+    assert builds[False, short_mu] == sizes[short_mu]
+    assert sum(dealt.values()) == sum(sizes.values()) == len(dealt)
 
 
 def build_block(algebra, recipe):

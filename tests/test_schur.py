@@ -5,7 +5,8 @@ from random import Random
 import pytest
 
 from conftest import (cellular_hom_dimension, coset_sum, hom_space_images,
-                      one_A_summands, rank_exact, specialize_vector)
+                      one_A_reps, one_A_summands, rank_exact,
+                      specialize_vector)
 from qschur.hecke import Multiples
 from qschur.linalg import RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
@@ -149,6 +150,24 @@ def test_basis_summands_match_the_route_through_one_A(n, r, m, flags):
                 mu = A.type_weight()
                 assert sc.basis_summands(lam, mu, A, algebra) == \
                     one_A_summands(algebra, lam, mu, A, table)
+
+
+WALK_CONFIGS = [(3, 2, (3, 3)), (3, 3, (1, 1, 1)), (5, 1, (3,)),
+                (4, 2, (2, 2))]
+
+
+@pytest.mark.parametrize("flags", [{}, QLEN], ids=["plain", "qlen"])
+@pytest.mark.parametrize("n,r,m", WALK_CONFIGS)
+def test_walk_matches_the_type_and_the_route_through_one_A(n, r, m, flags):
+    # one pass over A's boxes gives the bar of A's type and the coset
+    # representatives of W_lam 1_A^-1 W_mu, in the order `coset_reps`
+    # deals them through the permutation 1_A
+    sc = SchurContext(n, r, m, **flags)
+    for lam in enumerate_multicompositions(sc.n, sc.shape,
+                                           partitions_only=True):
+        for A in enumerate_ssyt(lam, sc.shape):
+            mu = A.type_weight()
+            assert sc._walk(lam, A) == (mu.bar(), one_A_reps(lam, mu, A))
 
 
 def test_basis_summands_refuse_a_tableau_of_another_lambda_or_mu(schur22):
