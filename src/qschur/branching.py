@@ -44,7 +44,7 @@ class FiltrationLayer:
 
 class BranchContext:
     """Restriction data for one multipartition of n+1 boxes.  The labels
-    with their layers, and the h_A of the last point, are kept."""
+    with their layers are kept; `big` keeps the h_A of the last point."""
 
     def __init__(self, n: int, r: int, m, lam_parts,
                  m_convention: str = "plain", y_convention: str = "plain"):
@@ -76,7 +76,6 @@ class BranchContext:
         self._labels = None
         self._layers = None        # {A.entries: layer of A}
         self._by_weight = None     # {mu: the labels (mu, A) of weight mu}
-        self._point = (None, {})   # (spec, {(mu.parts, A.entries): h_A})
 
     @property
     def m(self):
@@ -161,17 +160,10 @@ class BranchContext:
 
     def basis_element(self, mu: Multicomposition, A: TypedTableau,
                       spec: Specialization):
-        """h_A over the point algebra of `spec`, kept for the last point
-        asked for: checks come one point at a time, and comparing a point
-        is cheaper than hashing its Fractions."""
-        if self._point[0] != spec:
-            self._point = (spec, {})
-        vectors = self._point[1]
-        key = (mu.parts, A.entries)
-        if key not in vectors:
-            vectors[key] = self.big.basis_vector(
-                self.lam, mu, A, self.big.point_algebra(spec))
-        return vectors[key]
+        """h_A over the point algebra of `spec`, which keeps it: built once
+        per point however many checks ask for it."""
+        return self.big.basis_vector(self.lam, mu, A,
+                                     self.big.point_algebra(spec))
 
     def small_ef_indices(self):
         """Gamma'(m'): the ladder indices of the restricted algebra."""
@@ -189,17 +181,13 @@ class BranchContext:
             return status, None
         return status, [lab for lab, c in zip(labels, coeffs) if c]
 
-    def highest_weight_check(self, i: int, spec: Specialization,
-                             conventions_validated: bool = True) -> dict:
+    def highest_weight_check(self, i: int, spec: Specialization) -> dict:
         """Every raising operator of the restricted algebra sends the
         layer's marked vector into the span of the deeper layers: its
         expansion in the restricted basis is unique and uses only labels
         of layers after i."""
         if not 1 <= i <= len(self.nodes):
             raise ValueError(f"layer {i} is not one of 1..{len(self.nodes)}")
-        if not conventions_validated:
-            return {"layer": i, "certified": False,
-                    "reason": "ladder conventions failed validation"}
         node = self.nodes[i - 1]
         X = t_lambda_x(self.lam, node, self.big.shape)
         tau = X.type_weight()

@@ -103,23 +103,23 @@ def _flags(args) -> dict:
     return out
 
 
-def _shape_args(args, need_lambda=False):
-    lam_parts = None
-    if args.lam is not None:
-        lam_parts = _parse_json_arg(args.lam, "--lambda", 2)
-    elif need_lambda:
+def _shape_args(args):
+    """(lambda, m, r) from --lambda, --m and --r: --m defaults to the row
+    counts of lambda, and all three must agree on r >= 1."""
+    if args.lam is None:
         raise UsageError("--lambda is required")
-    m = _parse_json_arg(args.m, "--m", 1) if args.m else None
-    r = args.r
-    if r is None:
-        if m is not None:
-            r = len(m)
-        elif lam_parts is not None:
-            r = len(lam_parts)
-        else:
-            raise UsageError("one of --r, --m, --lambda is required")
-    if m is None and lam_parts is not None:
+    lam_parts = _parse_json_arg(args.lam, "--lambda", 2)
+    r = len(lam_parts)
+    if r < 1:
+        raise UsageError("--lambda needs at least one component")
+    if args.m:
+        m = _parse_json_arg(args.m, "--m", 1)
+        if len(m) != r:
+            raise UsageError(f"--lambda and --m disagree on r ({r}, {len(m)})")
+    else:
         m = [max(1, len(c)) for c in lam_parts]
+    if args.r is not None and args.r != r:
+        raise UsageError(f"--lambda and --r disagree on r ({r}, {args.r})")
     return lam_parts, m, r
 
 
@@ -148,7 +148,7 @@ def cmd_enum(args) -> int:
         print(_emit(payload, fmt, lines))
         return 0
     if args.what == "ssyt":
-        lam_parts, m, r = _shape_args(args, need_lambda=True)
+        lam_parts, m, r = _shape_args(args)
         bounds = MultiShape(tuple(m))
         lam = Multicomposition(lam_parts)
         if args.mu and args.type:
@@ -165,7 +165,7 @@ def cmd_enum(args) -> int:
         print(_emit(payload, fmt, lines))
         return 0
     if args.what == "nodes":
-        lam_parts, m, r = _shape_args(args, need_lambda=True)
+        lam_parts, m, r = _shape_args(args)
         lam = Multicomposition(lam_parts)
         rem = removable_nodes(lam)
         add = addable_nodes(lam)
@@ -234,7 +234,7 @@ def cmd_verify(args) -> int:
         print(_emit(payload, fmt, lines))
         return 0 if payload["pass"] else FAIL
     if args.what == "basis":
-        lam_parts, m, r = _shape_args(args, need_lambda=True)
+        lam_parts, m, r = _shape_args(args)
         n = sum(sum(c) for c in lam_parts)
         flags = _flags(args)
         if flags:
@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
         print(_emit(report, fmt, lines))
         return 0 if report["certified"] else FAIL
     if args.what == "branch":
-        lam_parts, m, r = _shape_args(args, need_lambda=True)
+        lam_parts, m, r = _shape_args(args)
         nbig = sum(sum(c) for c in lam_parts)
         bc = BranchContext(nbig - 1, r, tuple(m), lam_parts, **_flags(args))
         if bc.big.algebra.dimension() > args.max_dim:
@@ -322,7 +322,7 @@ def cmd_compute(args) -> int:
         elem = ctx.jucys_murphy(args.i)
         print(_emit(elem.to_json(), fmt, [elem.text()]))
         return 0
-    lam_parts, m, r = _shape_args(args, need_lambda=True)
+    lam_parts, m, r = _shape_args(args)
     n = sum(sum(c) for c in lam_parts)
     sc = SchurContext(n, r, tuple(m), **_flags(args))
     lam = sc.weight(lam_parts)
@@ -346,6 +346,9 @@ def cmd_compute(args) -> int:
             entries = _parse_json_arg(args.tableau, "--tableau", 4)
             if len(entries) != r:
                 raise UsageError(f"--tableau needs {r} components")
+            if any(len(sym) != 2 for comp in entries for row in comp
+                   for sym in row):
+                raise UsageError("each --tableau symbol is an [i, s] pair")
             # padded with empty rows as lambda is: `enum ssyt` prints a
             # component's rows up to its last nonempty one
             entries = [comp + [[]] * (mk - len(comp))

@@ -51,9 +51,9 @@ h_A.  A shortfall at the point is inconclusive and is retried at fresh
 points.
 
 Module spans, membership and the E/F convention checks build x_mu, the
-ladder images and every product over
-`point_algebra(spec)`, the algebra over Q at their point; a module span
-is the closure of x_mu there under `AKElement.rmul_gen`.
+ladder images and every product over `point_algebra(spec)`, the algebra
+over Q at their point; a module span is the closure of x_mu there under
+`AKElement.rmul_gen`.
 
 There is one E/F ladder operator (see `_coset_factor`);
 `validated_ef_conventions` returns its report when every image is a
@@ -116,13 +116,14 @@ def _z_element(algebra: AlgebraContext, lam: Multicomposition) -> AKElement:
 class SchurContext:
     """Weights Lambda_{n,r}(m) over one Ariki-Koike algebra instance.
 
-    All cached values (x and z elements, module spans, the per-lambda
-    tables of `basis_vector`, the blocks of each weight bar) are keyed
-    deterministically; they fill lazily, and concurrent fills store equal
-    values.  The underlying algebra context carries the only synchronised
-    caches.  The factor of a ladder step is rebuilt on each `ef_apply`
-    call: kept per context, the factors of one pass of the branching
-    checks held about 0.5 MiB for a few percent of its time.
+    What it builds over an algebra (x_mu, the tables of `basis_vector`,
+    h_A, module spans) is kept by `_keep` for one algebra object at a
+    time, so values over F_p and over Q at one point never meet;
+    `point_algebra` hands out the kept algebra while it is the one over Q
+    at the point.  Values fill lazily, and concurrent fills store equal
+    values.  The factor of a ladder step is rebuilt on each `ef_apply`
+    call: kept, those of one branching pass held about 0.5 MiB for a few
+    percent of its time.
     """
 
     def __init__(self, n: int, r: int, m,
@@ -135,12 +136,8 @@ class SchurContext:
         self.algebra = AlgebraContext(n, r, m_convention=m_convention,
                                       y_convention=y_convention)
         self._weights = None
-        self._x_cache = {}
-        self._z_cache = {}
-        self._span_cache = {}
-        self._points = {}
-        self._tables = (None, {})   # (algebra, {lam.parts: Multiples(R)})
-        self._block_cache = {}      # weight bar -> CompositionBlocks
+        self._kept = (self.algebra, {})  # (algebra, {key: value over it})
+        self._block_cache = {}           # weight bar -> CompositionBlocks
 
     @property
     def m(self):
@@ -170,33 +167,41 @@ class SchurContext:
         return self.weight(parts)
 
     def point_algebra(self, spec: Specialization) -> AlgebraContext:
-        """This context's algebra over Q at `spec`, one per point, so that
-        every check there shares its product tables."""
-        algebra = self._points.get(spec)
-        if algebra is None:
-            algebra = self._points[spec] = self.algebra.over(PointContext(spec))
+        """This context's algebra over Q at `spec`: the kept one while it is
+        that, else a new one, which every check at the point then shares."""
+        algebra = self._kept[0]
+        S = algebra.scalars
+        if isinstance(S, PointContext) and S.modulus is None and S.spec == spec:
+            return algebra
+        algebra = self.algebra.over(PointContext(spec))
+        self._kept = (algebra, {})
         return algebra
+
+    def _keep(self, algebra: AlgebraContext, key, make):
+        """The value of `key` over `algebra`, made by `make()` once while
+        `algebra` is kept; another algebra starts a new record."""
+        owner, values = self._kept
+        if owner is not algebra:
+            owner, values = self._kept = (algebra, {})
+        value = values.get(key)
+        if value is None:
+            value = values[key] = make()
+        return value
 
     # -- distinguished elements -------------------------------------------
 
     def x_element(self, mu: Multicomposition,
                   algebra: AlgebraContext | None = None) -> AKElement:
-        """x_mu over `algebra` (default: this context's), built once."""
-        if algebra is None:
-            algebra = self.algebra
-        key = (algebra, mu.parts)
-        if key not in self._x_cache:
-            self._x_cache[key] = algebra.x_element(mu)
-        return self._x_cache[key]
+        """x_mu over `algebra` (default: this context's), kept."""
+        algebra = algebra or self.algebra
+        return self._keep(algebra, ("x", mu.parts),
+                          lambda: algebra.x_element(mu))
 
     def z_element(self, lam: Multicomposition) -> AKElement:
         """z_lam evaluated at the unit: x_lam T_{w_lam} y_{lam'}."""
-        key = lam.parts
-        if key not in self._z_cache:
-            if not lam.is_partition():
-                raise ValueError("z is defined for multipartitions")
-            self._z_cache[key] = _z_element(self.algebra, lam)
-        return self._z_cache[key]
+        if not lam.is_partition():
+            raise ValueError("z is defined for multipartitions")
+        return _z_element(self.algebra, lam)
 
     def basis_vector(self, lam: Multicomposition, mu: Multicomposition,
                      A: TypedTableau,
@@ -206,11 +211,17 @@ class SchurContext:
         the superstandard tableau this is z_lam (see `basis_summands`).
 
         Built over `algebra` (this context's by default; the at-point
-        checks pass one over F_p or Q)."""
-        reps = self._checked_reps(lam, mu, A)
+        checks pass one over F_p or Q) and kept, keyed by all that the
+        checks of A read, so a kept h_A skips them."""
         algebra = algebra or self.algebra
-        return self._table(lam, algebra).left(algebra.perm_sum(
-            [invert(x) for x in reps], algebra.m_convention))
+
+        def make():
+            reps = self._checked_reps(lam, mu, A)
+            return self._table(lam, algebra).left(algebra.perm_sum(
+                [invert(x) for x in reps], algebra.m_convention))
+
+        return self._keep(algebra, ("h", lam.parts, mu.parts, A.shape.parts,
+                                    A.bounds.m, A.entries), make)
 
     def basis_summands(self, lam: Multicomposition, mu: Multicomposition,
                        A: TypedTableau, algebra: AlgebraContext | None = None):
@@ -259,15 +270,9 @@ class SchurContext:
             [invert(x) for x in reps], algebra.m_convention))
 
     def _table(self, lam, algebra) -> Multiples:
-        """Multiples(z_lam) over `algebra`: one table per lam, kept for the
-        last algebra asked for."""
-        owner, tables = self._tables
-        if owner is not algebra:
-            owner, tables = self._tables = (algebra, {})
-        table = tables.get(lam.parts)
-        if table is None:
-            table = tables[lam.parts] = Multiples(_z_element(algebra, lam))
-        return table
+        """Multiples(z_lam) over `algebra`, kept."""
+        return self._keep(algebra, ("table", lam.parts),
+                          lambda: Multiples(_z_element(algebra, lam)))
 
     def _blocks(self, bar) -> CompositionBlocks:
         """The blocks of a weight bar, made once per bar."""
@@ -344,16 +349,15 @@ class SchurContext:
 
         The closure of x_mu over `point_algebra(spec)` under right
         multiplication by each generator T_j, in an exact `RowSpace`."""
-        key = (mu.parts, spec)
-        cached = self._span_cache.get(key)
-        if cached is not None:
-            return cached
         algebra = self.point_algebra(spec)
-        space = RowSpace(algebra.dimension())
-        self.x_element(mu, algebra).closure(
-            AKElement.rmul_gen, lambda e: space.add(e.vector()))
-        self._span_cache[key] = space
-        return space
+
+        def make():
+            space = RowSpace(algebra.dimension())
+            self.x_element(mu, algebra).closure(
+                AKElement.rmul_gen, lambda e: space.add(e.vector()))
+            return space
+
+        return self._keep(algebra, ("span", mu.parts), make)
 
     def certify_membership(self, me: ModuleElement, spec: Specialization) -> bool:
         """One-sided membership certificate e in x_mu H at the point; e

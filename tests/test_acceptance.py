@@ -244,8 +244,7 @@ def test_criterion_09_branching_algebraic():
                     rep = bc.triangularity_check(idx, kind, mu, A, spec)
                     tri_ok = tri_ok and rep["dominance_holds"]
         for i in range(1, len(bc.nodes) + 1):
-            rep = bc.highest_weight_check(
-                i, spec, conventions_validated=conv["validated"])
+            rep = bc.highest_weight_check(i, spec)
             hw_ok = hw_ok and rep["certified"]
     elapsed = time.monotonic() - start
     ok = ok and tri_ok and hw_ok and elapsed <= 600

@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -99,23 +100,14 @@ def test_highest_weight_all_layers_criterion_scope():
             assert rep["certified"], (bc.lam.trimmed(), rep)
 
 
-def test_highest_weight_requires_validated_conventions():
-    bc = BranchContext(1, 2, (2, 2), [(1,), (1,)])
-    spec = Specialization.random(2, Random(31))
-    rep = bc.highest_weight_check(1, spec, conventions_validated=False)
-    assert not rep["certified"]
-    assert "reason" in rep
-
-
-@pytest.mark.parametrize("validated", [True, False])
-def test_highest_weight_refuses_a_layer_out_of_range(validated):
+def test_highest_weight_refuses_a_layer_out_of_range():
     # layers count from 1; layer 0 or -1 used to read the last layer's
     # marked tableau through a negative index, and len + 1 gave IndexError
     bc = BranchContext(1, 2, (2, 2), [(1,), (1,)])
     spec = Specialization.random(2, Random(31))
     for i in (0, -1, len(bc.nodes) + 1):
         with pytest.raises(ValueError, match="layer"):
-            bc.highest_weight_check(i, spec, conventions_validated=validated)
+            bc.highest_weight_check(i, spec)
     assert bc.highest_weight_check(len(bc.nodes), spec)["certified"]
 
 
@@ -158,6 +150,35 @@ def test_triangularity_exhaustive():
                     rep = bc.triangularity_check(idx, kind, mu, A, spec)
                     assert rep["dominance_holds"], (bc.lam.trimmed(), rep)
                     assert rep["status"] in ("zero", "expanded")
+
+
+def test_each_h_A_is_checked_once_per_point(monkeypatch):
+    # every triangularity and highest-weight check of one lambda at one
+    # point asks for h_A again and again; the point algebra's memo checks
+    # and builds each (mu, A) once
+    bc = BranchContext(2, 2, (3, 3), [(2,), (1,)])
+    spec = Specialization.random(2, Random(53))
+    checked, asked = Counter(), []
+    check, ask = bc.big._checked_reps, bc.big.basis_vector
+
+    def counting_check(lam, mu, A):
+        checked[mu.parts, A.entries] += 1
+        return check(lam, mu, A)
+
+    def counting_ask(lam, mu, A, algebra=None):
+        asked.append((mu.parts, A.entries))
+        return ask(lam, mu, A, algebra)
+
+    monkeypatch.setattr(bc.big, "_checked_reps", counting_check)
+    monkeypatch.setattr(bc.big, "basis_vector", counting_ask)
+    for (mu, A) in bc.restriction_labels():
+        for idx in bc.small_ef_indices():
+            for kind in ("E", "F"):
+                bc.triangularity_check(idx, kind, mu, A, spec)
+    for i in range(1, len(bc.nodes) + 1):
+        bc.highest_weight_check(i, spec)
+    assert checked == Counter(set(asked))
+    assert len(asked) > len(checked) >= len(bc.restriction_labels())
 
 
 def test_branch_report_schema():

@@ -197,7 +197,7 @@ def test_compute_h_takes_the_tableaux_enum_ssyt_prints():
         assert code == 2
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     code, _ = run_cli(["enum", "ssyt", "--lambda", "not json"])
     assert code == 2
     code, _ = run_cli(["verify", "basis", "--m", "[2]", "--r", "1"])
@@ -218,8 +218,20 @@ def test_usage_errors_exit_two():
                   "--tableau", "[[1]]"],
                  # --mu and --type name the same weight: both is ambiguous
                  ["enum", "ssyt", "--lambda", "[[2]]", "--m", "[2]",
-                  "--mu", "[[1,1]]", "--type", "[[2,0]]"]):
+                  "--mu", "[[1,1]]", "--type", "[[2,0]]"],
+                 # lambda, --m and --r must agree on r, and r >= 1
+                 ["enum", "ssyt", "--lambda", "[[2],[1]]", "--m", "[2]"],
+                 ["enum", "ssyt", "--lambda", "[[2]]", "--m", "[2]",
+                  "--r", "2"],
+                 ["verify", "basis", "--lambda", "[[2],[1]]", "--m", "[2]"],
+                 ["compute", "h", "--lambda", "[[2]]", "--m", "[2]",
+                  "--r", "2"],
+                 ["enum", "nodes", "--lambda", "[]"]):
         assert run_cli(argv)[0] == 2, argv
+    code, _ = run_cli(["compute", "h", "--lambda", "[[2,1]]", "--m", "[2]",
+                       "--tableau", "[[[[1,1,1],[1,1]]]]"])
+    assert code == 2
+    assert "[i, s] pair" in capsys.readouterr().err
 
 
 def test_resource_limit_exit_three():

@@ -116,9 +116,16 @@ def test_deleted_api_is_gone():
             (qschur.schur, "_inverse_key"),
             (qschur.hecke, "_perm_rank")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    # one memo per context for what it builds over an algebra
+    sc = qschur.SchurContext(1, 1, (1,))
+    for name in ("_x_cache", "_z_cache", "_span_cache", "_points", "_tables"):
+        assert not hasattr(sc, name), f"SchurContext.{name}"
+    assert not hasattr(qschur.BranchContext(1, 1, (2,), [(2,)]), "_point")
     # options that only ever took one value
     params = inspect.signature(qschur.BranchContext.branch_dim_identity).parameters
     assert "check_bijection" not in params
+    params = inspect.signature(qschur.BranchContext.highest_weight_check).parameters
+    assert "conventions_validated" not in params
     for fn in (qschur.SchurContext.verify_basis_independence,
                qschur.verify_basis_with_fallback):
         assert "retries" not in inspect.signature(fn).parameters

@@ -201,10 +201,44 @@ def test_basis_vector_tables_follow_the_algebra_asked_for():
         h = sc.basis_vector(lam, mu, A, algebra)
         assert h.ctx is algebra
         assert h == plain_chain(algebra, lam, mu, A)
-        # the tables of one algebra at a time
-        owner, tables = sc._tables
-        assert owner is algebra and tables
-        assert all(table.ctx is algebra for table in tables.values())
+        # the kept record holds one algebra's values at a time
+        owner, values = sc._kept
+        assert owner is algebra and values
+        assert all(value.ctx is algebra for value in values.values())
+
+
+def test_fp_and_q_at_one_point_never_share_a_value():
+    # the F_p and the Q algebra at one point: a memo keyed by the point
+    # would hand each the other's x_mu, table or h_A
+    sc = SchurContext(2, 2, (2, 2))
+    spec = Specialization.random(2, Random(7))
+    fp = sc.algebra.over(PointContext(spec, PRIME))
+    lam = sc.weight([(1,), (1,)])
+    A = enumerate_ssyt(lam, sc.shape)[0]
+    mu = A.type_weight()
+    for modulus in (PRIME, None, PRIME, None):
+        algebra = fp if modulus else sc.point_algebra(spec)
+        assert algebra.scalars.modulus == modulus
+        x = sc.x_element(mu, algebra)
+        table = sc._table(lam, algebra)
+        h = sc.basis_vector(lam, mu, A, algebra)
+        assert x.ctx is table.ctx is h.ctx is algebra
+        assert x == algebra.x_element(mu)
+        assert h == plain_chain(algebra, lam, mu, A)
+
+
+def test_module_span_is_rebuilt_after_another_point():
+    sc = SchurContext(2, 2, (2, 2))
+    spec1 = Specialization.random(2, Random(11))
+    spec2 = Specialization.random(2, Random(12))
+    mu = sc.weight([(1,), (1,)])
+    first = sc.module_span(mu, spec1)
+    algebra = sc.point_algebra(spec1)
+    assert sc.module_span(mu, spec1) is first
+    assert sc.point_algebra(spec2) is not algebra
+    again = sc.module_span(mu, spec1)
+    assert again is not first and sc.point_algebra(spec1) is not algebra
+    assert again.basis() == first.basis()
 
 
 def test_basis_vector_tables_under_concurrent_readers():
