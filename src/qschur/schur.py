@@ -171,7 +171,10 @@ class SchurContext:
         that, else a new one, which every check at the point then shares."""
         algebra = self._kept[0]
         S = algebra.scalars
-        if isinstance(S, PointContext) and S.modulus is None and S.spec == spec:
+        # the checks at a point pass one spec object: identity first, as
+        # comparing its Fractions costs more than the rest of a memo hit
+        if isinstance(S, PointContext) and S.modulus is None and (
+                S.spec is spec or S.spec == spec):
             return algebra
         algebra = self.algebra.over(PointContext(spec))
         self._kept = (algebra, {})
