@@ -171,8 +171,7 @@ class SchurContext:
         that, else a new one, which every check at the point then shares."""
         algebra = self._kept[0]
         S = algebra.scalars
-        # the checks at a point pass one spec object: identity first, as
-        # comparing its Fractions costs more than the rest of a memo hit
+        # identity first: comparing Fractions costs more than a memo hit
         if isinstance(S, PointContext) and S.modulus is None and (
                 S.spec is spec or S.spec == spec):
             return algebra
