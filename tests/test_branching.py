@@ -100,10 +100,12 @@ def test_highest_weight_all_layers_criterion_scope():
             assert rep["certified"], (bc.lam.trimmed(), rep)
 
 
-def test_highest_weight_refuses_a_layer_out_of_range():
+@pytest.mark.parametrize("weighted", [True, False])
+def test_highest_weight_refuses_a_layer_out_of_range(weighted):
     # layers count from 1; layer 0 or -1 used to read the last layer's
-    # marked tableau through a negative index, and len + 1 gave IndexError
-    bc = BranchContext(1, 2, (2, 2), [(1,), (1,)])
+    # marked tableau through a negative index, and len + 1 gave IndexError;
+    # the range check comes before any convention is used
+    bc = BranchContext(1, 2, (2, 2), [(1,), (1,)], **(QLEN if weighted else {}))
     spec = Specialization.random(2, Random(31))
     for i in (0, -1, len(bc.nodes) + 1):
         with pytest.raises(ValueError, match="layer"):
