@@ -8,8 +8,14 @@ It is also every rank the certificates take, over F_p at a point and,
 for a block short there, over Q at the same point.  Over Q it is
 fraction-free: each row is stored as a primitive integer vector (content
 1, positive pivot), and the exact Fraction values of the reduced echelon
-form are read off as entry / pivot.  The tests check `RowSpace` against
-an independent Bareiss rank, `rank_exact` in `tests/conftest.py`.
+form are read off as entry / pivot.  Because the form is reduced, a
+vector is reduced in one pass: each pivot row's multiple is read off the
+vector's own entry at that pivot, and the content (over F_p, the
+residue) is taken once.  `_eliminate`, one pivot at a time, serves only
+the back-substitution in `add`.  The tests check `RowSpace` against an
+independent Bareiss rank and its one-pass reduction against the
+row-by-row loop, `rank_exact` and `sequential_reduce` in
+`tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -35,6 +41,13 @@ def _integer_row(row):
     return [x.numerator * (denom // x.denominator) for x in row]
 
 
+def _residue(x, m):
+    """The Fraction x = a/b as a * b^-1 mod m."""
+    if x.denominator % m == 0:
+        raise ValueError(f"denominator of {x} is 0 mod {m}")
+    return x.numerator * pow(x.denominator, -1, m) % m
+
+
 def _primitive(vec):
     """vec divided by the gcd of its entries."""
     g = gcd(*vec)
@@ -52,7 +65,9 @@ class RowSpace:
     positive pivot, so the reduced echelon row is the stored row divided
     by its pivot entry.  Feeding rows to a fresh space and reading `rank`
     is the rank of a matrix.  Every vector must have exactly `ncols`
-    entries.
+    entries; over F_p an entry a/b stands for a * b^-1 mod p.  No stored
+    row touches another's pivot, so `_reduce` reads every row's multiple
+    off the vector before it subtracts any.
     """
 
     def __init__(self, ncols: int, modulus: int | None = None):
@@ -72,7 +87,9 @@ class RowSpace:
             raise ValueError(f"vector of length {len(vec)} in a row space"
                              f" of {self.ncols} columns")
         m = self.modulus
-        return _integer_row(vec) if m is None else [x % m for x in vec]
+        if m is None:
+            return _integer_row(vec)
+        return [x % m if type(x) is int else _residue(x, m) for x in vec]
 
     def _eliminate(self, vec, row, p):
         """vec with its entry in row's pivot column p cleared by row."""
@@ -96,11 +113,24 @@ class RowSpace:
         return [x * inv % m for x in vec]
 
     def _reduce(self, vec):
+        """vec less the multiple of each stored row that its entry at the
+        row's pivot calls for; over Q, the primitive integer vector in
+        c*vec + the row space, c > 0 (vec's integer row if no row is hit)."""
         vec = self._entries(vec)
-        for row, p in zip(self._rows, self._pivots):
-            if vec[p]:
-                vec = self._eliminate(vec, row, p)
-        return vec
+        hits = [(row, p, vec[p])
+                for row, p in zip(self._rows, self._pivots) if vec[p]]
+        if not hits:
+            return vec
+        m = self.modulus
+        # the least s that makes every multiple s*a/row[p] an integer;
+        # over F_p each pivot is 1
+        s = 1 if m else lcm(*(row[p] // gcd(a, row[p]) for row, p, a in hits))
+        if s != 1:
+            vec = [s * x for x in vec]
+        for row, p, a in hits:
+            t = s * a // row[p]
+            vec[p:] = [x - t * y for x, y in zip(vec[p:], row[p:])]
+        return _primitive(vec) if m is None else [x % m for x in vec]
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec))

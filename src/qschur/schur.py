@@ -113,6 +113,19 @@ def _z_element(algebra: AlgebraContext, lam: Multicomposition) -> AKElement:
         algebra.T(w) * algebra.y_element(lam.dual())))
 
 
+def _weight_json(bar, m) -> list:
+    """`Multicomposition.to_json` of the weight whose bar is `bar`, read
+    off the bar: its components of lengths m, without trailing zeros."""
+    out, pos = [], 0
+    for mk in m:
+        comp = list(bar[pos:pos + mk])
+        pos += mk
+        while comp and not comp[-1]:
+            comp.pop()
+        out.append(comp)
+    return out
+
+
 class SchurContext:
     """Weights Lambda_{n,r}(m) over one Ariki-Koike algebra instance.
 
@@ -307,7 +320,7 @@ class SchurContext:
         for A in enumerate_ssyt(lam, self.shape):
             bar, reps = self._walk(lam, A)
             groups.setdefault(bar, []).append(reps)
-        groups = [(self._weight_of_bar(bar), block)
+        groups = [(_weight_json(bar, self.m), block)
                   for bar, block in sorted(groups.items())]
         count = sum(len(block) for _, block in groups)
 
@@ -326,7 +339,7 @@ class SchurContext:
             point = spec if spec is not None else Specialization.random(self.r, rng)
             ranks = self.algebra.ranks_at(point, fills)
             rank = sum(ranks)
-            blocks = [{"mu": mu.to_json(), "size": len(block), "rank": blk}
+            blocks = [{"mu": mu, "size": len(block), "rank": blk}
                       for (mu, block), blk in zip(groups, ranks)]
             report = {
                 "lambda": lam.to_json(),

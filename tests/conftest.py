@@ -1,5 +1,6 @@
 """Shared fixtures, and the references and random inputs the tests check
-the package against: a Bareiss rank for `RowSpace`, a reduced word of a
+the package against: a Bareiss rank for `RowSpace`, the reduction by one
+elimination per pivot row for its one-pass `_reduce`, a reduced word of a
 permutation, term-by-term evaluation of generic scalars and elements for
 the at-point rings, the
 word-expansion product for both paths of `AKElement.__mul__`, the
@@ -60,6 +61,18 @@ def rank_exact(matrix) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def sequential_reduce(space, vec):
+    """vec reduced by `space` one stored row at a time, each hit row by an
+    `_eliminate` that over Q takes the content out again: the reference
+    for `RowSpace._reduce`, which reads every row's multiple off vec and
+    takes the content out once."""
+    vec = space._entries(vec)
+    for row, p in zip(space._rows, space._pivots):
+        if vec[p]:
+            vec = space._eliminate(vec, row, p)
+    return vec
 
 
 def reduced_word(w):

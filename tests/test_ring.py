@@ -5,7 +5,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_scalar, rank_exact, specialize
+from conftest import random_scalar, rank_exact, sequential_reduce, specialize
+from qschur import linalg
 from qschur.linalg import RowSpace, nullspace, solve_in_span
 from qschur.ring import PRIME, ContextMismatch, ScalarContext, Specialization
 
@@ -356,6 +357,102 @@ def test_integer_rowspace_matches_fraction_gauss_jordan(case):
         fp.add(_residues(vec))
     assert fp.rank == rank == space.rank
     assert fp.contains(_residues(probe)) == (rank_exact(vecs + [probe]) == rank)
+
+
+def _no_hit(space, vec):
+    """vec with its entries at the pivots of `space` set to zero."""
+    return [0 if p in space._pivots else x for p, x in enumerate(vec)]
+
+
+def _assert_one_pass_matches(space, probes):
+    for probe in probes:
+        red = space._reduce(probe)
+        assert red == sequential_reduce(space, probe)
+        assert all(type(x) is int for x in red)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_lists(), st.booleans())
+def test_one_pass_reduce_matches_row_by_row(case, backwards):
+    # list for list over Q and over F_p, after every add; added backwards,
+    # later rows tend to take earlier pivot columns
+    vecs, probe = case
+    if backwards:
+        vecs = vecs[::-1]
+    ncols = len(probe)
+    spaces = RowSpace(ncols), RowSpace(ncols, modulus=PRIME)
+    for vec in vecs:
+        for space in spaces:
+            space.add(vec)
+            _assert_one_pass_matches(space, [
+                probe, [-x for x in probe], [0] * ncols,
+                _no_hit(space, probe), *vecs])
+
+
+@pytest.mark.parametrize("modulus", [None, PRIME])
+@pytest.mark.parametrize("rows,probes", [
+    # pivots out of column order, and stored rows that are not monic
+    ([[0, 0, 3, 1], [0, 2, 5, 0], [7, 1, 1, 1]],
+     [[1, 2, 3, 4], [5, 0, 0, 0], [0, 0, 0, 9], [Fraction(1, 6), 0, 1, 0]]),
+    # negative input pivots, and a probe hitting every row with huge entries
+    ([[-4, 6, 0], [0, -9, 3]],
+     [[10**40 + 1, -(10**35), Fraction(10**30, 7)], [-2, 3, 0]]),
+    # no row hit, and the zero probe
+    ([[0, 5, 0, 0]], [[3, 0, 1, 2], [0, 0, 0, 0]]),
+])
+def test_one_pass_reduce_cases(modulus, rows, probes):
+    space = RowSpace(len(probes[0]), modulus=modulus)
+    for row in rows:
+        space.add(row)
+    _assert_one_pass_matches(space, probes)
+
+
+def test_one_pass_reduce_takes_content_out_once(monkeypatch):
+    # one `_primitive` per reduction that hits a row over Q, none without
+    # a hit, and no `_eliminate` inside `_reduce` over either field
+    calls = {"_primitive": 0, "_eliminate": 0}
+    primitive, eliminate = linalg._primitive, RowSpace._eliminate
+
+    def counted_primitive(vec):
+        calls["_primitive"] += 1
+        return primitive(vec)
+
+    def counted_eliminate(self, vec, row, p):
+        calls["_eliminate"] += 1
+        return eliminate(self, vec, row, p)
+
+    rows = [[2, 0, 1, 3], [0, 3, 0, 1], [0, 0, 5, 2]]
+    spaces = RowSpace(4), RowSpace(4, modulus=PRIME)
+    for space in spaces:
+        for row in rows:
+            space.add(row)
+    monkeypatch.setattr(linalg, "_primitive", counted_primitive)
+    monkeypatch.setattr(RowSpace, "_eliminate", counted_eliminate)
+    q, fp = spaces
+    q._reduce([1, Fraction(1, 2), 7, 4])
+    assert calls == {"_primitive": 1, "_eliminate": 0}
+    q._reduce([0, 0, 0, 4])
+    assert calls == {"_primitive": 1, "_eliminate": 0}
+    fp._reduce([1, 2, 7, 4])
+    assert calls == {"_primitive": 1, "_eliminate": 0}
+
+
+def test_fraction_entries_over_fp_are_residues():
+    space = RowSpace(2, modulus=PRIME)
+    assert space.add([Fraction(2), 1])
+    third = pow(3, -1, PRIME)
+    assert space._entries([Fraction(1, 3), Fraction(-2, 3)]) == [
+        third, -2 * third % PRIME]
+    assert space.contains([Fraction(4, 3), Fraction(2, 3)])
+    assert not space.contains([Fraction(1, 3), 1])
+    # the same rows as from the residues themselves
+    same = RowSpace(2, modulus=PRIME)
+    same.add([2, 1])
+    assert same._rows == space._rows
+    with pytest.raises(ValueError, match="0 mod"):
+        space.add([Fraction(1, PRIME), 1])
+    with pytest.raises(ValueError, match="0 mod"):
+        space.contains([0, Fraction(5, 2 * PRIME)])
 
 
 def test_specialization_random_distinct():

@@ -11,7 +11,7 @@ from qschur.hecke import Multiples
 from qschur.linalg import RowSpace
 from qschur.ring import PRIME, PointContext, Specialization
 from qschur.schur import (FALLBACK_FLAGS, ConventionError, EFIndex,
-                          ModuleElement, SchurContext,
+                          ModuleElement, SchurContext, _weight_json,
                           validated_ef_conventions, verify_basis_with_fallback)
 from qschur.symgrp import (CompositionBlocks, compose, invert, length,
                            young_subgroup)
@@ -479,6 +479,16 @@ def test_basis_report_schema(schur21):
         assert key in rep
     assert rep["flags"] == {"m_convention": "plain", "y_convention": "plain"}
     assert rep["literal_flags"] is True
+
+
+@pytest.mark.parametrize("config", [(3, 2, (3, 3)), (2, 3, (2, 2, 2)),
+                                    (3, 2, (1, 3)), (5, 1, (3,))])
+def test_block_weight_json_read_off_the_bar(config):
+    # a block's `mu` in the basis report, written from its bar, is the
+    # weight's own JSON, trailing and empty components included
+    sc = SchurContext(*config)
+    for mu in sc.weights():
+        assert _weight_json(mu.bar(), sc.m) == mu.to_json()
 
 
 @pytest.mark.parametrize("config", [(2, 2, (2, 2)), (3, 2, (2, 2))])
