@@ -11,10 +11,11 @@ fraction-free: each row is stored as a primitive integer vector (content
 form are read off as entry / pivot.  Because the form is reduced, a
 vector is reduced in one pass: each pivot row's multiple is read off the
 vector's own entry at that pivot, and the content (over F_p, the
-residue) is taken once.  `_eliminate`, one pivot at a time, serves only
-the back-substitution in `add`.  The tests check `RowSpace` against an
-independent Bareiss rank and its one-pass reduction against the
-row-by-row loop, `rank_exact` and `sequential_reduce` in
+residue) is taken once.  That clearing step, `_clear`, is the one
+elimination routine: `add` back-substitutes a new row into each stored
+row through it, with that one row hit.  The tests check `RowSpace`
+against an independent Bareiss rank and its rows and reductions against
+a row-by-row loop, `rank_exact` and `sequential_reduce` in
 `tests/conftest.py`.
 """
 
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from . import ring
 
 __all__ = [
     "RowSpace",
@@ -41,13 +44,6 @@ def _integer_row(row):
     return [x.numerator * (denom // x.denominator) for x in row]
 
 
-def _residue(x, m):
-    """The Fraction x = a/b as a * b^-1 mod m."""
-    if x.denominator % m == 0:
-        raise ValueError(f"denominator of {x} is 0 mod {m}")
-    return x.numerator * pow(x.denominator, -1, m) % m
-
-
 def _primitive(vec):
     """vec divided by the gcd of its entries."""
     g = gcd(*vec)
@@ -56,7 +52,7 @@ def _primitive(vec):
 
 class RowSpace:
     """Incrementally maintained row space with exact membership tests,
-    over Q or, given a prime `modulus` p, over F_p.
+    over Q or, given `modulus` PRIME = p, over F_p.
 
     Rows are kept in reduced echelon form: the pivot of each stored row
     is its first nonzero entry, and every other row is zero in that
@@ -66,11 +62,13 @@ class RowSpace:
     by its pivot entry.  Feeding rows to a fresh space and reading `rank`
     is the rank of a matrix.  Every vector must have exactly `ncols`
     entries; over F_p an entry a/b stands for a * b^-1 mod p.  No stored
-    row touches another's pivot, so `_reduce` reads every row's multiple
+    row touches another's pivot, so `_clear` reads every row's multiple
     off the vector before it subtracts any.
     """
 
     def __init__(self, ncols: int, modulus: int | None = None):
+        if modulus not in (None, ring.PRIME):
+            raise ValueError(f"modulus must be None or PRIME, got {modulus}")
         self.ncols = ncols
         self.modulus = modulus
         self._rows = []     # reduced rows
@@ -89,19 +87,7 @@ class RowSpace:
         m = self.modulus
         if m is None:
             return _integer_row(vec)
-        return [x % m if type(x) is int else _residue(x, m) for x in vec]
-
-    def _eliminate(self, vec, row, p):
-        """vec with its entry in row's pivot column p cleared by row."""
-        m = self.modulus
-        if m is None:
-            a, b = vec[p], row[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            return _primitive([b * x - a * y for x, y in zip(vec, row)])
-        f = vec[p]
-        vec[p:] = [(a - f * b) % m for a, b in zip(vec[p:], row[p:])]
-        return vec
+        return [x % m if type(x) is int else ring._residue(x) for x in vec]
 
     def _normalised(self, vec, p):
         """vec scaled so that its pivot vec[p] is 1 over F_p, positive over Q."""
@@ -112,25 +98,29 @@ class RowSpace:
         inv = pow(vec[p], -1, m)
         return [x * inv % m for x in vec]
 
-    def _reduce(self, vec):
-        """vec less the multiple of each stored row that its entry at the
-        row's pivot calls for; over Q, the primitive integer vector in
-        c*vec + the row space, c > 0 (vec's integer row if no row is hit)."""
-        vec = self._entries(vec)
-        hits = [(row, p, vec[p])
-                for row, p in zip(self._rows, self._pivots) if vec[p]]
-        if not hits:
-            return vec
+    def _clear(self, vec, hits):
+        """vec less a/row[p] times row for each hit (row, p, a), a = vec[p],
+        the hit rows being zero on each other's pivots: over Q the primitive
+        integer vector in c*vec + their span, c > 0; over F_p the residues."""
         m = self.modulus
         # the least s that makes every multiple s*a/row[p] an integer;
-        # over F_p each pivot is 1
+        # over F_p each pivot is 1.  vec is scaled in the first hit's pass
         s = 1 if m else lcm(*(row[p] // gcd(a, row[p]) for row, p, a in hits))
-        if s != 1:
-            vec = [s * x for x in vec]
-        for row, p, a in hits:
+        (row, p, a), *rest = hits
+        t = s * a // row[p]
+        vec = [s * x - t * y for x, y in zip(vec, row)]
+        for row, p, a in rest:
             t = s * a // row[p]
             vec[p:] = [x - t * y for x, y in zip(vec[p:], row[p:])]
         return _primitive(vec) if m is None else [x % m for x in vec]
+
+    def _reduce(self, vec):
+        """vec cleared on every stored pivot by `_clear` (vec's integer row,
+        or residues, if it hits no row)."""
+        vec = self._entries(vec)
+        hits = [(row, p, vec[p])
+                for row, p in zip(self._rows, self._pivots) if vec[p]]
+        return self._clear(vec, hits) if hits else vec
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec))
@@ -144,7 +134,7 @@ class RowSpace:
                 # back-substitute into existing rows to stay reduced
                 for i, row in enumerate(self._rows):
                     if row[p]:
-                        self._rows[i] = self._eliminate(row, red, p)
+                        self._rows[i] = self._clear(row, [(red, p, row[p])])
                 self._rows.append(red)
                 self._pivots.append(p)
                 return True
@@ -179,9 +169,10 @@ def solve_in_span(basis_rows, target):
       "ok"           coeffs is the unique coefficient list
       "nonunique"    a solution exists but is not unique (rank defect)
       "inconsistent" target lies outside the span
+
+    A row of another length than target's is refused (ValueError) by the
+    row space it is fed to.
     """
-    if any(len(row) != len(target) for row in basis_rows):
-        raise ValueError("basis rows and target differ in length")
     D, nb = len(target), len(basis_rows)
     # one row [b_i | e_i | 0] per vector; the probe [target | 0 | 1] then
     # reduces to s [target - sum c_i b_i | -c | 1], whose first D entries

@@ -69,7 +69,7 @@ from .hecke import AKElement, AlgebraContext, Multiples
 from .linalg import ResourceLimit, RowSpace
 from .ring import PointContext, Specialization
 from .symgrp import CompositionBlocks, coset_reps, identity, invert
-from .tableaux import (MultiShape, Multicomposition, TypedTableau,
+from .tableaux import (MultiShape, Multicomposition, TypedTableau, _trim,
                        enumerate_multicompositions, enumerate_ssyt, w_lambda)
 
 __all__ = [
@@ -116,14 +116,7 @@ def _z_element(algebra: AlgebraContext, lam: Multicomposition) -> AKElement:
 def _weight_json(bar, m) -> list:
     """`Multicomposition.to_json` of the weight whose bar is `bar`, read
     off the bar: its components of lengths m, without trailing zeros."""
-    out, pos = [], 0
-    for mk in m:
-        comp = list(bar[pos:pos + mk])
-        pos += mk
-        while comp and not comp[-1]:
-            comp.pop()
-        out.append(comp)
-    return out
+    return [_trim(comp) for comp in MultiShape(m).split(bar)]
 
 
 class SchurContext:
@@ -169,15 +162,6 @@ class SchurContext:
 
     def weight(self, parts) -> Multicomposition:
         return Multicomposition(parts, m=self.m)
-
-    def _weight_of_bar(self, bar) -> Multicomposition:
-        """The weight whose bar is `bar`."""
-        parts = []
-        pos = 0
-        for mk in self.m:
-            parts.append(bar[pos:pos + mk])
-            pos += mk
-        return self.weight(parts)
 
     def point_algebra(self, spec: Specialization) -> AlgebraContext:
         """This context's algebra over Q at `spec`: the kept one while it is
@@ -405,7 +389,7 @@ class SchurContext:
         flat[p + 1] -= sign
         if flat[p] < 0 or flat[p + 1] < 0:
             return None
-        return self._weight_of_bar(flat)
+        return self.weight(self.shape.split(flat))
 
     def _coset_factor(self, algebra: AlgebraContext, target: Multicomposition,
                       source: Multicomposition) -> AKElement:

@@ -83,6 +83,22 @@ class MultiShape:
             raise ValueError(f"symbol {sym} out of bounds for m={self.m}")
         return i + sum(self.m[: s - 1])
 
+    def split(self, bar):
+        """bar cut into its r components, of lengths m_1, ..., m_r."""
+        out, pos = [], 0
+        for mk in self.m:
+            out.append(bar[pos:pos + mk])
+            pos += mk
+        return out
+
+
+def _trim(comp) -> list:
+    """comp as a list, without its trailing zero parts."""
+    w = len(comp)
+    while w and not comp[w - 1]:
+        w -= 1
+    return list(comp[:w])
+
 
 class Multicomposition:
     """An r-tuple of compositions with fixed component lengths m_k.
@@ -176,13 +192,7 @@ class Multicomposition:
     # -- serialization ------------------------------------------------------
 
     def trimmed(self):
-        out = []
-        for comp in self.parts:
-            w = len(comp)
-            while w > 0 and comp[w - 1] == 0:
-                w -= 1
-            out.append(list(comp[:w]))
-        return out
+        return [_trim(comp) for comp in self.parts]
 
     def to_json(self):
         return self.trimmed()
@@ -263,17 +273,11 @@ def dominance_composition(x, y) -> bool:
 
 
 def dominance_multiweight(lam: Multicomposition, mu: Multicomposition) -> bool:
-    """lam dominates mu in the multiweight order: every flat prefix sum
-    taken at a row boundary of lam is >= the one of mu."""
+    """lam dominates mu in the multiweight order: every prefix sum of
+    lam's bar is >= the one of mu's."""
     if lam.m != mu.m or lam.n != mu.n:
         raise ValueError("incomparable shapes")
-    sl = sm = 0
-    for a, b in zip(lam.bar(), mu.bar()):
-        sl += a
-        sm += b
-        if sl < sm:
-            return False
-    return True
+    return dominance_composition(mu.bar(), lam.bar())
 
 
 def bracket_leq(a, b) -> bool:

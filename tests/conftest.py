@@ -1,6 +1,7 @@
 """Shared fixtures, and the references and random inputs the tests check
-the package against: a Bareiss rank for `RowSpace`, the reduction by one
-elimination per pivot row for its one-pass `_reduce`, a reduced word of a
+the package against: a Bareiss rank for `RowSpace`, one elimination per
+pivot row for its one-pass `_reduce` and for the rows its `add` keeps by
+back-substitution, a reduced word of a
 permutation, term-by-term evaluation of generic scalars and elements for
 the at-point rings, the
 word-expansion product for both paths of `AKElement.__mul__`, the
@@ -15,6 +16,7 @@ span-membership highest-weight check for the one-expansion
 elements, and elements from coordinates."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -63,16 +65,70 @@ def rank_exact(matrix) -> int:
     return rank
 
 
+def _eliminate(vec, row, p, modulus):
+    """vec with its entry at row's pivot column p cleared by row alone:
+    over Q b*vec - a*row with (a, b) = (vec[p], row[p]) / gcd, content
+    taken out; over F_p vec - vec[p]*row mod p (row[p] is 1)."""
+    if modulus is None:
+        g = gcd(vec[p], row[p])
+        a, b = vec[p] // g, row[p] // g
+        vec = [b * x - a * y for x, y in zip(vec, row)]
+        g = gcd(*vec)
+        return vec if g <= 1 else [x // g for x in vec]
+    f = vec[p]
+    return [(x - f * y) % modulus for x, y in zip(vec, row)]
+
+
+def _entries(vec, modulus):
+    """vec as integers over Q (scaled by its denominators' lcm) or as
+    residues a * b^-1 mod p over F_p."""
+    vec = [Fraction(x) for x in vec]
+    if modulus is None:
+        return _integer_row(vec)
+    return [x.numerator * pow(x.denominator, -1, modulus) % modulus
+            for x in vec]
+
+
 def sequential_reduce(space, vec):
-    """vec reduced by `space` one stored row at a time, each hit row by an
-    `_eliminate` that over Q takes the content out again: the reference
-    for `RowSpace._reduce`, which reads every row's multiple off vec and
-    takes the content out once."""
-    vec = space._entries(vec)
+    """vec reduced by the stored rows of `space` one at a time, each hit
+    row by an elimination that over Q takes the content out again: the
+    reference for `RowSpace._reduce`, which reads every row's multiple off
+    vec and takes the content out once."""
+    vec = _entries(vec, space.modulus)
     for row, p in zip(space._rows, space._pivots):
         if vec[p]:
-            vec = space._eliminate(vec, row, p)
+            vec = _eliminate(vec, row, p, space.modulus)
     return vec
+
+
+class SequentialRowSpace:
+    """The reference for the rows `RowSpace.add` keeps: a new row is
+    reduced by `sequential_reduce`, scaled to a positive primitive (over
+    Q) or monic (over F_p) pivot, and back-substituted into each stored
+    row by one `_eliminate`."""
+
+    def __init__(self, modulus=None):
+        self.modulus = modulus
+        self._rows = []
+        self._pivots = []
+
+    def add(self, vec) -> bool:
+        red = sequential_reduce(self, vec)
+        if not any(red):
+            return False
+        p = next(k for k, x in enumerate(red) if x)
+        m = self.modulus
+        if m is None:
+            g = gcd(*red) if red[p] > 0 else -gcd(*red)
+            red = [x // g for x in red]
+        else:
+            inv = pow(red[p], -1, m)
+            red = [x * inv % m for x in red]
+        self._rows = [_eliminate(row, red, p, m) if row[p] else row
+                      for row in self._rows]
+        self._rows.append(red)
+        self._pivots.append(p)
+        return True
 
 
 def reduced_word(w):

@@ -1,6 +1,7 @@
 """The package's public surface: every name a module lists in `__all__`
-exists, deleted names stay deleted, and every public function, method and
-class has a caller in the package or is library API.
+exists, deleted names stay deleted, every public function, method and
+class has a caller in the package or is library API, and no module
+imports a name it does not use.
 
 The bench tracer wraps each `__all__` entry of the eight modules by name,
 so a name left in `__all__` after its definition is deleted breaks a
@@ -114,7 +115,10 @@ def test_deleted_api_is_gone():
             (qschur.SchurContext, "_ssyt_summands"),
             (qschur.SchurContext, "_coset_terms"),
             (qschur.schur, "_inverse_key"),
-            (qschur.hecke, "_perm_rank")):
+            (qschur.hecke, "_perm_rank"),
+            # one elimination routine in `RowSpace`, and one residue map
+            (qschur.RowSpace, "_eliminate"),
+            (qschur.linalg, "_residue")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     # one memo per context for what it builds over an algebra
     sc = qschur.SchurContext(1, 1, (1,))
@@ -139,43 +143,71 @@ def test_deleted_api_is_gone():
 #: the keys of `hecke` now read off the Lehmer code), the basis summands
 #: of any tableau, checked (the certificate reads those of its enumerated
 #: tableaux from one walk of each), the checks the bench and the
-#: acceptance suite call, and the console entry point
+#: acceptance suite call, the console entry point, and the reduced echelon
+#: rows of a `RowSpace` as Fractions, which the tests and the at-point
+#: golden read (qualified, as `nullspace` and the CLI have locals named
+#: `basis`)
 LIBRARY_API = {
     "chi", "chi_ge", "chi_gt", "row_stabilizer", "column_stabilizer",
     "superstandard", "nullspace", "double_cosets", "gamma",
     "gamma_inverse", "dominance_composition", "w_lambda", "act", "parse",
     "from_json", "basis_summands", "validated_ef_conventions",
     "highest_weight_check", "triangularity_check", "weyl_dim_count",
-    "one_A", "length", "main",
+    "one_A", "length", "main", "RowSpace.basis",
 }
 
 
 def _public_definitions(tree):
-    """(qualified name, name) of each public module-level function and
-    class and each public method."""
+    """(qualified name, name, class node or None) of each public
+    module-level function and class and each public method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node.name, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) \
                         and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, node
+
+
+def _names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_every_public_name_has_a_caller():
+    # a function or class is called through any name or attribute read; a
+    # method only through an attribute read, or a name in its own class
+    # body (an alias such as `from_int = from_rational`), not through a
+    # local variable that happens to share its name
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(qschur.__file__).parent.glob("*.py"))}
-    used = set()
+    names, attributes = set(), set()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        names |= _names(tree)
+        attributes |= {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Load)}
     uncalled = [f"{module}:{qualname}"
                 for module, tree in trees.items()
-                for qualname, name in _public_definitions(tree)
-                if name not in used and name not in LIBRARY_API]
+                for qualname, name, cls in _public_definitions(tree)
+                if name not in attributes
+                and name not in (names if cls is None else _names(cls))
+                and name not in LIBRARY_API and qualname not in LIBRARY_API]
     assert not uncalled, f"public names with no caller in the package: {uncalled}"
+
+
+def test_no_unused_imports():
+    # every name a module of the package imports at module level is used
+    # in it (`__init__` imports to re-export)
+    for path in sorted(Path(qschur.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        unused = sorted(imported - _names(tree))
+        assert not unused, f"{path.name} imports {unused} and never uses them"

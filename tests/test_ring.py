@@ -5,7 +5,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_scalar, rank_exact, sequential_reduce, specialize
+from conftest import (SequentialRowSpace, random_scalar, rank_exact,
+                      sequential_reduce, specialize)
 from qschur import linalg
 from qschur.linalg import RowSpace, nullspace, solve_in_span
 from qschur.ring import PRIME, ContextMismatch, ScalarContext, Specialization
@@ -409,17 +410,13 @@ def test_one_pass_reduce_cases(modulus, rows, probes):
 
 def test_one_pass_reduce_takes_content_out_once(monkeypatch):
     # one `_primitive` per reduction that hits a row over Q, none without
-    # a hit, and no `_eliminate` inside `_reduce` over either field
-    calls = {"_primitive": 0, "_eliminate": 0}
-    primitive, eliminate = linalg._primitive, RowSpace._eliminate
+    # a hit, and none over F_p
+    calls = []
+    primitive = linalg._primitive
 
     def counted_primitive(vec):
-        calls["_primitive"] += 1
+        calls.append(vec)
         return primitive(vec)
-
-    def counted_eliminate(self, vec, row, p):
-        calls["_eliminate"] += 1
-        return eliminate(self, vec, row, p)
 
     rows = [[2, 0, 1, 3], [0, 3, 0, 1], [0, 0, 5, 2]]
     spaces = RowSpace(4), RowSpace(4, modulus=PRIME)
@@ -427,14 +424,35 @@ def test_one_pass_reduce_takes_content_out_once(monkeypatch):
         for row in rows:
             space.add(row)
     monkeypatch.setattr(linalg, "_primitive", counted_primitive)
-    monkeypatch.setattr(RowSpace, "_eliminate", counted_eliminate)
     q, fp = spaces
     q._reduce([1, Fraction(1, 2), 7, 4])
-    assert calls == {"_primitive": 1, "_eliminate": 0}
+    assert len(calls) == 1
     q._reduce([0, 0, 0, 4])
-    assert calls == {"_primitive": 1, "_eliminate": 0}
+    assert len(calls) == 1
     fp._reduce([1, 2, 7, 4])
-    assert calls == {"_primitive": 1, "_eliminate": 0}
+    assert len(calls) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_lists(), st.booleans())
+def test_added_rows_match_row_by_row_back_substitution(case, backwards):
+    # after every add, over Q and over F_p, the stored rows and pivots are
+    # those of a space that back-substitutes one row at a time
+    vecs, probe = case
+    if backwards:
+        vecs = vecs[::-1]
+    for modulus in (None, PRIME):
+        space, ref = RowSpace(len(probe), modulus), SequentialRowSpace(modulus)
+        for vec in [*vecs, probe, [-x for x in probe]]:
+            assert space.add(vec) == ref.add(vec)
+            assert space._rows == ref._rows
+            assert space._pivots == ref._pivots
+
+
+def test_rowspace_refuses_other_moduli():
+    for modulus in (7, 2, PRIME + 2):
+        with pytest.raises(ValueError, match="None or PRIME"):
+            RowSpace(3, modulus=modulus)
 
 
 def test_fraction_entries_over_fp_are_residues():

@@ -3,6 +3,7 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschur.symgrp import (CompositionBlocks, all_permutations, compose,
                            coset_reps, identity, invert, young_subgroup)
@@ -71,6 +72,39 @@ def test_dominance():
     assert not bracket_leq((0, 2, 2), (0, 1, 2))
     with pytest.raises(ValueError):
         dominance_composition((1, 1), (3,))
+
+
+@st.composite
+def _weight_pairs(draw):
+    """Two multicompositions with the same m and n, each dealt its n boxes
+    into random slots."""
+    m = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = draw(st.integers(0, 6))
+    weights = []
+    for _ in range(2):
+        slots = draw(st.lists(st.integers(0, sum(m) - 1), min_size=n, max_size=n))
+        bar = [slots.count(k) for k in range(sum(m))]
+        weights.append(Multicomposition(MultiShape(m).split(bar), m=m))
+    return weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weight_pairs())
+def test_dominance_multiweight_is_dominance_of_the_bars(case):
+    lam, mu = case
+    expected = all(sum(lam.bar()[:k]) >= sum(mu.bar()[:k])
+                   for k in range(len(lam.bar()) + 1))
+    assert dominance_multiweight(lam, mu) == expected
+    assert dominance_composition(mu.bar(), lam.bar()) == expected
+
+
+def test_split_cuts_a_bar_into_components():
+    shape = MultiShape((2, 1, 3))
+    assert shape.split((1, 2, 3, 4, 5, 6)) == [(1, 2), (3,), (4, 5, 6)]
+    assert shape.split([0, 0, 0, 1, 0, 0]) == [[0, 0], [0], [1, 0, 0]]
+    lam = Multicomposition([(2, 0), (0,), (1, 0, 0)], m=(2, 1, 3))
+    assert shape.split(lam.bar()) == list(lam.parts)
+    assert lam.trimmed() == [[2], [], [1]]
 
 
 def test_dominance_implies_bracket_order():
