@@ -3,8 +3,8 @@
 from .ring import (ContextMismatch, ExactScalar, ExponentOverflow, ScalarContext,
                    Specialization)
 from .linalg import ResourceLimit, RowSpace, nullspace, solve_in_span
-from .symgrp import (CompositionBlocks, compose, double_cosets, identity,
-                     invert, length, young_subgroup)
+from .symgrp import (compose, double_cosets, identity, invert, length,
+                     young_subgroup)
 from .tableaux import (MultiShape, Multicomposition, NumericTableau,
                        TypedTableau, addable_nodes, bar_tableau,
                        canonical_tableaux, chi, dominance_composition,

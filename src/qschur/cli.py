@@ -90,6 +90,13 @@ def _check_counts(args) -> None:
             raise UsageError(f"{option} must be >= 0, got {value}")
 
 
+def _check_dim(n, r, max_dim) -> None:
+    """Refuse an algebra whose dimension r^n n! exceeds --max-dim before it
+    is built; an n or r below 1 is left to the constructors to refuse."""
+    if min(n, r) >= 1 and r ** n * factorial(n) > max_dim:
+        raise ResourceLimit("algebra dimension exceeds --max-dim")
+
+
 def _flags(args) -> dict:
     out = {}
     if args.flags:
@@ -191,12 +198,16 @@ def cmd_verify(args) -> int:
     fmt = args.format
     seed = _seed(args)
     budget = _Budget(args.max_seconds)
-    if args.what == "relations":
+    if args.what in ("relations", "lemma24"):
         if args.n is None or args.r is None:
-            raise UsageError("verify relations needs --n and --r")
-        ctx = AlgebraContext(args.n, args.r, **_flags(args))
-        if ctx.dimension() > args.max_dim:
-            raise ResourceLimit("algebra dimension exceeds --max-dim")
+            raise UsageError(f"verify {args.what} needs --n and --r")
+        n, r = args.n, args.r
+    else:
+        lam_parts, m, r = _shape_args(args)
+        n = sum(sum(c) for c in lam_parts)
+    _check_dim(n, r, args.max_dim)
+    if args.what == "relations":
+        ctx = AlgebraContext(n, r, **_flags(args))
         rel = ctx.relation_reports()
         budget.check()
         rng = Random(seed)
@@ -212,7 +223,7 @@ def cmd_verify(args) -> int:
                 break
         budget.check()
         dim = ctx.regular_closure_dim(seed=seed, max_dim=args.max_dim)
-        payload = {"n": args.n, "r": args.r, "relations": rel,
+        payload = {"n": n, "r": r, "relations": rel,
                    "associativity_samples": samples, "associativity": assoc_ok,
                    "closure_dim": dim, "expected_dim": ctx.dimension(),
                    "pass": all(rel.values()) and assoc_ok and dim == ctx.dimension()}
@@ -223,10 +234,7 @@ def cmd_verify(args) -> int:
         print(_emit(payload, fmt, lines))
         return 0 if payload["pass"] else FAIL
     if args.what == "lemma24":
-        if args.n is None or args.r is None:
-            raise UsageError("verify lemma24 needs --n and --r")
-        payload = _lemma24_report(args.n, args.r, seed, budget, args.max_dim,
-                                  **_flags(args))
+        payload = _lemma24_report(n, r, seed, budget, **_flags(args))
         lines = [f"vanishing (pairs checked {payload['pairs_checked']}): "
                  f"{payload['vanishing']}",
                  f"freeness ranks: {payload['freeness_ranks']}",
@@ -234,8 +242,6 @@ def cmd_verify(args) -> int:
         print(_emit(payload, fmt, lines))
         return 0 if payload["pass"] else FAIL
     if args.what == "basis":
-        lam_parts, m, r = _shape_args(args)
-        n = sum(sum(c) for c in lam_parts)
         flags = _flags(args)
         if flags:
             sc = SchurContext(n, r, tuple(m), **flags)
@@ -252,11 +258,7 @@ def cmd_verify(args) -> int:
         print(_emit(report, fmt, lines))
         return 0 if report["certified"] else FAIL
     if args.what == "branch":
-        lam_parts, m, r = _shape_args(args)
-        nbig = sum(sum(c) for c in lam_parts)
-        bc = BranchContext(nbig - 1, r, tuple(m), lam_parts, **_flags(args))
-        if bc.big.algebra.dimension() > args.max_dim:
-            raise ResourceLimit("algebra dimension exceeds --max-dim")
+        bc = BranchContext(n - 1, r, tuple(m), lam_parts, **_flags(args))
         report = bc.branch_dim_identity()
         budget.check()
         lines = [f"lambda: {json.dumps(report['lambda'])}"]
@@ -269,10 +271,8 @@ def cmd_verify(args) -> int:
     raise UsageError(f"unknown verify target {args.what!r}")
 
 
-def _lemma24_report(n, r, seed, budget, max_dim, **flags):
+def _lemma24_report(n, r, seed, budget, **flags):
     ctx = AlgebraContext(n, r, **flags)
-    if ctx.dimension() > max_dim:
-        raise ResourceLimit("algebra dimension exceeds --max-dim")
     brackets = [(0, *c, n)
                 for c in combinations_with_replacement(range(n + 1), r - 1)]
 
@@ -324,6 +324,7 @@ def cmd_compute(args) -> int:
         return 0
     lam_parts, m, r = _shape_args(args)
     n = sum(sum(c) for c in lam_parts)
+    _check_dim(n, r, args.max_dim)
     sc = SchurContext(n, r, tuple(m), **_flags(args))
     lam = sc.weight(lam_parts)
     if args.what == "z":

@@ -109,8 +109,7 @@ from random import Random
 from .linalg import ResourceLimit, RowSpace
 from .ring import (PRIME, PointContext, ScalarContext, ScalarRing,
                    Specialization, UnmappablePoint)
-from .symgrp import (CompositionBlocks, all_permutations, transposition,
-                     young_subgroup)
+from .symgrp import all_permutations, transposition, young_subgroup
 from .tableaux import Multicomposition, bracket_reversed, w_lambda
 
 __all__ = ["AlgebraContext", "AKElement", "Multiples"]
@@ -494,7 +493,7 @@ class AlgebraContext:
     def young_sum(self, composition, weight=None) -> "AKElement":
         """Sum of T_w over the Young subgroup, with the context's
         m-convention weighting unless an explicit weight is requested."""
-        return self.perm_sum(young_subgroup(CompositionBlocks(composition)),
+        return self.perm_sum(young_subgroup(composition),
                              weight or self.m_convention)
 
     def _check_bracket(self, bracket):

@@ -18,8 +18,10 @@ A is read once (`_walk`), its boxes numbered row by row and component by
 component as in `bar_tableau`: box p holds a symbol, block f of mu bar
 once flattened, and 1_A^-1 sends p to the next unused place of that
 block, so the boxes of one symbol fill its block in reading order.  The
-same pass counts the symbols, which gives the bar of A's type mu; the
-representatives x of W_lam 1_A^-1 W_mu are then dealt by `coset_reps`.
+same pass counts the symbols, which gives the bar of A's type mu, and one
+running sum over that bar gives where each of its blocks starts; the
+representatives x of W_lam 1_A^-1 W_mu are then dealt by `coset_reps`
+straight from the bars of lam and mu.
 An algebra turns each d = x^-1 into its pair (c(d), key of T_d) through
 `AlgebraContext.perm_terms`, which owns the keys and the weights c.
 
@@ -63,12 +65,13 @@ certified module homomorphism, and raises `ConventionError` otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 
 from .hecke import AKElement, AlgebraContext, Multiples
 from .linalg import ResourceLimit, RowSpace
 from .ring import PointContext, Specialization
-from .symgrp import CompositionBlocks, coset_reps, identity, invert
+from .symgrp import coset_reps, identity, invert
 from .tableaux import (MultiShape, Multicomposition, TypedTableau, _trim,
                        enumerate_multicompositions, enumerate_ssyt, w_lambda)
 
@@ -143,7 +146,6 @@ class SchurContext:
                                       y_convention=y_convention)
         self._weights = None
         self._kept = (self.algebra, {})  # (algebra, {key: value over it})
-        self._block_cache = {}           # weight bar -> CompositionBlocks
 
     @property
     def m(self):
@@ -246,9 +248,7 @@ class SchurContext:
         that type), from one pass over the boxes of A (see the module
         docstring)."""
         # symbol (i, s) is part i + m_1 + ... + m_{s-1} of mu bar
-        base = [0]
-        for mk in A.bounds.m:
-            base.append(base[-1] + mk)
+        base = list(accumulate(A.bounds.m, initial=0))
         counts = [0] * base[-1]
         places = []     # per box, (its part of mu bar, its place there)
         for comp in A.entries:
@@ -258,9 +258,9 @@ class SchurContext:
                     counts[f] += 1
                     places.append((f, counts[f]))
         bar = tuple(counts)
-        right = self._blocks(bar)
-        inv_one = tuple(right.bounds[f] + k for f, k in places)
-        return bar, coset_reps(self._blocks(lam.bar()), inv_one, right)
+        start = list(accumulate(bar, initial=0))  # where each block starts
+        inv_one = tuple(start[f] + k for f, k in places)
+        return bar, coset_reps(lam.bar(), inv_one, bar)
 
     def _summands(self, lam, reps, algebra):
         """The pairs (c(d), T_d z_lam) over `algebra`, d the inverses of
@@ -272,13 +272,6 @@ class SchurContext:
         """Multiples(z_lam) over `algebra`, kept."""
         return self._keep(algebra, ("table", lam.parts),
                           lambda: Multiples(_z_element(algebra, lam)))
-
-    def _blocks(self, bar) -> CompositionBlocks:
-        """The blocks of a weight bar, made once per bar."""
-        blocks = self._block_cache.get(bar)
-        if blocks is None:
-            blocks = self._block_cache[bar] = CompositionBlocks(bar)
-        return blocks
 
     def weyl_dim_count(self, lam: Multicomposition) -> int:
         """Tableau-counting oracle for the module dimension."""
@@ -398,8 +391,7 @@ class SchurContext:
         group W_target (`coset_reps` of W_source W_target, which all lie in
         W_target).  Their inverses are the shortest elements of the cosets
         y W_source, so this is also the sum of q^{l(x)} T_x over those."""
-        reps = coset_reps(self._blocks(source.bar()), identity(self.n),
-                          self._blocks(target.bar()))
+        reps = coset_reps(source.bar(), identity(self.n), target.bar())
         return algebra.perm_sum([invert(x) for x in reps], "qlen")
 
     def ef_apply(self, idx: EFIndex, kind: str, me: ModuleElement) -> ModuleElement:

@@ -6,6 +6,11 @@ right of points, so compose(u, v) applies u first and then v,
 (u*v)(p) = v(u(p)).  With this convention T_u T_v = T_{uv} in the Hecke
 algebra whenever lengths add.
 
+A composition of n is a plain tuple of non-negative ints; its blocks are
+the consecutive runs of the points 1..n of those sizes, a zero part giving
+an empty block.  Young subgroups and coset representatives take
+compositions as they are, and refuse a negative part.
+
 Everything here enumerates explicitly and is intended for n <= ~8.
 """
 
@@ -20,7 +25,6 @@ __all__ = [
     "invert",
     "length",
     "all_permutations",
-    "CompositionBlocks",
     "set_stabilizer",
     "young_subgroup",
     "coset_reps",
@@ -68,38 +72,6 @@ def all_permutations(n: int):
     return [tuple(p) for p in _it_permutations(range(1, n + 1))]
 
 
-class CompositionBlocks:
-    """A composition of n together with its cumulative block bounds."""
-
-    __slots__ = ("composition", "bounds", "n")
-
-    def __init__(self, composition):
-        comp = tuple(int(x) for x in composition)
-        if any(x < 0 for x in comp):
-            raise ValueError("composition parts must be non-negative")
-        self.composition = comp
-        bounds = [0]
-        for part in comp:
-            bounds.append(bounds[-1] + part)
-        self.bounds = tuple(bounds)
-        self.n = bounds[-1]
-
-    def blocks(self):
-        """Consecutive index intervals as ranges (zero parts give empties)."""
-        return [range(self.bounds[i] + 1, self.bounds[i + 1] + 1)
-                for i in range(len(self.composition))]
-
-    def __repr__(self):
-        return f"CompositionBlocks({self.composition})"
-
-    def __eq__(self, other):
-        return (isinstance(other, CompositionBlocks)
-                and other.composition == self.composition)
-
-    def __hash__(self):
-        return hash(self.composition)
-
-
 def set_stabilizer(n: int, point_sets):
     """All permutations of 1..n fixing each given set of points setwise;
     the sets must be disjoint.  The order is fixed: the sets are taken in
@@ -120,9 +92,20 @@ def set_stabilizer(n: int, point_sets):
     return members
 
 
-def young_subgroup(blocks: CompositionBlocks):
-    """All permutations fixing each block interval setwise."""
-    return set_stabilizer(blocks.n, blocks.blocks())
+def _block_of(composition):
+    """The block of each point of a composition of n: entry p - 1 is the
+    index of the part that point p falls in.  A negative part is refused."""
+    if any(part < 0 for part in composition):
+        raise ValueError("composition parts must be non-negative")
+    return [i for i, part in enumerate(composition) for _ in range(part)]
+
+
+def young_subgroup(composition):
+    """All permutations fixing each block of the composition setwise."""
+    block_of = _block_of(composition)
+    return set_stabilizer(len(block_of), [
+        [p for p, b in enumerate(block_of, start=1) if b == i]
+        for i in range(len(composition))])
 
 
 def _arrangements(labels):
@@ -137,9 +120,10 @@ def _arrangements(labels):
                 yield (first,) + tail
 
 
-def coset_reps(left: CompositionBlocks, d: Perm, right: CompositionBlocks):
+def coset_reps(left, d: Perm, right):
     """The shortest element of each left coset S_left x in S_left d S_right,
     each formed once; the first is the shortest element of the double coset.
+    `left` and `right` are compositions of n, as tuples of parts.
 
     Such an x is ascending on each left block, so it is fixed by the left
     block each value lands in, and x lies in the double coset iff each left
@@ -147,39 +131,39 @@ def coset_reps(left: CompositionBlocks, d: Perm, right: CompositionBlocks):
     2000, 2.1).  So each right block's values are dealt out to the left
     blocks in every distinct order; the first deal gives each right block's
     smallest values to the earliest left blocks."""
-    if not left.n == len(d) == right.n:
+    left_of, right_of = _block_of(left), _block_of(right)
+    if not len(left_of) == len(d) == len(right_of):
         raise ValueError("size mismatch")
-    left_of = [i for i, blk in enumerate(left.blocks()) for _ in blk]
-    right_of = [j for j, blk in enumerate(right.blocks()) for _ in blk]
     # per right block, the left blocks its values land in under d, sorted
-    labels = [[] for _ in right.composition]
+    labels = [[] for _ in right]
     for p, v in enumerate(d):
         labels[right_of[v - 1]].append(left_of[p])
     reps = []
     for deal in product(*(_arrangements(tuple(ls)) for ls in labels)):
         # the left block of each value; right blocks hold ascending runs
         block_of = [i for ls in deal for i in ls]
-        reps.append(tuple(v + 1 for v in sorted(range(left.n),
-                                                key=block_of.__getitem__)))
+        reps.append(tuple(v + 1 for v in sorted(range(len(d)),
+                                                 key=block_of.__getitem__)))
     return reps
 
 
-def double_coset(left: CompositionBlocks, d: Perm, right: CompositionBlocks):
+def double_coset(left, d: Perm, right):
     """The double coset S_left d S_right as a frozenset, each element formed
     once as u x, u in S_left and x in `coset_reps`."""
     reps = coset_reps(left, d, right)
     return frozenset(compose(u, x) for u in young_subgroup(left) for x in reps)
 
 
-def double_cosets(left: CompositionBlocks, right: CompositionBlocks):
+def double_cosets(left, right):
     """All double cosets S_left w S_right as (rep, frozenset of elements).
 
     The representative is the unique minimal-length element.  Cosets are
     returned sorted by representative.
     """
+    n = len(_block_of(left))
     seen = set()
     out = []
-    for x in coset_reps(left, identity(left.n), CompositionBlocks((left.n,))):
+    for x in coset_reps(left, identity(n), (n,)):
         if x not in seen:
             coset = double_coset(left, x, right)
             seen |= coset

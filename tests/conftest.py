@@ -23,7 +23,7 @@ import pytest
 from qschur.hecke import AKElement, AlgebraContext, _accumulate
 from qschur.linalg import RowSpace, _integer_row, nullspace
 from qschur.schur import ModuleElement, SchurContext
-from qschur.symgrp import CompositionBlocks, coset_reps, double_coset, invert
+from qschur.symgrp import coset_reps, double_coset, invert
 from qschur.tableaux import (enumerate_multicompositions, enumerate_ssyt, one_A,
                              t_lambda_x)
 
@@ -237,17 +237,15 @@ def coset_sum(algebra, left_comp, d, right_comp):
     """Sum of T_w over the double coset S_left d S_right, any d in it, with
     the algebra's m-convention weighting: the literal definition, the
     reference for the coset representative sums of `basis_vector`."""
-    return algebra.perm_sum(double_coset(CompositionBlocks(left_comp), d,
-                                         CompositionBlocks(right_comp)),
+    return algebra.perm_sum(double_coset(left_comp, d, right_comp),
                             algebra.m_convention)
 
 
 def one_A_reps(lam, mu, A):
-    """`coset_reps` of W_lam 1_A^-1 W_mu on fresh blocks, through the
+    """`coset_reps` of W_lam 1_A^-1 W_mu from the bars, through the
     permutation 1_A: the reference for the representatives that
     `SchurContext._walk` deals."""
-    return coset_reps(CompositionBlocks(lam.bar()), invert(one_A(A)),
-                      CompositionBlocks(mu.bar()))
+    return coset_reps(lam.bar(), invert(one_A(A)), mu.bar())
 
 
 def one_A_summands(algebra, lam, mu, A, table):

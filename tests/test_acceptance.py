@@ -16,8 +16,8 @@ from qschur.cli import main as cli_main
 from qschur.hecke import AlgebraContext
 from qschur.ring import Specialization
 from qschur.schur import SchurContext, validated_ef_conventions, verify_basis_with_fallback
-from qschur.symgrp import (CompositionBlocks, all_permutations, compose,
-                           identity, invert, young_subgroup)
+from qschur.symgrp import (all_permutations, compose, identity, invert,
+                           young_subgroup)
 from qschur.tableaux import (MultiShape, Multicomposition, bracket_leq,
                              bracket_reversed, canonical_tableaux,
                              enumerate_multicompositions, enumerate_ssyt,
@@ -198,8 +198,8 @@ def test_criterion_07_trivial_intersection():
                                                partitions_only=True):
             w, _ = w_lambda(lam)
             conj = {compose(compose(invert(w), u), w)
-                    for u in young_subgroup(CompositionBlocks(lam.bar()))}
-            dual = set(young_subgroup(CompositionBlocks(lam.dual().bar())))
+                    for u in young_subgroup(lam.bar())}
+            dual = set(young_subgroup(lam.dual().bar()))
             if conj & dual != {identity(n)}:
                 ok = False
     report(7, ok, "w_lam^-1 S_lam w_lam meets S_lam' trivially for all "

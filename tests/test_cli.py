@@ -246,6 +246,30 @@ def test_branch_max_dim_exit_three():
     assert code == 3
 
 
+# every target that builds an algebra of dimension r^n n!, here 2^3 3! = 48
+GUARDED = [["verify", "relations", "--n", "3", "--r", "2"],
+           ["verify", "lemma24", "--n", "3", "--r", "2"],
+           *(["verify", what, "--lambda", "[[2],[1]]"]
+             for what in ("basis", "branch")),
+           *(["compute", what, "--lambda", "[[2],[1]]"]
+             for what in ("z", "x", "y", "m", "h"))]
+
+
+@pytest.mark.parametrize("argv", GUARDED, ids=lambda a: " ".join(a[:2]))
+def test_max_dim_below_the_dimension_exits_three_before_any_algebra(
+        monkeypatch, argv):
+    def built(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+    monkeypatch.setattr(AlgebraContext, "__init__", built)
+    assert run_cli([*argv, "--max-dim", "47"]) == (3, "")
+
+
+def test_max_dim_at_the_dimension_runs():
+    code, out = run_cli(["compute", "z", "--lambda", "[[2],[1]]",
+                         "--max-dim", "48"])
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("option,value", [("--samples", "-5"), ("--max-dim", "-1"),
                                           ("--max-seconds", "-1"),
                                           ("--max-seconds", "nan")])

@@ -118,11 +118,16 @@ def test_deleted_api_is_gone():
             (qschur.hecke, "_perm_rank"),
             # one elimination routine in `RowSpace`, and one residue map
             (qschur.RowSpace, "_eliminate"),
-            (qschur.linalg, "_residue")):
+            (qschur.linalg, "_residue"),
+            # compositions are plain tuples: no wrapper class, no cache of it
+            (qschur.symgrp, "CompositionBlocks"),
+            (qschur, "CompositionBlocks"),
+            (qschur.SchurContext, "_blocks")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     # one memo per context for what it builds over an algebra
     sc = qschur.SchurContext(1, 1, (1,))
-    for name in ("_x_cache", "_z_cache", "_span_cache", "_points", "_tables"):
+    for name in ("_x_cache", "_z_cache", "_span_cache", "_points", "_tables",
+                 "_block_cache"):
         assert not hasattr(sc, name), f"SchurContext.{name}"
     assert not hasattr(qschur.BranchContext(1, 1, (2,), [(2,)]), "_point")
     # options that only ever took one value

@@ -487,6 +487,6 @@ def test_lemma24_freeness_at_degenerate_points(monkeypatch, q):
     point = Specialization(q, (Fraction(3), Fraction(7)))
     monkeypatch.setattr(cli.Specialization, "random",
                         classmethod(lambda cls, r, rng: point))
-    report = cli._lemma24_report(2, 2, 0, cli._Budget(None), 10_000)
+    report = cli._lemma24_report(2, 2, 0, cli._Budget(None))
     assert set(report["freeness_ranks"].values()) == {factorial(2)}
     assert report["pass"]

@@ -13,8 +13,7 @@ from qschur.ring import PRIME, PointContext, Specialization
 from qschur.schur import (FALLBACK_FLAGS, ConventionError, EFIndex,
                           ModuleElement, SchurContext, _weight_json,
                           validated_ef_conventions, verify_basis_with_fallback)
-from qschur.symgrp import (CompositionBlocks, compose, invert, length,
-                           young_subgroup)
+from qschur.symgrp import compose, invert, length, young_subgroup
 from qschur.tableaux import (TypedTableau, enumerate_multicompositions,
                              enumerate_ssyt, one_A, superstandard, w_lambda)
 
@@ -289,8 +288,8 @@ def _reference_coset_factor(algebra, target, source, star, reps_side):
     bar group into right (or left) cosets of its intersection with the
     source bar group, shortest element first, and keep each coset's
     shortest element."""
-    tgt = young_subgroup(CompositionBlocks(target.bar()))
-    src = set(young_subgroup(CompositionBlocks(source.bar())))
+    tgt = young_subgroup(target.bar())
+    src = set(young_subgroup(source.bar()))
     inter = [w for w in tgt if w in src]
     reps = []
     seen = set()

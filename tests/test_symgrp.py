@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reduced_word
-from qschur.symgrp import (CompositionBlocks, all_permutations, compose,
-                           coset_reps, double_coset, double_cosets,
-                           identity, invert, length, transposition,
-                           young_subgroup)
+from qschur.symgrp import (all_permutations, compose, coset_reps,
+                           double_coset, double_cosets, identity, invert,
+                           length, transposition, young_subgroup)
 
 
 def test_length_examples():
@@ -54,46 +53,63 @@ def test_length_changes_by_one():
 
 
 def test_young_subgroup_examples():
-    assert set(young_subgroup(CompositionBlocks((3,)))) == set(all_permutations(3))
-    assert young_subgroup(CompositionBlocks((1, 1, 1))) == [identity(3)]
-    assert set(young_subgroup(CompositionBlocks((2, 1)))) == {(1, 2, 3), (2, 1, 3)}
+    assert set(young_subgroup((3,))) == set(all_permutations(3))
+    assert young_subgroup((1, 1, 1)) == [identity(3)]
+    assert set(young_subgroup((2, 1))) == {(1, 2, 3), (2, 1, 3)}
 
 
 def test_young_subgroup_size():
     for comp in [(2, 2), (3, 1), (1, 2, 1), (2, 1, 1)]:
-        bl = CompositionBlocks(comp)
         expected = 1
         for part in comp:
             expected *= factorial(part)
-        assert len(young_subgroup(bl)) == expected
+        assert len(young_subgroup(comp)) == expected
 
 
-def left_coset_reps(bl):
-    """The shortest element of each left coset S_blocks w in S_n."""
-    return coset_reps(bl, identity(bl.n), CompositionBlocks((bl.n,)))
+@pytest.mark.parametrize("bad", [(2, -1), (-1, 1)])
+def test_a_negative_part_is_refused(bad):
+    # n is what the other parts would give with the negative one skipped,
+    # so the sizes agree and only the sign check can refuse
+    n = sum(part for part in bad if part > 0)
+    calls = {"young_subgroup": lambda: young_subgroup(bad),
+             "coset_reps left": lambda: coset_reps(bad, identity(n), (n,)),
+             "coset_reps right": lambda: coset_reps((n,), identity(n), bad),
+             "double_coset left": lambda: double_coset(bad, identity(n), (n,)),
+             "double_coset right": lambda: double_coset((n,), identity(n), bad),
+             "double_cosets left": lambda: double_cosets(bad, (n,)),
+             "double_cosets right": lambda: double_cosets((n,), bad)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
+            pytest.fail(name)
+
+
+def left_coset_reps(comp):
+    """The shortest element of each left coset S_comp w in S_n."""
+    n = sum(comp)
+    return coset_reps(comp, identity(n), (n,))
 
 
 def test_coset_reps_examples():
-    assert left_coset_reps(CompositionBlocks((3,))) == [identity(3)]
-    assert left_coset_reps(CompositionBlocks((1, 1))) == [(1, 2), (2, 1)]
+    assert left_coset_reps((3,)) == [identity(3)]
+    assert left_coset_reps((1, 1)) == [(1, 2), (2, 1)]
     # {id, s2, s2*s1}, the first the shortest
     s1, s2 = transposition(3, 1), transposition(3, 2)
-    assert left_coset_reps(CompositionBlocks((2, 1))) == \
+    assert left_coset_reps((2, 1)) == \
         [identity(3), s2, compose(s2, s1)]
 
 
 def check_coset_factorization(comp):
-    """Every w in S_n is u x for exactly one u in S_blocks and one x in
+    """Every w in S_n is u x for exactly one u in S_comp and one x in
     `coset_reps`, with lengths adding."""
-    bl = CompositionBlocks(comp)
     factors = {}
-    for u in young_subgroup(bl):
-        for x in left_coset_reps(bl):
+    for u in young_subgroup(comp):
+        for x in left_coset_reps(comp):
             w = compose(u, x)
             assert w not in factors
             assert length(u) + length(x) == length(w)
             factors[w] = (u, x)
-    assert set(factors) == set(all_permutations(bl.n))
+    assert set(factors) == set(all_permutations(sum(comp)))
 
 
 def test_coset_factorization_unique():
@@ -106,20 +122,19 @@ def test_coset_factorization_n5():
 
 
 def test_double_cosets_trivial_cases():
-    full = double_cosets(CompositionBlocks((3,)), CompositionBlocks((3,)))
+    full = double_cosets((3,), (3,))
     assert len(full) == 1
     rep, members = full[0]
     assert rep == identity(3) and len(members) == 6
 
-    singletons = double_cosets(CompositionBlocks((1, 1, 1)),
-                               CompositionBlocks((1, 1, 1)))
+    singletons = double_cosets((1, 1, 1), (1, 1, 1))
     assert len(singletons) == 6
     assert all(len(m) == 1 for _, m in singletons)
 
 
 def test_double_cosets_partition_and_minimality():
     for left, right in [((2, 1), (1, 2)), ((2, 2), (2, 2)), ((2, 1), (2, 1))]:
-        dcs = double_cosets(CompositionBlocks(left), CompositionBlocks(right))
+        dcs = double_cosets(left, right)
         n = sum(left)
         seen = set()
         for rep, members in dcs:
@@ -142,7 +157,7 @@ def all_products_cosets(left, right):
     the reference for `double_coset`; computed once per double coset."""
     lgrp, rgrp = young_subgroup(left), young_subgroup(right)
     found = {}
-    for d in all_permutations(left.n):
+    for d in all_permutations(sum(left)):
         if d not in found:
             coset = {compose(compose(u, d), v) for u in lgrp for v in rgrp}
             found.update(dict.fromkeys(coset, coset))
@@ -150,9 +165,8 @@ def all_products_cosets(left, right):
 
 
 def check_double_coset(left, right):
-    lb, rb = CompositionBlocks(left), CompositionBlocks(right)
-    for d, coset in all_products_cosets(lb, rb).items():
-        assert double_coset(lb, d, rb) == coset, (left, d, right)
+    for d, coset in all_products_cosets(left, right).items():
+        assert double_coset(left, d, right) == coset, (left, d, right)
 
 
 def test_double_coset_equals_all_products_small():
@@ -164,12 +178,32 @@ def test_double_coset_equals_all_products_small():
             for right in comps:
                 check_double_coset(left, right)
     with pytest.raises(ValueError):
-        double_coset(CompositionBlocks((2,)), identity(3), CompositionBlocks((3,)))
+        double_coset((2,), identity(3), (3,))
 
 
 def compositions_of(n):
     return st.lists(st.integers(0, n), max_size=n).map(
         lambda cuts: compositions(n, cuts))
+
+
+def fixes_each_block(w, comp):
+    """Whether w maps each block of the composition onto itself."""
+    start = 0
+    for part in comp:
+        block = set(range(start + 1, start + part + 1))
+        if {w[p - 1] for p in block} != block:
+            return False
+        start += part
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(compositions_of))
+def test_young_subgroup_is_the_block_stabilizer(comp):
+    members = young_subgroup(comp)
+    assert len(set(members)) == len(members)
+    assert set(members) == {w for w in all_permutations(sum(comp))
+                            if fixes_each_block(w, comp)}
 
 
 @settings(max_examples=20, deadline=None)
@@ -183,10 +217,10 @@ def test_double_coset_equals_all_products(pair):
 @given(st.integers(1, 5).flatmap(
     lambda n: st.tuples(compositions_of(n), compositions_of(n))))
 def test_coset_reps_deal_each_left_coset_once(pair):
-    lb, rb = (CompositionBlocks(c) for c in pair)
-    for d, coset in all_products_cosets(lb, rb).items():
-        reps = coset_reps(lb, d, rb)
+    left, right = pair
+    for d, coset in all_products_cosets(left, right).items():
+        reps = coset_reps(left, d, right)
         assert len(set(reps)) == len(reps)
-        assert double_coset(lb, d, rb) == coset
+        assert double_coset(left, d, right) == coset
         shortest = min(length(x) for x in coset)
         assert [x for x in coset if length(x) == shortest] == [reps[0]]
