@@ -44,8 +44,14 @@ and ([3],[],[])), lambda padded to m rows: every multipartition of three
 of the four configurations that the bench's `basis` pass certifies.  A
 change to how the verdicts or elements are computed must leave every byte
 the same.
+
+`GENERIC_R3_DIGESTS` pins, by sha256, the 341 KB stdout of `compute z` and
+`compute h --format json` for lambda = ([2],[1],[1]) at m = (2,2,2),
+r = 3: an n = 4 element over the generic ring whose scalars carry several
+Q-monomials, too large to keep as text.
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -65,3 +71,20 @@ def test_cli_output_is_byte_identical(case):
         code = main(list(case["argv"]))
     assert code == case["exit"]
     assert buf.getvalue() == case["stdout"]
+
+
+GENERIC_R3_DIGESTS = {
+    "z": "59d31ca101f652ffb5ca264fba1db6017f295a016b5b5c0b0a12842e7ef05e30",
+    "h": "59d31ca101f652ffb5ca264fba1db6017f295a016b5b5c0b0a12842e7ef05e30",
+}
+
+
+@pytest.mark.parametrize("what", sorted(GENERIC_R3_DIGESTS))
+def test_generic_r3_output_digest(what):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["compute", what, "--lambda", "[[2],[1],[1]]",
+                     "--m", "[2,2,2]", "--r", "3", "--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == GENERIC_R3_DIGESTS[what]

@@ -10,6 +10,9 @@ used before packing.  Every operation must agree with it through
 values built along different paths must be equal and hash alike; `text()`
 and `to_json()` must round-trip; and the guard bit at the top of each Q
 slot must turn a Q-exponent of 2^31 into an error, never a wrapped key.
+Operands of one Q-monomial take lean paths in `__add__` and `__mul__`;
+their results must also equal, as `(lo, w, packed ints)`, the canonical
+form that `from_terms` builds from the reference.
 """
 
 import io
@@ -223,3 +226,109 @@ def test_the_cli_exits_3_on_exponent_overflow(monkeypatch):
         code = cli.main(["compute", "L", "--i", "1", "--n", "1", "--r", "2"])
     assert code == cli.RESOURCE
     assert "resource limit" in err.getvalue()
+
+
+# -- one Q-monomial: the lean paths of `__add__` and `__mul__` -------------------
+
+# near the top of a signed 64-bit slot: a sum or product of two of these
+# has a bound past 2^63 and must run wide
+NEAR_TOP = st.integers(1 << 62, 1 << 63).flatmap(
+    lambda c: st.sampled_from((c, -c)))
+ONE_COEFF = st.one_of(st.integers(-50, 50), NEAR_TOP)
+# two of these sum to just below, at or just above the guard bit 2^31
+HALF_LIMIT = st.integers((LIMIT >> 1) - 2, (LIMIT >> 1) + 2)
+
+
+def one_group(draw, qexps):
+    """{exponent tuple: coefficient} with every term on the Q-exponents
+    `qexps` and q-exponents in -4..4."""
+    group = draw(st.dictionaries(st.integers(-4, 4), ONE_COEFF,
+                                 min_size=1, max_size=4))
+    return {(e,) + qexps: c for e, c in group.items() if c}
+
+
+def assert_canonical(ctx, s, ref):
+    assert s.terms() == ref
+    canon = ctx.from_terms(ref)
+    assert (s._lo, s._w, s._terms) == (canon._lo, canon._w, canon._terms)
+
+
+@st.composite
+def one_group_sums(draw):
+    """(r, a, b): two scalars on one shared Q-exponent vector.  b is free
+    (its lowest q-exponent equal to a's or not), equal to a's lowest
+    q-exponent, -a (the sum is zero), or cancels the k lowest terms of a
+    (the sum's lowest slots are zero and must be stripped)."""
+    r = draw(st.integers(1, 4))
+    qexps = draw(st.tuples(*[Q_EXP] * r))
+    a, b = one_group(draw, qexps), one_group(draw, qexps)
+    mode = draw(st.sampled_from(("free", "same_lo", "zero", "low")))
+    if mode == "same_lo" and a:
+        lo = min(a)
+        b[lo] = b.get(lo, 0) or 1
+    elif mode == "zero":
+        b = ref_neg(a)
+    elif mode == "low" and a:
+        k = draw(st.integers(1, len(a)))
+        b = {e: -a[e] for e in sorted(a)[:k]}
+    return r, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_group_sums())
+def test_one_group_sum_is_canonical(case):
+    r, ta, tb = case
+    ctx = ScalarContext(r)
+    a, b = ctx.from_terms(ta), ctx.from_terms(tb)
+    ref = ref_add(ta, tb)
+    for s in (a + b, b + a, a - (-b)):
+        assert_canonical(ctx, s, ref)
+        assert bool(s) == bool(ref)
+
+
+@st.composite
+def one_group_products(draw):
+    """(r, a, b): a on one Q-exponent vector, b free, with Q-exponents
+    small or near 2^30, so that a product key may reach the guard bit."""
+    r = draw(st.integers(1, 4))
+    q_exp = st.one_of(st.integers(0, 3), HALF_LIMIT)
+    a = one_group(draw, draw(st.tuples(*[q_exp] * r)))
+    exps = st.tuples(st.integers(-4, 4), *[q_exp] * r)
+    b = draw(st.dictionaries(exps, ONE_COEFF, max_size=4))
+    return r, a, {e: c for e, c in b.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_group_products())
+def test_one_group_product_is_canonical_or_overflows(case):
+    r, ta, tb = case
+    ctx = ScalarContext(r)
+    a, b = ctx.from_terms(ta), ctx.from_terms(tb)
+    ref = ref_mul(ta, tb)
+    if any(e >= LIMIT for exps in ref for e in exps[1:]):
+        with pytest.raises(ExponentOverflow):
+            a * b
+        with pytest.raises(ExponentOverflow):
+            b * a
+        return
+    for p in (a * b, b * a):
+        assert_canonical(ctx, p, ref)
+
+
+def test_one_group_edges():
+    ctx = ScalarContext(2)
+    top = (1 << 63) - 1
+    a = ctx.from_terms({(0, 1, 0): top, (2, 1, 0): 1})
+    # equal lo: the lowest slot cancels, and so does the sum
+    assert_canonical(ctx, a - ctx.from_terms({(0, 1, 0): top}), {(2, 1, 0): 1})
+    assert a - a is ctx.zero()
+    # a bound past 2^63 runs wide and is narrowed again
+    assert_canonical(ctx, a + a, {(0, 1, 0): 2 * top, (2, 1, 0): 2})
+    assert_canonical(ctx, (a + a) - a, {(0, 1, 0): top, (2, 1, 0): 1})
+    assert_canonical(ctx, a * ctx.from_int(2), {(0, 1, 0): 2 * top, (2, 1, 0): 2})
+    # different lo: the lower operand's slot 0 stays
+    assert_canonical(ctx, ctx.q(-3) * ctx.Q(1) + a,
+                     {(-3, 1, 0): 1, (0, 1, 0): top, (2, 1, 0): 1})
+    # a one-group factor still trips the guard bit
+    with pytest.raises(ExponentOverflow):
+        ctx.Q(2, LIMIT >> 1) * (ctx.Q(2, LIMIT >> 1) + ctx.Q(1))
