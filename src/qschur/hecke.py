@@ -34,19 +34,23 @@ The Jucys-Murphy elements L_i commute, so L_i * L^c T_w is the single
 monomial L^{c+e_i} T_w, the key plus the stride n! r^(n-i), unless the
 exponent c_i overflows; only then is L_i applied as its generator word
 q^{-(i-1)} T_{i-1}..T_1 T_0 T_1..T_{i-1}, once per key, kept in an
-int-keyed memo.  The context keeps one `Multiples(T_j)` per generator for
-right multiplication: its entry (L^c T_w) T_j is made from a shorter one,
-so terms share prefixes.
+int-keyed memo.  An L_i step (`_lmul_L`) shifts the keys that do not
+overflow into one dict, sends only the others through `_termwise` on
+their memo rows, and merges the two by `_accumulate`.  The context keeps
+one `Multiples(T_j)` per generator for right multiplication: its entry
+(L^c T_w) T_j is made from a shorter one, so terms share prefixes.
 
 Sparse sums go through one helper, `_accumulate`, which adds (key,
 scalar) pairs into a term dict and drops keys that cancel.  Multiplying
 term by term (`AKElement._termwise`) keeps its own copy of that loop
 inline: it is the innermost loop of every product, and the extra call per
 term made basis certification measurably slower.  `lmul_gen` keeps one
-more, with its table read inline, for the same reason.  Every path that
-finishes a term dict hands it to the ring's `normal`, so equal elements
-have equal term dicts in every ring; a generator table row is finished so
-once, for all the terms read off it.
+more, with its table read inline, for the same reason.  These two test
+only a sum for zero: a product of nonzero values is nonzero in every ring
+(over F_p, as plain ints).  Every path that finishes a term dict hands it
+to the ring's `normal`, so equal elements have equal term dicts in every
+ring; a generator table row is finished so once, for all the terms read
+off it.
 
 General products a * b, a the sum of alpha_{c,w} L^c T_w, put the
 commuting L_i on the left: a * b is the sum over c of L^c Y_c, where Y_c
@@ -857,12 +861,12 @@ class AKElement:
                 cur = (coeff if scal is one else scal if coeff is one
                        else coeff * scal)
                 prev = out.get(key)
-                if prev is not None:
-                    cur = prev + cur
-                if not cur:
-                    out.pop(key, None)
-                else:
+                if prev is None:
                     out[key] = cur
+                elif cur := prev + cur:
+                    out[key] = cur
+                else:
+                    del out[key]
         return AKElement(ctx, ctx.scalars.normal(out))
 
     def rmul_gen(self, j: int) -> "AKElement":
@@ -882,17 +886,26 @@ class AKElement:
         plus the stride of c_i, or where c_i overflows the context's memo
         of the generator word (`_lmul_L_word`)."""
         ctx = self.ctx
-        stride, r, one = ctx._strides[i - 1], ctx.r, ctx.scalars.one()
+        stride, r = ctx._strides[i - 1], ctx.r
         memo = ctx._lmul_L_terms[i - 1]
-
-        def terms(k):
+        # distinct keys shift to distinct keys, so these stay in normal form
+        shifted, over = {}, {}
+        for k, coeff in self.terms.items():
             if k // stride % r < r - 1:
-                return ((k + stride, one),)
-            row = memo.get(k)
-            if row is None:
-                row = memo[k] = ctx._lmul_L_word(i, k)
-            return row
-        return self._termwise(terms)
+                shifted[k + stride] = coeff
+            else:
+                over[k] = coeff
+        if not over:
+            return AKElement(ctx, shifted)
+
+        def row(k):
+            terms = memo.get(k)
+            if terms is None:
+                terms = memo[k] = ctx._lmul_L_word(i, k)
+            return terms
+        words = AKElement(ctx, over)._termwise(row)
+        return AKElement(ctx, _accumulate(ctx.scalars, shifted,
+                                          words.terms.items()))
 
     def _termwise(self, terms) -> "AKElement":
         """The sum over the terms (k, coeff) of this element of coeff times
@@ -900,8 +913,8 @@ class AKElement:
         # the loop of `_accumulate`, inlined: this is the innermost loop of
         # every product, and going through the helper made basis
         # certification 10-13% slower
-        # a factor that is the ring's shared `one()` (an L_i entry that does
-        # not overflow, a plain T-sum's coefficient) needs no multiplication
+        # a factor that is the ring's shared `one()` (a plain T-sum's
+        # coefficient) needs no multiplication
         one = self.ctx.scalars.one()
         out = {}
         for k, coeff in self.terms.items():
@@ -909,12 +922,12 @@ class AKElement:
                 cur = (coeff if scal is one else scal if coeff is one
                        else coeff * scal)
                 prev = out.get(key)
-                if prev is not None:
-                    cur = prev + cur
-                if not cur:
-                    out.pop(key, None)
-                else:
+                if prev is None:
                     out[key] = cur
+                elif cur := prev + cur:
+                    out[key] = cur
+                else:
+                    del out[key]
         return AKElement(self.ctx, self.ctx.scalars.normal(out))
 
     def closure(self, step, add) -> None:

@@ -104,11 +104,15 @@ class RowSpace:
         integer vector in c*vec + their span, c > 0; over F_p the residues."""
         m = self.modulus
         # the least s that makes every multiple s*a/row[p] an integer;
-        # over F_p each pivot is 1.  vec is scaled in the first hit's pass
+        # over F_p each pivot is 1.  vec is scaled in the first hit's pass;
+        # unscaled, every pass starts at its row's pivot, zero before it
         s = 1 if m else lcm(*(row[p] // gcd(a, row[p]) for row, p, a in hits))
-        (row, p, a), *rest = hits
-        t = s * a // row[p]
-        vec = [s * x - t * y for x, y in zip(vec, row)]
+        if s == 1:
+            vec, rest = vec[:], hits
+        else:
+            (row, p, a), *rest = hits
+            t = s * a // row[p]
+            vec = [s * x - t * y for x, y in zip(vec, row)]
         for row, p, a in rest:
             t = s * a // row[p]
             vec[p:] = [x - t * y for x, y in zip(vec[p:], row[p:])]

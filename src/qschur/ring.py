@@ -23,17 +23,23 @@ evaluated at q = 2^w: coefficient i sits in the signed w-bit slot i, and
 a negative slot borrows from the one above.  `lo` is the lowest
 q-exponent of the whole scalar, so some Q-monomial has a nonzero slot 0.
 A product of scalars adds keys and `lo`s and multiplies the packed ints,
-one big-int multiply per pair of Q-monomials; a sum shifts the operand
-with the higher `lo` up and strips the low slots that every Q-monomial
-has lost.  Each scalar carries a bound on the sum of its absolute
-coefficients (b1 + b2 for a sum, b1 * b2 for a product), which bounds
-every coefficient an operation can make.  Operations run at w = 64 while
-that bound fits a signed 64-bit slot; otherwise they run at a width that
-holds it, and the result is re-encoded at the narrowest multiple of 64
-bits that holds its coefficients.  So no coefficient ever wraps, every
-value has one form, and `==` and `hash` compare `(lo, w, packed ints)`.
-Only `terms()` (which returns exponent tuples), `text()`, `to_json()`
-and `repr` decode.
+one big-int multiply per pair of Q-monomials.  Where a factor has one
+Q-monomial (most products the engine makes), no keys collide and no
+product of nonzero ints is zero, so the product is one pass over the
+other factor's groups with no collision or zero test; it makes the keys
+and ints of the general loop, at the width chosen before either, so the
+form below is unchanged.  A sum shifts the operand with the higher `lo`
+up and, at equal `lo`s, strips the low slots that every Q-monomial has
+lost, reading slot 0 only until it finds one nonzero.  An operand of the
+same context skips the coercion.  Each scalar carries a bound on the sum
+of its absolute coefficients (b1 + b2 for a sum, b1 * b2 for a product),
+which bounds every coefficient an operation can make.  Operations run at
+w = 64 while that bound fits a signed 64-bit slot; otherwise they run at
+a width that holds it, and the result is re-encoded at the narrowest
+multiple of 64 bits that holds its coefficients.  So no coefficient ever
+wraps, every value has one form, and `==` and `hash` compare `(lo, w,
+packed ints)`.  Only `terms()` (which returns exponent tuples), `text()`,
+`to_json()` and `repr` decode.
 
 `PointContext` is the image of that ring at one rational `Specialization`:
 the exact ring Q there, whose elements are plain `Fraction`s, or F_p,
@@ -394,9 +400,10 @@ class ExactScalar:
                 for k, g in _decode(self._terms, self._lo, self._w).items()}
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not ExactScalar or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not (self._terms and other._terms):
             return self if self._terms else other
         bound = self._bound + other._bound
@@ -418,11 +425,16 @@ class ExactScalar:
                 del out[k]
         if not out:
             return self.ctx._zero
-        if not d and not any(p & ((1 << w) - 1) for p in out.values()):
-            # the lowest q-part cancelled: strip the zero slots all share
-            s = min(((p & -p).bit_length() - 1) // w for p in out.values())
-            out = {k: p >> w * s for k, p in out.items()}
-            lo += s
+        if not d:
+            mask = (1 << w) - 1
+            for p in out.values():
+                if p & mask:
+                    break
+            else:
+                # the lowest q-part cancelled: strip the zero slots all share
+                s = min(((p & -p).bit_length() - 1) // w for p in out.values())
+                out = {k: p >> w * s for k, p in out.items()}
+                lo += s
         if w != 64:
             return self.ctx._build(_decode(out, lo, w))
         return ExactScalar(self.ctx, out, lo, 64, bound)
@@ -443,9 +455,10 @@ class ExactScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not ExactScalar or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not (self._terms and other._terms):
             return self.ctx._zero
         bound = self._bound * other._bound
@@ -454,15 +467,24 @@ class ExactScalar:
         else:
             w = max(self._w, other._w, _width(bound))
             a, b = self._at(w), other._at(w)
-        out: dict = {}
-        get = out.get
-        right = b.items()
-        for k1, p1 in a.items():
-            for k2, p2 in right:
-                key = k1 + k2
-                out[key] = get(key, 0) + p1 * p2
-        if not all(out.values()):
-            out = {k: p for k, p in out.items() if p}
+        if len(b) == 1:
+            a, b = b, a
+        out = {}
+        if len(a) == 1:
+            # one Q-monomial: no two keys collide, and a product of
+            # nonzero ints is nonzero
+            (k1, p1), = a.items()
+            for k2, p2 in b.items():
+                out[k1 + k2] = p1 * p2
+        else:
+            get = out.get
+            right = b.items()
+            for k1, p1 in a.items():
+                for k2, p2 in right:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + p1 * p2
+            if not all(out.values()):
+                out = {k: p for k, p in out.items() if p}
         # valid slots add without carrying, so a set guard bit is the
         # only way a Q-exponent can leave its slot
         guard = self.ctx._guard
